@@ -12,10 +12,8 @@ __version__ = "0.1.0"
 from .bench import CampaignConfig, ConvergenceTable, emit_csv, fit_slope, parse_config, run_campaign
 from .estimators import (
     BudgetSplit,
-    EstimateReport,
     Integrand,
     cf_estimate,
-    cf_estimate_folded,
     optimal_split,
     qmc_estimate,
     split_budget,
@@ -27,7 +25,6 @@ from .kernels import (
     KernelSpec,
     gram,
     kernel_double_integral,
-    kernel_eval,
     kernel_integral,
     kernel_integral_1d,
     wendland_1d,
@@ -52,7 +49,6 @@ __all__ = [
     "BudgetSplit",
     "CampaignConfig",
     "ConvergenceTable",
-    "EstimateReport",
     "GenzInstance",
     "GeometryMetrics",
     "Integrand",
@@ -62,7 +58,6 @@ __all__ = [
     "Provenance",
     "baker_fold",
     "cf_estimate",
-    "cf_estimate_folded",
     "control_functional",
     "emit_csv",
     "emit_svg",
@@ -73,7 +68,6 @@ __all__ = [
     "gram",
     "halton",
     "kernel_double_integral",
-    "kernel_eval",
     "kernel_integral",
     "kernel_integral_1d",
     "lattice",

@@ -20,16 +20,17 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .estimators import cf_estimate, cf_estimate_folded, optimal_split, qmc_estimate, split_budget
+from .estimators import cf_estimate, optimal_split, qmc_estimate, split_budget
 from .genz import DEBUG_FAMILIES, FAMILIES, as_integrand, random_genz
 from .kernels import SMOOTHNESS_LEVELS, KernelSpec
 from .points import (
     PointSet,
+    baker_fold,
     halton,
     korobov_vector,
     lattice,
@@ -145,7 +146,6 @@ class ConvergenceTable:
     rows: list[Row]
     slopes: list[SlopeFit]
     config: CampaignConfig
-    randomization_log: dict = field(default_factory=dict)
 
     def slope_for(self, family: str, dim: int, method: str, k: int) -> SlopeFit:
         for s in self.slopes:
@@ -195,7 +195,7 @@ def _run_method(
         return cf_estimate(integrand, nodes, eval_pts, spec)[0]
     if method == "QMC+CF-folded":
         det = _deterministic_points(sequence, split.n_eval, d)
-        return cf_estimate_folded(integrand, nodes, det, delta, spec)
+        return cf_estimate(integrand, nodes, baker_fold(random_shift(det, delta)), spec)[0]
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -203,14 +203,13 @@ def run_campaign(cfg: CampaignConfig) -> ConvergenceTable:
     """Run every cell of the campaign; replicate failures are tagged per row
     and the campaign continues."""
     rows: list[Row] = []
-    rand_log: dict = {}
     fraction = cfg.node_fraction
     for family in cfg.families:
         for d in cfg.dims:
             for k in cfg.k_values:
                 spec = KernelSpec(k=k, dim=d, support_radius=cfg.support_radius)
                 for n_nominal in cfg.n_grid:
-                    split = split_budget(n_nominal, fraction, pow2_eval=True, dim=d)
+                    split = split_budget(n_nominal, fraction, dim=d)
                     if split.discarded:
                         warnings.warn(
                             f"cell ({family}, d={d}, N={n_nominal}): grid snapping discards "
@@ -246,10 +245,6 @@ def run_campaign(cfg: CampaignConfig) -> ConvergenceTable:
                                 )
                                 continue
                             errors[method].append(est - inst.exact)
-                            if cfg.sequence == "sobol-dshift":
-                                rand_log[(family, d, k, method, n_nominal, r)] = (dshift_seed,)
-                            else:
-                                rand_log[(family, d, k, method, n_nominal, r)] = tuple(delta)
                     for method in cfg.methods:
                         errs = np.asarray(errors[method])
                         ok = errs.size
@@ -283,7 +278,7 @@ def run_campaign(cfg: CampaignConfig) -> ConvergenceTable:
                             )
                         )
     slopes = _fit_cell_slopes(rows)
-    return ConvergenceTable(rows=rows, slopes=slopes, config=cfg, randomization_log=rand_log)
+    return ConvergenceTable(rows=rows, slopes=slopes, config=cfg)
 
 
 def fit_slope(points) -> tuple[float, float, float]:
@@ -390,9 +385,11 @@ def emit_csv(table: ConvergenceTable, path) -> None:
 
 
 def read_csv(path) -> tuple[list[Row], list[SlopeFit]]:
-    """Parse a file written by :func:`emit_csv` back into rows and slopes."""
+    """Parse a file written by :func:`emit_csv` back into rows and slopes,
+    restoring each row's ``#error`` message."""
     rows: list[Row] = []
     slopes: list[SlopeFit] = []
+    errors: dict[tuple, str] = {}
     section = "rows"
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -401,6 +398,11 @@ def read_csv(path) -> tuple[list[Row], list[SlopeFit]]:
     for ln in lines[1:]:
         if ln == "#slope":
             section = "slopes"
+            continue
+        if ln.startswith("#error "):
+            head, message = ln[len("#error "):].split(": ", 1)
+            key = dict(item.split("=", 1) for item in head.split(","))
+            errors[(key["family"], int(key["dim"]), key["method"], int(key["k"]), int(key["N"]))] = message
             continue
         if not ln or ln.startswith("#") or ln == _SLOPE_HEADER:
             continue
@@ -435,6 +437,9 @@ def read_csv(path) -> tuple[list[Row], list[SlopeFit]]:
                     residual=float(fields[6]),
                 )
             )
+    rows = [replace(r, error=errors.pop((*r.cell_key(), r.n_total), "")) for r in rows]
+    if errors:
+        raise ValueError(f"{path}: #error line names no row: {next(iter(errors))}")
     return rows, slopes
 
 

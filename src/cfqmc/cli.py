@@ -61,7 +61,7 @@ def _print_config(args: argparse.Namespace, command: str) -> None:
 
 def _generate_points(args) -> "PointSet":
     if args.seq == "halton":
-        ps = halton(args.n, args.dim, scramble=args.scramble, seed=args.shift_seed)
+        ps = halton(args.n, args.dim, scramble=args.scramble)
     elif args.seq == "sobol":
         table = load_direction_file(args.directions) if args.directions else None
         if args.scramble:
@@ -131,7 +131,7 @@ def _cmd_integrate(args) -> int:
     inst = random_genz(args.family, args.dim, seed_for(args.seed, "instance"), args.difficulty)
     integrand = as_integrand(inst)
     spec = KernelSpec(k=args.k, dim=args.dim, support_radius=args.support)
-    split = bench_mod.split_budget(args.n, 0.5, pow2_eval=True, dim=args.dim)
+    split = bench_mod.split_budget(args.n, 0.5, dim=args.dim)
     delta = rng_for(args.seed, "shift").random(args.dim)
     dshift_seed = seed_for(args.seed, "dshift")
     mc_seed = seed_for(args.seed, "mc")
@@ -205,6 +205,13 @@ def _cmd_gp(args) -> int:
     print(f"wrote {est_path} and {sd_path}")
     for t_idx, method, sd in study.spread:
         print(f"sd test_index={t_idx} method={method}: {sd:.6g}")
+    if "QMC+CF" in methods:
+        sd_map = {(t_idx, method): sd for t_idx, method, sd in study.spread}
+        n_test = len(cfg.test_points)
+        for rival in methods:
+            if rival != "QMC+CF":
+                wins = sum(sd_map[(t, "QMC+CF")] <= sd_map[(t, rival)] for t in range(n_test))
+                print(f"QMC+CF sd <= {rival} sd at {wins}/{n_test} test points")
     return 0
 
 

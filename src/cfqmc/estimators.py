@@ -23,7 +23,7 @@ import numpy as np
 
 from .interpolate import Interpolant, evaluate, fit
 from .kernels import KernelSpec, kernel_cross, kernel_double_integral, kernel_integral
-from .points import PointSet, baker_fold, random_shift
+from .points import PointSet
 
 WCE_CLAMP = 1e-14
 
@@ -44,15 +44,6 @@ class Integrand:
         self._count = 0
         self._lock = threading.Lock()
 
-    @classmethod
-    def from_scalar(cls, dim: int, fn: Callable[[np.ndarray], float]) -> "Integrand":
-        """Wrap a one-point-at-a-time function."""
-
-        def batched(pts: np.ndarray) -> np.ndarray:
-            return np.array([fn(p) for p in pts], dtype=np.float64)
-
-        return cls(dim, batched)
-
     @property
     def eval_count(self) -> int:
         return self._count
@@ -70,18 +61,6 @@ class Integrand:
         with self._lock:
             self._count += arr.shape[0]
         return out
-
-
-@dataclass(frozen=True)
-class EstimateReport:
-    """One integration run: method tag, budget accounting and the estimate."""
-
-    method: str
-    estimate: float
-    n_total: int
-    m_nodes: int
-    seed: Optional[int]
-    wall_time: float = 0.0
 
 
 def qmc_estimate(f: Integrand, ps: PointSet) -> float:
@@ -111,25 +90,6 @@ def cf_estimate(
     surrogate_vals = evaluate(interp, eval_points.points)
     estimate = interp.exact_integral + float(np.mean(f_vals - surrogate_vals))
     return estimate, interp
-
-
-def cf_estimate_folded(
-    f: Integrand,
-    nodes: PointSet,
-    lattice_points: PointSet,
-    shift,
-    spec: KernelSpec,
-    jitter: Optional[float] = None,
-) -> float:
-    """Surrogate-corrected estimate on shifted-then-folded evaluation points.
-
-    The deterministic evaluation set is translated by ``shift`` (mod 1) and
-    passed through the tent map before the residual average; equivalent to
-    ``cf_estimate`` on the pre-transformed set.
-    """
-    transformed = baker_fold(random_shift(lattice_points, shift))
-    estimate, _ = cf_estimate(f, nodes, transformed, spec, jitter)
-    return estimate
 
 
 def worst_case_error(spec: KernelSpec, ps: PointSet) -> float:
@@ -198,28 +158,23 @@ def _int_root(n: int, d: int) -> int:
     return m
 
 
-def split_budget(n_total: int, fraction: float, pow2_eval: bool = True, dim: int = 1) -> BudgetSplit:
+def split_budget(n_total: int, fraction: float, dim: int = 1) -> BudgetSplit:
     """Allocate a total budget between grid nodes and evaluation points.
 
-    With ``pow2_eval`` the evaluation count is the largest power of two at
-    most (1 - fraction) * n_total and the nodes get the rest; otherwise the
-    node count is the straight rounding of fraction * n_total. The node count
-    is then snapped down to the nearest m^dim for the midpoint grid; the
+    The evaluation count is the largest power of two at most
+    (1 - fraction) * n_total and the nodes get the rest. The node count is
+    then snapped down to the nearest m^dim for the midpoint grid; the
     remainder is reported as discarded rather than silently re-spent.
     """
     if n_total < 4:
         raise ValueError("budget too small: need n_total >= 4 to allocate both parts")
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must lie in (0, 1)")
-    if pow2_eval:
-        target_eval = (1.0 - fraction) * n_total
-        if target_eval < 1.0:
-            raise ValueError("budget too small for a power-of-two evaluation set")
-        n_eval = 1 << int(math.floor(math.log2(target_eval)))
-        raw_nodes = n_total - n_eval
-    else:
-        raw_nodes = min(n_total - 1, max(1, round(fraction * n_total)))
-        n_eval = n_total - raw_nodes
+    target_eval = (1.0 - fraction) * n_total
+    if target_eval < 1.0:
+        raise ValueError("budget too small for a power-of-two evaluation set")
+    n_eval = 1 << int(math.floor(math.log2(target_eval)))
+    raw_nodes = n_total - n_eval
     if raw_nodes < 1 or n_eval < 1:
         raise ValueError("budget too small to allocate both node and evaluation sets")
     m = _int_root(raw_nodes, dim)

@@ -26,7 +26,6 @@ Exact-integral derivations (per axis, combined by the product/sum structure):
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -202,32 +201,3 @@ def random_genz(family: str, dim: int, seed: int, difficulty_scale: float = 7.0)
 def as_integrand(inst: GenzInstance) -> Integrand:
     """Wrap an instance as a counted integrand for the estimators."""
     return Integrand(inst.dim, inst)
-
-
-def to_json(inst: GenzInstance) -> str:
-    """Serialize (family, d, a, u, exact) so campaigns can be replayed from logs."""
-    return json.dumps(
-        {
-            "family": inst.family,
-            "dim": inst.dim,
-            "a": [repr(float(v)) for v in inst.a],
-            "u": [repr(float(v)) for v in inst.u],
-            "exact": repr(float(inst.exact)),
-        }
-    )
-
-
-def from_json(text: str) -> GenzInstance:
-    data = json.loads(text)
-    inst = make_genz(
-        data["family"],
-        int(data["dim"]),
-        [float(v) for v in data["a"]],
-        [float(v) for v in data["u"]],
-    )
-    recorded = float(data["exact"])
-    if not math.isclose(inst.exact, recorded, rel_tol=1e-12, abs_tol=1e-12):
-        raise ValueError(
-            f"recorded exact integral {recorded} disagrees with recomputed {inst.exact}"
-        )
-    return inst

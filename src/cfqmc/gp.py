@@ -16,14 +16,13 @@ consumes the full budget exactly.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy import linalg as sla
 
-from .estimators import EstimateReport, Integrand, cf_estimate, qmc_estimate
+from .estimators import Integrand, cf_estimate, qmc_estimate
 from .kernels import KernelSpec
 from .points import halton, midpoint_grid, random_shift, uniform_random
 from .seeding import rng_for, seed_for
@@ -44,22 +43,12 @@ _SOR_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 
 
 @dataclass(frozen=True)
-class Standardization:
-    """Per-column location/scale of the covariates and the response mean."""
-
-    covariate_mean: np.ndarray
-    covariate_scale: np.ndarray
-    response_mean: float
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Training data, stored standardized (covariates zero-mean/unit-variance,
     responses centered on the training split)."""
 
     covariates: np.ndarray
     responses: np.ndarray
-    standardization: Standardization
 
     def __post_init__(self):
         x = np.asarray(self.covariates, dtype=np.float64)
@@ -79,11 +68,6 @@ class Dataset:
     def p(self) -> int:
         return self.covariates.shape[1]
 
-    def standardize_new(self, raw: np.ndarray) -> np.ndarray:
-        """Map raw covariate rows through the training standardization."""
-        s = self.standardization
-        return (np.asarray(raw, dtype=np.float64) - s.covariate_mean) / s.covariate_scale
-
 
 def standardize(raw_covariates, raw_responses) -> Dataset:
     """Build a Dataset: rescale columns to mean 0 / variance 1, center responses."""
@@ -93,9 +77,7 @@ def standardize(raw_covariates, raw_responses) -> Dataset:
     scale = x.std(axis=0)
     if np.any(scale == 0.0):
         raise ValueError("constant covariate column cannot be standardized")
-    y_mean = float(y.mean())
-    record = Standardization(covariate_mean=mean, covariate_scale=scale, response_mean=y_mean)
-    return Dataset(covariates=(x - mean) / scale, responses=y - y_mean, standardization=record)
+    return Dataset(covariates=(x - mean) / scale, responses=y - y.mean())
 
 
 @dataclass(frozen=True)
@@ -296,14 +278,13 @@ def marginal_prediction(
     budget: int,
     seed: int,
     subset_indices=None,
-) -> EstimateReport:
+) -> float:
     """Posterior-mean prediction at one test input by 2-d integration.
 
     Surrogate-corrected methods fit the k = 1 kernel on the 16-node grid
     (``GP_NODE_GRID_M``); every method consumes the full budget exactly, so
     equal-budget accounting holds across methods for a shared seed.
     """
-    start = time.monotonic()
     if method not in GP_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {GP_METHODS}")
     m_nodes_cf = GP_NODE_GRID_M**2
@@ -319,10 +300,8 @@ def marginal_prediction(
         estimate = qmc_estimate(
             integrand, random_shift(halton(budget, 2, scramble=True), delta)
         )
-        m_nodes = 0
     elif method == "MC":
         estimate = qmc_estimate(integrand, uniform_random(budget, 2, mc_seed))
-        m_nodes = 0
     else:
         n_eval = budget - m_nodes_cf
         nodes = midpoint_grid(GP_NODE_GRID_M, 2)
@@ -331,19 +310,11 @@ def marginal_prediction(
         else:  # MC+CF
             eval_pts = uniform_random(n_eval, 2, mc_seed)
         estimate, _ = cf_estimate(integrand, nodes, eval_pts, spec)
-        m_nodes = m_nodes_cf
     if integrand.eval_count != budget:
         raise RuntimeError(
             f"budget accounting violated: consumed {integrand.eval_count}, expected {budget}"
         )
-    return EstimateReport(
-        method=method,
-        estimate=estimate,
-        n_total=budget,
-        m_nodes=m_nodes,
-        seed=seed,
-        wall_time=time.monotonic() - start,
-    )
+    return estimate
 
 
 def load_dataset(path, n_train_cap: int, seed: int) -> Dataset:
@@ -432,11 +403,11 @@ def run_prediction_study(
         for seed in seeds:
             run_seed = seed_for(seed, "gp-point", t_idx)
             for method in methods:
-                report = marginal_prediction(
+                estimate = marginal_prediction(
                     data, cfg, z_star, method, budget, run_seed, subset_indices=subset
                 )
-                estimates.append((t_idx, method, report.n_total, seed, report.estimate))
-                per_method[method].append(report.estimate)
+                estimates.append((t_idx, method, budget, seed, estimate))
+                per_method[method].append(estimate)
         for method in methods:
             spread.append((t_idx, method, float(np.std(per_method[method], ddof=1))))
     return PredictionStudy(estimates=estimates, spread=spread)

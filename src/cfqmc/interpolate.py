@@ -20,7 +20,7 @@ import numpy as np
 from scipy import linalg as sla
 
 from .kernels import KernelSpec, gram, kernel_cross, kernel_integral
-from .points import PointSet, Provenance
+from .points import PointSet
 
 DEFAULT_JITTER_PER_NODE = 1e-10
 
@@ -79,10 +79,8 @@ def fit(spec: KernelSpec, nodes: PointSet, values, jitter: Optional[float] = Non
         warnings.warn(note, RuntimeWarning)
         beta, *_ = sla.lstsq(g, vals, check_finite=False)
 
-    kernel_matrix = g.copy()
-    if jitter:
-        kernel_matrix[np.diag_indices_from(kernel_matrix)] -= jitter
-    residual = float(np.max(np.abs(kernel_matrix @ beta - vals))) if len(vals) else 0.0
+    # g carries the nugget on its diagonal; the residual is against the bare kernel
+    residual = float(np.max(np.abs(g @ beta - jitter * beta - vals))) if len(vals) else 0.0
     node_integrals = kernel_integral(spec, nodes.points)
     exact = float(np.dot(beta, np.atleast_1d(node_integrals)))
     return Interpolant(
@@ -99,81 +97,19 @@ def fit(spec: KernelSpec, nodes: PointSet, values, jitter: Optional[float] = Non
 def evaluate(interp: Interpolant, x):
     """Surrogate value sum_n beta_n K(x, u^n) at a point (d,) or stack (n, d).
 
-    Single-point calls skip nodes outside the per-axis support window when
-    the kernel support is < 1; stacked calls are evaluated in chunks.
+    A single point is evaluated as a one-row stack; stacks are evaluated in
+    chunks.
     """
     x_arr = np.asarray(x, dtype=np.float64)
-    spec = interp.spec
+    rows = np.atleast_2d(x_arr)
     nodes = interp.nodes.points
-    if x_arr.ndim == 1:
-        if x_arr.shape[0] != spec.dim:
-            raise ValueError(f"dimension mismatch: spec.dim={spec.dim}")
-        if spec.support_radius < 1.0:
-            near = np.all(np.abs(nodes - x_arr) < spec.support_radius, axis=1)
-            if not np.any(near):
-                return 0.0
-            k_row = kernel_cross(spec, x_arr[None, :], nodes[near])
-            return float((k_row @ interp.beta[near])[0])
-        return float((kernel_cross(spec, x_arr[None, :], nodes) @ interp.beta)[0])
-    out = np.empty(x_arr.shape[0])
-    for start in range(0, x_arr.shape[0], _EVAL_CHUNK):
-        block = x_arr[start : start + _EVAL_CHUNK]
-        out[start : start + _EVAL_CHUNK] = kernel_cross(spec, block, nodes) @ interp.beta
-    return out
+    out = np.empty(rows.shape[0])
+    for start in range(0, rows.shape[0], _EVAL_CHUNK):
+        block = rows[start : start + _EVAL_CHUNK]
+        out[start : start + _EVAL_CHUNK] = kernel_cross(interp.spec, block, nodes) @ interp.beta
+    return float(out[0]) if x_arr.ndim == 1 else out
 
 
 def control_functional(interp: Interpolant, x):
     """Zero-integral correction f_M(x) - I[f_M] built from the surrogate."""
     return evaluate(interp, x) - interp.exact_integral
-
-
-def save_interpolant(interp: Interpolant, path) -> None:
-    """CSV-backed record (spec, integral, nodes, coefficients) for audits."""
-    with open(path, "w") as fh:
-        fh.write("# cfqmc interpolant v1\n")
-        fh.write(f"k,{interp.spec.k}\n")
-        fh.write(f"dim,{interp.spec.dim}\n")
-        fh.write(f"support_radius,{interp.spec.support_radius:.17g}\n")
-        fh.write(f"jitter,{interp.jitter:.17g}\n")
-        fh.write(f"exact_integral,{interp.exact_integral:.17g}\n")
-        fh.write(f"residual_norm,{interp.residual_norm:.17g}\n")
-        fh.write(",".join([f"x{i + 1}" for i in range(interp.spec.dim)] + ["beta"]) + "\n")
-        for row, b in zip(interp.nodes.points, interp.beta):
-            fh.write(",".join(f"{c:.17g}" for c in row) + f",{b:.17g}\n")
-
-
-def load_interpolant(path) -> Interpolant:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    header: dict[str, str] = {}
-    idx = 0
-    while idx < len(lines) and not lines[idx].startswith("x1"):
-        key, value = lines[idx].split(",", 1)
-        header[key] = value
-        idx += 1
-    if idx == len(lines):
-        raise ValueError(f"{path}: missing column header row")
-    spec = KernelSpec(
-        k=int(header["k"]),
-        dim=int(header["dim"]),
-        support_radius=float(header["support_radius"]),
-    )
-    coords = []
-    beta = []
-    for ln in lines[idx + 1 :]:
-        fields = [float(f) for f in ln.split(",")]
-        coords.append(fields[:-1])
-        beta.append(fields[-1])
-    nodes = PointSet(
-        np.asarray(coords, dtype=np.float64),
-        spec.dim,
-        Provenance(generator=f"file({path})", index_range=(0, len(coords))),
-    )
-    return Interpolant(
-        spec=spec,
-        nodes=nodes,
-        beta=np.asarray(beta, dtype=np.float64),
-        exact_integral=float(header["exact_integral"]),
-        jitter=float(header["jitter"]),
-        residual_norm=float(header["residual_norm"]),
-    )

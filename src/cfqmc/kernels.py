@@ -99,16 +99,6 @@ def kernel_cross(spec: KernelSpec, x, y) -> np.ndarray:
     return out
 
 
-def kernel_eval(spec: KernelSpec, x, y) -> float:
-    """Tensor-product kernel value prod_i phi_k(|x_i - y_i| / support)."""
-    xa = np.asarray(x, dtype=np.float64).reshape(-1)
-    ya = np.asarray(y, dtype=np.float64).reshape(-1)
-    if xa.shape[0] != spec.dim or ya.shape[0] != spec.dim:
-        raise ValueError(f"dimension mismatch: spec.dim={spec.dim}")
-    r = np.abs(xa - ya) / spec.support_radius
-    return float(np.prod(wendland_1d(spec.k, r)))
-
-
 def _phi_cdf(k: int, u) -> np.ndarray:
     """int_0^u phi_k(t) dt with u clipped to the support [0, 1]."""
     u_clipped = np.minimum(np.asarray(u, dtype=np.float64), 1.0)

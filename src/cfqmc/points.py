@@ -146,13 +146,12 @@ def _radical_inverse_many(indices: np.ndarray, base: int, sigma: Optional[np.nda
     return out
 
 
-def halton(N: int, d: int, scramble: bool = False, seed: Optional[int] = None) -> PointSet:
+def halton(N: int, d: int, scramble: bool = False) -> PointSet:
     """First N Halton points (indices 1..N; the all-zeros index-0 point is skipped).
 
     Bases are the first d primes. With ``scramble`` the digits are permuted by
     the deterministic reverse-radix permutation per base; this is seed-free,
-    so randomization comes only from a subsequent uniform shift. ``seed`` is
-    recorded in provenance for bookkeeping and does not affect generation.
+    so randomization comes only from a subsequent uniform shift.
     """
     if N < 0:
         raise ValueError("N must be non-negative")
@@ -168,7 +167,6 @@ def halton(N: int, d: int, scramble: bool = False, seed: Optional[int] = None) -
     prov = Provenance(
         generator="halton",
         randomization="reverse-radix" if scramble else "none",
-        seed=seed,
         index_range=(1, N + 1),
     )
     return PointSet(pts.reshape(N, d), d, prov)

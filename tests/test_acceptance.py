@@ -182,7 +182,7 @@ def test_criterion_4_zero_mean_control_functional():
 
 def test_criterion_5_shift_unbiasedness():
     inst = make_genz("gaussian", 2, [3.0, 2.0], [0.35, 0.65])
-    split = split_budget(256, 0.5, pow2_eval=True, dim=2)
+    split = split_budget(256, 0.5, dim=2)
     assert split.n_eval == 2**7
     nodes = midpoint_grid(split.m_per_axis, 2)
     base = halton(split.n_eval, 2, scramble=True)

@@ -5,9 +5,11 @@ import warnings
 
 import pytest
 
+from cfqmc import bench
 from cfqmc.bench import (
     CampaignConfig,
     ConvergenceTable,
+    Row,
     emit_csv,
     fit_slope,
     format_config,
@@ -138,13 +140,21 @@ class TestRunCampaign:
         assert len(set(totals.values())) == 1  # one shared consumed budget
         assert totals["QMC"] == 57  # 25 grid nodes + 32 eval points
 
-    def test_paired_randomization_log(self):
-        cfg = small_config(n_grid=(32,), replicates=2)
-        table = run_campaign(cfg)
-        for r in range(2):
-            qmc_key = ("gaussian", 1, 1, "QMC", 32, r)
-            cf_key = ("gaussian", 1, 1, "QMC+CF", 32, r)
-            assert table.randomization_log[qmc_key] == table.randomization_log[cf_key]
+    def test_paired_randomization_log(self, monkeypatch):
+        original = bench.random_shift
+        shifts = []
+
+        def recording(ps, shift):
+            shifts.append(tuple(shift))
+            return original(ps, shift)
+
+        monkeypatch.setattr(bench, "random_shift", recording)
+        run_campaign(small_config(n_grid=(32,), replicates=2))
+        # methods run in config order (QMC, QMC+CF) within each replicate
+        assert len(shifts) == 4
+        assert shifts[0] == shifts[1]
+        assert shifts[2] == shifts[3]
+        assert shifts[0] != shifts[2]
 
     def test_replicate_pooling_consistency(self):
         # recompute pooled rmse from per-replicate errors derived via mean/rmse
@@ -223,6 +233,23 @@ class TestCsvEmission:
         rows, _ = read_csv(path)
         keys = [(r.family, r.dim, r.method, r.k, r.n_total) for r in rows]
         assert keys == sorted(keys)
+
+    def test_failed_row_round_trips(self, tmp_path):
+        failed = Row(
+            family="gaussian", dim=2, method="QMC+CF-folded", k=1, support_radius=0.7,
+            sequence="lattice", n_total=57, m_nodes=25, replicates=2, rmse=0.125,
+            stderr=0.03125, mean_error=-0.0625, seed_base=3, error="r2: boom",
+        )
+        ok = Row(
+            family="gaussian", dim=2, method="QMC", k=1, support_radius=0.7,
+            sequence="lattice", n_total=57, m_nodes=0, replicates=3, rmse=0.25,
+            stderr=0.0625, mean_error=0.125, seed_base=3,
+        )
+        table = ConvergenceTable(rows=[failed, ok], slopes=[], config=small_config())
+        path = tmp_path / "failed.csv"
+        emit_csv(table, path)
+        rows, _ = read_csv(path)
+        assert rows == [ok, failed]
 
     def test_io_error_includes_path(self, tmp_path):
         table = ConvergenceTable(rows=[], slopes=[], config=small_config())

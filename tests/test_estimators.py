@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from cfqmc.estimators import (
     Integrand,
     cf_estimate,
-    cf_estimate_folded,
     optimal_split,
     qmc_estimate,
     split_budget,
@@ -42,12 +41,6 @@ class TestIntegrand:
         f.eval_batch(halton(10, 1))
         f(np.array([0.5]))
         assert f.eval_count == 11
-
-    def test_from_scalar_wrapper(self):
-        f = Integrand.from_scalar(2, lambda p: float(p[0] + p[1]))
-        out = f.eval_batch(np.array([[0.25, 0.5]]))
-        np.testing.assert_allclose(out, [0.75])
-        assert f.eval_count == 1
 
     def test_dimension_checked(self):
         f = Integrand(2, lambda x: x[:, 0])
@@ -139,26 +132,14 @@ class TestCorrectedEstimate:
 
 
 class TestFoldedEstimate:
-    def test_matches_pretransformed_set(self):
-        inst = make_genz("gaussian", 1, [3.0], [0.3])
-        spec = KernelSpec(1, 1)
-        nodes = midpoint_grid(8, 1)
-        base = lattice(32, 1, (1,))
-        shift = [0.412]
-        f1 = as_integrand(inst)
-        folded_est = cf_estimate_folded(f1, nodes, base, shift, spec)
-        f2 = as_integrand(inst)
-        pre = baker_fold(random_shift(base, shift))
-        direct, _ = cf_estimate(f2, nodes, pre, spec)
-        assert folded_est == pytest.approx(direct, abs=1e-15)
-
     def test_exact_on_span_with_zero_shift(self):
         spec = KernelSpec(1, 1)
         nodes = midpoint_grid(6, 1)
         beta = np.linspace(-1, 1, 6)
         f = Integrand(1, lambda x: kernel_cross(spec, x, nodes.points) @ beta)
         truth = float(beta @ kernel_integral(spec, nodes.points))
-        est = cf_estimate_folded(f, nodes, lattice(64, 1, (1,)), [0.0], spec, jitter=0.0)
+        folded = baker_fold(random_shift(lattice(64, 1, (1,)), [0.0]))
+        est, _ = cf_estimate(f, nodes, folded, spec, jitter=0.0)
         assert abs(est - truth) <= 1e-8 * (1.0 + abs(truth))
 
     def test_folding_beats_plain_shifted_lattice(self):
@@ -173,7 +154,7 @@ class TestFoldedEstimate:
         for _ in range(10):
             shift = rng.random(1)
             f1 = as_integrand(inst)
-            folded = cf_estimate_folded(f1, nodes, base, shift, spec)
+            folded, _ = cf_estimate(f1, nodes, baker_fold(random_shift(base, shift)), spec)
             folded_err.append(folded - inst.exact)
             f2 = as_integrand(inst)
             plain, _ = cf_estimate(f2, nodes, random_shift(base, shift), spec)
@@ -267,18 +248,18 @@ class TestOptimalSplit:
 
 class TestSplitBudget:
     def test_even_split_at_512(self):
-        s = split_budget(512, 0.5, pow2_eval=True, dim=1)
+        s = split_budget(512, 0.5, dim=1)
         assert (s.n_nodes, s.n_eval) == (256, 256)
         assert s.discarded == 0
 
     def test_non_pow2_total(self):
-        s = split_budget(100, 0.5, pow2_eval=True, dim=1)
+        s = split_budget(100, 0.5, dim=1)
         assert s.n_eval == 32  # largest power of two <= 50
         assert s.n_nodes == 68
         assert s.discarded == 0
 
     def test_grid_snapping_d2(self):
-        s = split_budget(64, 0.5, pow2_eval=True, dim=2)
+        s = split_budget(64, 0.5, dim=2)
         assert s.n_eval == 32
         assert s.m_per_axis == 5
         assert s.n_nodes == 25
@@ -286,15 +267,10 @@ class TestSplitBudget:
         assert s.consumed == 57
 
     def test_small_fraction_gives_minimal_grid(self):
-        s = split_budget(513, 0.001, pow2_eval=True, dim=1)
+        s = split_budget(513, 0.001, dim=1)
         assert s.n_eval == 512
         assert s.n_nodes == 1
         assert s.m_per_axis == 1
-
-    def test_straight_rounding_path(self):
-        s = split_budget(100, 0.25, pow2_eval=False, dim=1)
-        assert s.n_nodes == 25
-        assert s.n_eval == 75
 
     def test_budget_too_small(self):
         with pytest.raises(ValueError, match="too small"):
@@ -313,7 +289,7 @@ class TestSplitBudget:
     )
     def test_accounting_identity(self, n_total, fraction, dim):
         assume((1.0 - fraction) * n_total >= 1.0)
-        s = split_budget(n_total, fraction, pow2_eval=True, dim=dim)
+        s = split_budget(n_total, fraction, dim=dim)
         assert s.n_nodes == s.m_per_axis**dim
         assert s.n_nodes + s.n_eval + s.discarded == n_total
         assert s.n_eval & (s.n_eval - 1) == 0  # power of two
@@ -323,7 +299,7 @@ class TestSplitBudget:
 class TestBudgetAccounting:
     def test_estimators_consume_reported_budget(self):
         inst = random_genz("product_peak", 2, seed=3)
-        split = split_budget(128, 0.5, pow2_eval=True, dim=2)
+        split = split_budget(128, 0.5, dim=2)
         f = as_integrand(inst)
         nodes = midpoint_grid(split.m_per_axis, 2)
         eval_pts = halton(split.n_eval, 2)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
-from cfqmc.genz import FAMILIES, as_integrand, from_json, make_genz, random_genz, to_json
+from cfqmc.genz import FAMILIES, as_integrand, make_genz, random_genz
 from cfqmc.points import uniform_random
 
 
@@ -158,22 +158,6 @@ class TestRandomInstances:
         pts = uniform_random(10, 2, seed=1)
         np.testing.assert_allclose(inst(pts), 3.0)
         assert inst.exact == 3.0
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        inst = random_genz("product_peak", 3, seed=21)
-        back = from_json(to_json(inst))
-        assert back.family == inst.family
-        np.testing.assert_array_equal(back.a, inst.a)
-        np.testing.assert_array_equal(back.u, inst.u)
-        assert back.exact == inst.exact
-
-    def test_tampered_exact_detected(self):
-        text = to_json(random_genz("gaussian", 1, seed=5))
-        corrupted = text.replace('"exact": "', '"exact": "1')
-        with pytest.raises(ValueError, match="disagrees"):
-            from_json(corrupted)
 
 
 class TestIntegrandWrapper:

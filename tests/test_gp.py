@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cfqmc import gp
 from cfqmc.gp import (
     Dataset,
     GPConfig,
@@ -72,12 +73,6 @@ class TestStandardization:
         with pytest.raises(ValueError, match="constant"):
             standardize(x, np.zeros(10))
 
-    def test_new_points_standardized_with_training_record(self):
-        rng = np.random.default_rng(2)
-        raw = rng.normal(3.0, 2.0, size=(50, 2))
-        data = standardize(raw, rng.normal(size=50))
-        np.testing.assert_allclose(data.standardize_new(raw), data.covariates, atol=1e-12)
-
 
 class TestPredictiveMeans:
     def setup_method(self):
@@ -85,11 +80,7 @@ class TestPredictiveMeans:
         self.cfg = GPConfig(test_points=self.test_z, n_subset=50)
 
     def test_zero_responses_zero_prediction(self):
-        zero = Dataset(
-            covariates=self.data.covariates,
-            responses=np.zeros(self.data.n),
-            standardization=self.data.standardization,
-        )
+        zero = Dataset(covariates=self.data.covariates, responses=np.zeros(self.data.n))
         assert gp_predictive_mean_full(zero, self.cfg, (1.0, 1.0), self.test_z[0]) == 0.0
         assert (
             gp_predictive_mean_sor(zero, self.cfg, (1.0, 1.0), self.test_z[0], np.arange(50))
@@ -106,7 +97,7 @@ class TestPredictiveMeans:
         cfg = GPConfig(test_points=data.covariates[:1], n_subset=1)
         theta = (1.7, 0.9)
         got = gp_predictive_mean_full(
-            Dataset(data.covariates[:1], data.responses[:1], data.standardization),
+            Dataset(data.covariates[:1], data.responses[:1]),
             cfg, theta, data.covariates[0],
         )
         # at the training input the cross covariance is theta1 itself
@@ -149,29 +140,27 @@ class TestMarginalPrediction:
         self.data, self.test_z = synthetic_dataset(n=60, p=4, n_test=3, seed=0)
         self.cfg = GPConfig(test_points=self.test_z, n_subset=30)
 
-    def test_budgets_identical_across_methods(self):
-        reports = {
-            m: marginal_prediction(self.data, self.cfg, self.test_z[0], m, 128, seed=5)
-            for m in ("QMC", "QMC+CF", "MC", "MC+CF")
-        }
-        totals = {r.n_total for r in reports.values()}
-        assert totals == {128}
-        assert reports["QMC"].m_nodes == 0
-        assert reports["QMC+CF"].m_nodes == 16
+    def test_budgets_identical_across_methods(self, monkeypatch):
+        built = []
+
+        def recording(*args):
+            built.append(reparametrized_integrand(*args))
+            return built[-1]
+
+        monkeypatch.setattr(gp, "reparametrized_integrand", recording)
+        for m in ("QMC", "QMC+CF", "MC", "MC+CF"):
+            marginal_prediction(self.data, self.cfg, self.test_z[0], m, 128, seed=5)
+        assert [f.eval_count for f in built] == [128] * 4
 
     def test_zero_responses_estimate_zero(self):
-        zero = Dataset(
-            covariates=self.data.covariates,
-            responses=np.zeros(self.data.n),
-            standardization=self.data.standardization,
-        )
-        rep = marginal_prediction(zero, self.cfg, self.test_z[0], "QMC", 64, seed=3)
-        assert rep.estimate == pytest.approx(0.0, abs=1e-14)
+        zero = Dataset(covariates=self.data.covariates, responses=np.zeros(self.data.n))
+        est = marginal_prediction(zero, self.cfg, self.test_z[0], "QMC", 64, seed=3)
+        assert est == pytest.approx(0.0, abs=1e-14)
 
     def test_deterministic_given_seed(self):
         a = marginal_prediction(self.data, self.cfg, self.test_z[0], "QMC+CF", 64, seed=9)
         b = marginal_prediction(self.data, self.cfg, self.test_z[0], "QMC+CF", 64, seed=9)
-        assert a.estimate == b.estimate
+        assert a == b
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
@@ -186,7 +175,7 @@ class TestMarginalPrediction:
         ests = []
         for m in ("QMC", "MC"):
             vals = [
-                marginal_prediction(self.data, self.cfg, self.test_z[0], m, 128, seed=s).estimate
+                marginal_prediction(self.data, self.cfg, self.test_z[0], m, 128, seed=s)
                 for s in range(6)
             ]
             ests.append(np.mean(vals))

@@ -10,8 +10,6 @@ from cfqmc.interpolate import (
     default_jitter,
     evaluate,
     fit,
-    load_interpolant,
-    save_interpolant,
 )
 from cfqmc.kernels import KernelSpec, gram, kernel_cross, kernel_integral
 from cfqmc.points import PointSet, Provenance, midpoint_grid, uniform_random
@@ -192,17 +190,3 @@ class TestSolverFallback:
             interp = fit(KernelSpec(2, 1), nodes, [1.0, 1.0, 2.0], jitter=0.0)
         assert interp.solver_note is not None
         assert np.all(np.isfinite(interp.beta))
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(11)
-        interp = fit(KernelSpec(1, 2, 0.8), midpoint_grid(3, 2), rng.normal(size=9))
-        path = tmp_path / "interp.csv"
-        save_interpolant(interp, path)
-        back = load_interpolant(path)
-        assert back.spec == interp.spec
-        np.testing.assert_array_equal(back.beta, interp.beta)
-        np.testing.assert_array_equal(back.nodes.points, interp.nodes.points)
-        assert back.exact_integral == interp.exact_integral
-        assert back.jitter == interp.jitter

@@ -9,8 +9,8 @@ from scipy.integrate import quad
 from cfqmc.kernels import (
     KernelSpec,
     gram,
+    kernel_cross,
     kernel_double_integral,
-    kernel_eval,
     kernel_integral,
     kernel_integral_1d,
     wendland_1d,
@@ -75,19 +75,26 @@ class TestUnivariateClosedForms:
         assert abs(deriv) < 1e-4
 
 
+def kernel_value(spec, x, y):
+    """K(x, y) for one pair of points, as a 1x1 cross-kernel block."""
+    block = kernel_cross(spec, [x], [y])
+    assert block.shape == (1, 1)
+    return float(block[0, 0])
+
+
 class TestKernelEval:
     def test_diagonal_is_one(self):
         spec = KernelSpec(2, 3, 0.7)
         x = np.array([0.2, 0.5, 0.9])
-        assert kernel_eval(spec, x, x) == 1.0
+        assert kernel_value(spec, x, x) == 1.0
 
     def test_vanishes_outside_axis_window(self):
         spec = KernelSpec(1, 2, 0.5)
-        assert kernel_eval(spec, [0.1, 0.1], [0.1, 0.7]) == 0.0
+        assert kernel_value(spec, [0.1, 0.1], [0.1, 0.7]) == 0.0
 
     def test_hand_value_k0_d2(self):
         spec = KernelSpec(0, 2, 1.0)
-        assert kernel_eval(spec, [0.0, 0.0], [0.5, 0.5]) == pytest.approx(0.25)
+        assert kernel_value(spec, [0.0, 0.0], [0.5, 0.5]) == pytest.approx(0.25)
 
     @given(
         st.integers(min_value=0, max_value=2),
@@ -96,13 +103,13 @@ class TestKernelEval:
     )
     def test_symmetry_and_range(self, k, x, y):
         spec = KernelSpec(k, 2, 1.0)
-        v = kernel_eval(spec, x, y)
-        assert v == kernel_eval(spec, y, x)
+        v = kernel_value(spec, x, y)
+        assert v == kernel_value(spec, y, x)
         assert 0.0 <= v <= 1.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            kernel_eval(KernelSpec(0, 2), [0.5], [0.5, 0.5])
+            kernel_cross(KernelSpec(0, 2), [[0.5]], [[0.5, 0.5]])
 
 
 class TestSingleIntegral:
