@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .interpolate import Interpolant, evaluate, fit
-from .kernels import KernelSpec, kernel_cross, kernel_double_integral, kernel_integral
+from .kernels import KernelSpec, kernel_cross, kernel_double_integral, kernel_integral, row_blocks
 from .points import PointSet
 
 WCE_CLAMP = 1e-14
@@ -97,7 +97,8 @@ def worst_case_error(spec: KernelSpec, ps: PointSet) -> float:
 
     The squared error is the double cube integral of the kernel, minus twice
     the mean single integral at the points, plus the mean of the kernel
-    matrix. Cancellation can push the float result a hair below zero; values
+    matrix, summed over row blocks bounded by ``kernels.BLOCK_BYTES``.
+    Cancellation can push the float result a hair below zero; values
     above -1e-14 are clamped silently, larger undershoots clamp with a
     warning.
     """
@@ -106,7 +107,8 @@ def worst_case_error(spec: KernelSpec, ps: PointSet) -> float:
     n = len(ps)
     term_double = kernel_double_integral(spec)
     term_single = float(np.mean(np.atleast_1d(kernel_integral(spec, ps.points))))
-    term_pair = float(np.sum(kernel_cross(spec, ps.points, ps.points))) / (n * n)
+    pts = ps.points
+    term_pair = sum(float(np.sum(kernel_cross(spec, pts[b], pts))) for b in row_blocks(n, n)) / (n * n)
     e2 = term_double - 2.0 * term_single + term_pair
     if e2 < 0.0:
         if e2 < -WCE_CLAMP:

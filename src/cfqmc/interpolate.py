@@ -6,30 +6,60 @@ cube is the closed-form sum of per-node kernel integrals. Subtracting that
 integral gives a zero-integral function (the control functional) used by the
 estimators module.
 
+On a midpoint grid the Gram matrix of the tensor-product kernel is the d-fold
+Kronecker power of one m x m axis Gram, G = G_1 (x) ... (x) G_1. Its
+eigenpairs G_1 = U diag(s) U^T depend only on (k, support radius, m), so
+they are computed once, kept in a small cache, and every grid fit solves
+(G + jitter I) beta = y as U^(x)d diag(1 / (s^(x)d + jitter)) U^(x)d,T y.
+Grid surrogates are evaluated per axis: one m-vector of kernel values per
+axis and point, contracted with the coefficient tensor. Node sets that are
+not exactly a midpoint grid take the dense Cholesky path.
+
 The kernel span does not contain exact constants, so flat targets are fitted
 approximately; the achieved node residual is recorded on the result.
 """
 
 from __future__ import annotations
 
+import threading
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 import numpy as np
 from scipy import linalg as sla
 
-from .kernels import KernelSpec, gram, kernel_cross, kernel_integral
-from .points import PointSet
+from .kernels import KernelSpec, gram, kernel_cross, kernel_integral, row_blocks, wendland_1d
+from .points import PointSet, midpoint_grid
 
 DEFAULT_JITTER_PER_NODE = 1e-10
 
-_EVAL_CHUNK = 65536
+# Bound on the eigenvector bytes the grid factor cache keeps (the newest
+# factor is always kept).
+_FACTOR_CACHE_BYTES = 64 << 20
+
+
+@dataclass(frozen=True)
+class _GridFactor:
+    """Eigenpairs of the axis Gram on m midpoints: G_1 = U diag(s) U^T."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+
+
+_FACTORS: OrderedDict[tuple, _GridFactor] = OrderedDict()
+_FACTORS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
 class Interpolant:
-    """A fitted surrogate: nodes, coefficients, and its exact cube integral."""
+    """A fitted surrogate: nodes, coefficients, and its exact cube integral.
+
+    ``grid_m`` is the grid side when the nodes are ``midpoint_grid(grid_m, d)``
+    (evaluation then runs per axis) and 0 for any other node set.
+    """
 
     spec: KernelSpec
     nodes: PointSet
@@ -38,11 +68,14 @@ class Interpolant:
     jitter: float
     residual_norm: float
     solver_note: Optional[str] = None
+    grid_m: int = 0
 
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=np.float64)
         if beta.shape != (len(self.nodes),):
             raise ValueError("coefficient vector length must equal the node count")
+        if self.grid_m and self.grid_m**self.spec.dim != len(self.nodes):
+            raise ValueError("grid side does not match the node count")
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
 
@@ -53,12 +86,71 @@ def default_jitter(n_nodes: int) -> float:
     return DEFAULT_JITTER_PER_NODE * n_nodes
 
 
+def _grid_side(spec: KernelSpec, nodes: PointSet) -> int:
+    """m when the nodes are exactly midpoint_grid(m, spec.dim), else 0."""
+    n, d = nodes.points.shape
+    if d != spec.dim or n == 0:
+        return 0
+    m = round(n ** (1.0 / d))
+    if m**d != n:
+        return 0
+    return m if np.array_equal(nodes.points, midpoint_grid(m, d).points) else 0
+
+
+def _grid_factor(spec: KernelSpec, m: int) -> _GridFactor:
+    """The cached eigenpairs of the axis Gram for (k, support radius, m)."""
+    key = (spec.k, spec.support_radius, m)
+    with _FACTORS_LOCK:
+        factor = _FACTORS.get(key)
+        if factor is not None:
+            _FACTORS.move_to_end(key)
+            return factor
+    axis_gram = gram(KernelSpec(spec.k, 1, spec.support_radius), midpoint_grid(m, 1))
+    values, vectors = np.linalg.eigh(axis_gram)
+    factor = _GridFactor(values, vectors)
+    with _FACTORS_LOCK:
+        _FACTORS[key] = factor
+        held = sum(f.vectors.nbytes for f in _FACTORS.values())
+        while held > _FACTOR_CACHE_BYTES and len(_FACTORS) > 1:
+            _, dropped = _FACTORS.popitem(last=False)
+            held -= dropped.vectors.nbytes
+    return factor
+
+
+def _kron_apply(mat: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(mat (x) ... (x) mat) applied to the flattened tensor t of shape (m,)*d.
+
+    Each step contracts the leading axis and appends the result axis, so
+    after d steps the axes are back in their original order.
+    """
+    for _ in range(t.ndim):
+        t = np.tensordot(t, mat, axes=(0, 1))
+    return t
+
+
+def _grid_solve(factor: _GridFactor, d: int, vals: np.ndarray, jitter: float):
+    """(beta, bare-kernel node residual) of the Kronecker system, or None when
+    the shifted spectrum is not positive."""
+    spectrum = reduce(np.multiply.outer, [factor.values] * d)
+    shifted = spectrum + jitter
+    if not np.all(shifted > 0.0):
+        return None
+    m = factor.values.shape[0]
+    coeffs = _kron_apply(factor.vectors.T, vals.reshape((m,) * d)) / shifted
+    beta = _kron_apply(factor.vectors, coeffs).reshape(-1)
+    fitted = _kron_apply(factor.vectors, spectrum * coeffs).reshape(-1)
+    return beta, float(np.max(np.abs(fitted - vals)))
+
+
 def fit(spec: KernelSpec, nodes: PointSet, values, jitter: Optional[float] = None) -> Interpolant:
     """Solve (G + jitter I) beta = values and attach the closed-form integral.
 
-    Uses a symmetric positive-definite factorization, falling back to a
-    pivoted least-squares solve (with a note on the result) if factorization
-    fails, so long campaigns survive an ill-conditioned replicate.
+    On a midpoint grid the system is solved through the cached eigenpairs of
+    the axis Gram. Otherwise, or when the shifted grid spectrum is not
+    positive, it uses a symmetric positive-definite factorization, falling
+    back to a pivoted least-squares solve (with a note on the result) if
+    factorization fails, so long campaigns survive an ill-conditioned
+    replicate.
     """
     vals = np.asarray(values, dtype=np.float64).reshape(-1)
     if vals.shape[0] != len(nodes):
@@ -68,6 +160,30 @@ def fit(spec: KernelSpec, nodes: PointSet, values, jitter: Optional[float] = Non
     if jitter < 0.0:
         raise ValueError("jitter must be >= 0")
 
+    m = _grid_side(spec, nodes)
+    solved = _grid_solve(_grid_factor(spec, m), spec.dim, vals, jitter) if m else None
+    note = None
+    if solved is not None:
+        beta, residual = solved
+    else:
+        m = 0
+        beta, residual, note = _dense_solve(spec, nodes, vals, jitter)
+    node_integrals = kernel_integral(spec, nodes.points)
+    exact = float(np.dot(beta, np.atleast_1d(node_integrals)))
+    return Interpolant(
+        spec=spec,
+        nodes=nodes,
+        beta=beta,
+        exact_integral=exact,
+        jitter=jitter,
+        residual_norm=residual,
+        solver_note=note,
+        grid_m=m,
+    )
+
+
+def _dense_solve(spec: KernelSpec, nodes: PointSet, vals: np.ndarray, jitter: float):
+    """(beta, bare-kernel node residual, solver note) from the assembled Gram."""
     g = gram(spec, nodes, jitter)
     note = None
     try:
@@ -81,32 +197,44 @@ def fit(spec: KernelSpec, nodes: PointSet, values, jitter: Optional[float] = Non
 
     # g carries the nugget on its diagonal; the residual is against the bare kernel
     residual = float(np.max(np.abs(g @ beta - jitter * beta - vals))) if len(vals) else 0.0
-    node_integrals = kernel_integral(spec, nodes.points)
-    exact = float(np.dot(beta, np.atleast_1d(node_integrals)))
-    return Interpolant(
-        spec=spec,
-        nodes=nodes,
-        beta=beta,
-        exact_integral=exact,
-        jitter=jitter,
-        residual_norm=residual,
-        solver_note=note,
-    )
+    return beta, residual, note
+
+
+def _grid_values(interp: Interpolant, rows: np.ndarray) -> np.ndarray:
+    """Grid surrogate at the rows: per-axis kernel values, then a contraction
+    with the (m,)*d coefficient tensor, one axis at a time."""
+    m, d = interp.grid_m, interp.spec.dim
+    # the last coordinate of the first m grid nodes runs over the axis midpoints
+    axis = interp.nodes.points[:m, d - 1]
+    r = np.abs(rows[:, :, None] - axis) / interp.spec.support_radius
+    w = wendland_1d(interp.spec.k, r)
+    t = w[:, 0, :] @ interp.beta.reshape(m, -1)
+    for i in range(1, d):
+        t = np.matmul(w[:, i, None, :], t.reshape(rows.shape[0], m, -1))[:, 0, :]
+    return t[:, 0]
 
 
 def evaluate(interp: Interpolant, x):
     """Surrogate value sum_n beta_n K(x, u^n) at a point (d,) or stack (n, d).
 
     A single point is evaluated as a one-row stack; stacks are evaluated in
-    chunks.
+    blocks bounded by ``kernels.BLOCK_BYTES``.
     """
     x_arr = np.asarray(x, dtype=np.float64)
     rows = np.atleast_2d(x_arr)
-    nodes = interp.nodes.points
+    m, d = interp.grid_m, interp.spec.dim
+    if rows.shape[1] != d:
+        raise ValueError(f"dimension mismatch: spec.dim={d}, points are {rows.shape[1]}-d")
     out = np.empty(rows.shape[0])
-    for start in range(0, rows.shape[0], _EVAL_CHUNK):
-        block = rows[start : start + _EVAL_CHUNK]
-        out[start : start + _EVAL_CHUNK] = kernel_cross(interp.spec, block, nodes) @ interp.beta
+    if m:
+        # a row holds d * m distances and kernel values (with wendland_1d's
+        # temporaries, about 4 d m floats) or m^(d-1) partial sums
+        for block in row_blocks(rows.shape[0], max(4 * d * m, m ** (d - 1))):
+            out[block] = _grid_values(interp, rows[block])
+    else:
+        nodes = interp.nodes.points
+        for block in row_blocks(rows.shape[0], len(nodes)):
+            out[block] = kernel_cross(interp.spec, rows[block], nodes) @ interp.beta
     return float(out[0]) if x_arr.ndim == 1 else out
 
 

@@ -26,6 +26,10 @@ from numpy.polynomial import polynomial as npoly
 
 SMOOTHNESS_LEVELS = (0, 1, 2)
 
+# Bound on the float64 rows a blocked kernel sum or surrogate evaluation
+# holds at once; keeps memory flat in N instead of growing as N x M.
+BLOCK_BYTES = 1 << 23
+
 # Expanded coefficients (ascending powers on [0, 1]) of the normalized
 # univariate pieces; frozen after hand derivation from the factored forms.
 _PHI_COEFFS = {
@@ -97,6 +101,13 @@ def kernel_cross(spec: KernelSpec, x, y) -> np.ndarray:
         r = np.abs(xa[:, i, None] - ya[None, :, i]) / spec.support_radius
         out *= wendland_1d(spec.k, r)
     return out
+
+
+def row_blocks(n_rows: int, row_floats: int) -> list[slice]:
+    """Slices covering range(n_rows), each at most BLOCK_BYTES of float64 rows
+    ``row_floats`` wide (and at least one row)."""
+    step = max(1, BLOCK_BYTES // (8 * max(1, row_floats)))
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
 def _phi_cdf(k: int, u) -> np.ndarray:

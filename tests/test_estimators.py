@@ -16,7 +16,7 @@ from cfqmc.estimators import (
     worst_case_error,
 )
 from cfqmc.genz import as_integrand, make_genz, random_genz
-from cfqmc.kernels import KernelSpec, kernel_cross, kernel_integral
+from cfqmc.kernels import KernelSpec, kernel_cross, kernel_double_integral, kernel_integral, row_blocks
 from cfqmc.points import (
     PointSet,
     Provenance,
@@ -204,6 +204,16 @@ class TestWorstCaseError:
             se = samples.std(ddof=1) / math.sqrt(n_samples)
             closed = worst_case_error(spec, pts) ** 2
             assert abs(closed - mc) <= 3 * se
+
+    def test_blocked_pair_sum_matches_whole_matrix(self):
+        spec = KernelSpec(1, 2)
+        ps = halton(1500, 2)
+        n = len(ps)
+        assert len(row_blocks(n, n)) >= 3
+        whole = float(np.sum(kernel_cross(spec, ps.points, ps.points))) / (n * n)
+        single = float(np.mean(kernel_integral(spec, ps.points)))
+        expected = kernel_double_integral(spec) - 2.0 * single + whole
+        assert worst_case_error(spec, ps) ** 2 == pytest.approx(expected, rel=0.0, abs=1e-13)
 
     def test_tiny_negative_squared_error_clamped(self):
         # a dense grid drives the squared error to rounding scale; must not

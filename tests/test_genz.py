@@ -11,7 +11,8 @@ from cfqmc.points import uniform_random
 
 
 def quadrature_oracle(inst):
-    """Adaptive quadrature of the instance over the cube (d <= 2)."""
+    """Adaptive quadrature of the instance over the cube (d <= 2, any d for
+    the separable continuous family)."""
     if inst.family == "discontinuous":
         # integrate the exponential over its support box directly
         if inst.dim == 1:
@@ -23,6 +24,21 @@ def quadrature_oracle(inst):
             lambda y, x: math.exp(inst.a[0] * x + inst.a[1] * y),
             0.0, inst.u[0], 0.0, inst.u[1], epsabs=1e-12,
         )
+        return val
+    if inst.family == "continuous":
+        # separable: the product of the axis sections through u, each kinked
+        # only at u_i (every other factor is 1 on the section)
+        val = 1.0
+        for i in range(inst.dim):
+            def section(t, i=i):
+                x = np.array(inst.u, dtype=np.float64)
+                x[i] = t
+                return float(inst(x[None, :])[0])
+
+            part, _ = quad(
+                section, 0.0, 1.0, points=[inst.u[i]], limit=300, epsabs=1e-12, epsrel=1e-12
+            )
+            val *= part
         return val
     if inst.dim == 1:
         val, _ = quad(

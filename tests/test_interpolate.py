@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
+from cfqmc import interpolate
 from cfqmc.interpolate import (
     Interpolant,
     control_functional,
@@ -190,3 +191,83 @@ class TestSolverFallback:
             interp = fit(KernelSpec(2, 1), nodes, [1.0, 1.0, 2.0], jitter=0.0)
         assert interp.solver_note is not None
         assert np.all(np.isfinite(interp.beta))
+
+    def test_nonpositive_grid_spectrum_takes_dense_fallback(self):
+        # the k = 2 axis Gram on 1400 midpoints is numerically singular: its
+        # computed smallest eigenvalue is below zero (the value depends on the
+        # BLAS), so the zero-jitter grid fit leaves the spectral path for the
+        # dense Cholesky, which fails over to least squares
+        spec = KernelSpec(2, 1)
+        nodes = midpoint_grid(1400, 1)
+        with pytest.warns(RuntimeWarning, match="cholesky failed"):
+            interp = fit(spec, nodes, np.sin(4.0 * nodes.points[:, 0]), jitter=0.0)
+        assert interp.grid_m == 0
+        assert interp.solver_note.startswith("cholesky failed")
+        assert np.all(np.isfinite(interp.beta))
+
+
+class TestGridPath:
+    """Midpoint-grid fits solve through the cached eigenpairs of the axis Gram
+    and evaluate per axis; the same nodes in another order take the dense
+    Cholesky path and must give the same surrogate."""
+
+    @pytest.mark.parametrize("jitter", [None, 0.0])
+    @pytest.mark.parametrize("support", [1.0, 0.7])
+    @pytest.mark.parametrize("d,m", [(1, 12), (2, 6), (3, 4), (4, 3)])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_matches_dense_path(self, k, d, m, support, jitter):
+        spec = KernelSpec(k, d, support)
+        grid = midpoint_grid(m, d)
+        rng = np.random.default_rng(100 * k + 10 * d + m)
+        values = np.sin(grid.points @ rng.uniform(1.0, 4.0, size=d)) + grid.points[:, 0] ** 2
+        perm = rng.permutation(len(grid))
+        fast = fit(spec, grid, values, jitter)
+        dense = fit(spec, node_set(grid.points[perm]), values[perm], jitter)
+        assert fast.grid_m == m and dense.grid_m == 0
+        assert fast.jitter == dense.jitter
+        assert fast.exact_integral == pytest.approx(dense.exact_integral, abs=1e-10)
+        assert fast.residual_norm == pytest.approx(dense.residual_norm, abs=1e-10)
+        stack = np.vstack([rng.random((200, d)), grid.points, np.zeros((1, d)), np.ones((1, d))])
+        np.testing.assert_allclose(evaluate(fast, stack), evaluate(dense, stack), rtol=0.0, atol=1e-10)
+        for p in stack[::37]:
+            assert evaluate(fast, p) == pytest.approx(evaluate(dense, p), abs=1e-10)
+
+    def test_grid_evaluation_spans_blocks(self, monkeypatch):
+        spec = KernelSpec(1, 2)
+        grid = midpoint_grid(5, 2)
+        values = np.cos(3.0 * grid.points[:, 1]) * grid.points[:, 0]
+        fast = fit(spec, grid, values)
+        dense = fit(spec, node_set(grid.points[::-1]), values[::-1])
+        pts = np.random.default_rng(3).random((1000, 2))
+        whole = evaluate(fast, pts)
+        # rows are 4 * d * m = 40 floats wide: seven rows per block
+        monkeypatch.setattr("cfqmc.kernels.BLOCK_BYTES", 8 * 40 * 7)
+        np.testing.assert_array_equal(evaluate(fast, pts), whole)
+        np.testing.assert_allclose(evaluate(dense, pts), whole, rtol=0.0, atol=1e-10)
+
+    def test_factor_computed_once_per_shape(self, monkeypatch):
+        interpolate._FACTORS.clear()
+        calls = []
+        monkeypatch.setattr(interpolate, "gram", lambda *a, **kw: calls.append(a) or gram(*a, **kw))
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            fit(KernelSpec(1, 2), midpoint_grid(7, 2), rng.normal(size=49))
+            fit(KernelSpec(1, 1), midpoint_grid(7, 1), rng.normal(size=7))
+        fit(KernelSpec(1, 1, 0.5), midpoint_grid(7, 1), rng.normal(size=7))
+        assert len(calls) == 2
+
+    def test_scattered_and_permuted_nodes_take_dense_path(self):
+        spec = KernelSpec(1, 2)
+        grid = midpoint_grid(4, 2)
+        values = np.arange(16.0)
+        assert fit(spec, grid, values).grid_m == 4
+        swapped = grid.points[:, ::-1]  # the same node set, rows in another order
+        assert fit(spec, node_set(swapped), values).grid_m == 0
+        shifted = np.clip(grid.points + 1e-12, 0.0, 1.0)
+        assert fit(spec, node_set(shifted), values).grid_m == 0
+        assert fit(spec, uniform_random(16, 2, seed=0), values).grid_m == 0
+
+    def test_dimension_mismatch_rejected(self):
+        interp = fit(KernelSpec(1, 2), midpoint_grid(3, 2), np.ones(9))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            evaluate(interp, np.ones((4, 3)))

@@ -4,6 +4,7 @@ import importlib.util
 from pathlib import Path
 
 import cfqmc
+from cfqmc import bench, interpolate
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -29,3 +30,21 @@ def test_tracing_hooks_install_and_restore():
     with tracing.Tracer().recording(0):
         pass
     assert [getattr(owner, attr) for owner, attr in sites] == before
+
+
+def test_grid_factorization_reused_across_fits():
+    # A campaign fits every replicate and method on a handful of grids; the
+    # axis Gram behind each grid is assembled and factorized once.
+    tracing = load_tracing()
+    interpolate._FACTORS.clear()
+    cfg = bench.CampaignConfig(
+        families=("gaussian",), dims=(1, 2), methods=("QMC", "QMC+CF"), n_grid=(32, 128), replicates=3
+    )
+    tracer = tracing.Tracer()
+    with tracer.recording(0):
+        bench.run_campaign(cfg)
+    names = [span[0] for span in tracer.spans]
+    shapes = tracer.counters[0]["shapes"]
+    assert names.count("interpolate.fit") == 2 * 2 * 3
+    assert len(shapes) == 4
+    assert names.count("kernels.gram") == len(shapes)
