@@ -158,13 +158,16 @@ def _sq_exp_cross(za: np.ndarray, zb: np.ndarray, theta1: float, theta2: float) 
 
 
 class _SorSolver:
-    """Subset-of-regressors predictive means with hyper-parameters swapped per
-    call: pairwise squared distances are computed once, each evaluation only
-    exponentiates, forms the normal equations and factorizes.
+    """Subset-of-regressors predictive means at fixed test inputs with
+    hyper-parameters swapped per call: pairwise squared distances are computed
+    once, each evaluation only exponentiates, forms the normal equations,
+    factorizes and returns one mean per row of ``z_star``.
 
     Large lengthscales drive the system numerically semidefinite; a small
-    deterministic diagonal ladder restores factorizability, and a draw that
-    exhausts the ladder raises so the caller can skip the replicate.
+    deterministic diagonal ladder restores factorizability. A draw that
+    exhausts the ladder raises ``LinAlgError`` naming theta. Nothing skips
+    or masks it: the study stops, and ``cfqmc gp`` exits with the
+    runtime-error code and prints the message.
     """
 
     def __init__(self, data: Dataset, cfg: GPConfig, z_star: np.ndarray, subset_indices):
@@ -243,78 +246,94 @@ def default_subset_indices(data: Dataset, n_subset: int, seed: int = 0) -> np.nd
     return np.sort(rng.choice(data.n, size=n_sub, replace=False))
 
 
-def reparametrized_integrand(
-    data: Dataset, cfg: GPConfig, z_star, subset_indices
-) -> Integrand:
-    """The unit-square integrand x -> predictive mean at theta = prior^-1(x).
+class PredictionTable:
+    """SoR predictive means at every test input of ``cfg``, memoised by the
+    exact unit-square point whose prior quantiles give theta.
 
-    Uses the SoR approximation (exact when n' = n is requested with a full
-    index set). Shape-2 priors are required by the closed-form quantile.
-    Coordinates are clipped a hair inside (0, 1) before inversion because the
-    quantile map is unbounded at the endpoints.
+    One ``_SorSolver`` over all test points backs the table, so a theta drawn
+    once is solved once however many test points and methods read it. A
+    point's entry never goes stale, since the point alone fixes theta;
+    ``clear`` only bounds memory. Shape-2 priors are required by the
+    closed-form quantile.
     """
-    if cfg.amplitude_shape != 2.0 or cfg.lengthscale_shape != 2.0:
-        raise ValueError("the quantile reparametrization is specialized to shape-2 priors")
-    z = np.asarray(z_star, dtype=np.float64).reshape(1, -1)
-    solver = _SorSolver(data, cfg, z, subset_indices)
 
-    def fn(x: np.ndarray) -> np.ndarray:
-        q = np.clip(x, _CDF_CLIP, 1.0 - _CDF_CLIP)
-        theta1 = gamma2_inverse_cdf(q[:, 0], cfg.amplitude_scale)
-        theta2 = gamma2_inverse_cdf(q[:, 1], cfg.lengthscale_scale)
-        out = np.empty(x.shape[0])
-        for i in range(x.shape[0]):
-            out[i] = float(solver.predict(theta1[i], theta2[i])[0])
-        return out
+    def __init__(self, data: Dataset, cfg: GPConfig, subset_indices):
+        if cfg.amplitude_shape != 2.0 or cfg.lengthscale_shape != 2.0:
+            raise ValueError("the quantile reparametrization is specialized to shape-2 priors")
+        self.cfg = cfg
+        self.n_test = cfg.test_points.shape[0]
+        self.solver = _SorSolver(data, cfg, cfg.test_points, subset_indices)
+        self._rows: dict[bytes, np.ndarray] = {}
 
-    return Integrand(2, fn)
+    def clear(self) -> None:
+        self._rows.clear()
+
+    def means(self, x: np.ndarray) -> np.ndarray:
+        """(n, T) predictive means at theta = prior^-1(x), one row per row of x.
+
+        Quantiles and solves run only for rows not yet in the table.
+        Coordinates are clipped a hair inside (0, 1) before inversion because
+        the quantile map is unbounded at the endpoints.
+        """
+        keys = [row.tobytes() for row in x]
+        misses: dict[bytes, int] = {}
+        for i, key in enumerate(keys):
+            if key not in self._rows:
+                misses.setdefault(key, i)
+        if misses:
+            q = np.clip(x[list(misses.values())], _CDF_CLIP, 1.0 - _CDF_CLIP)
+            theta1 = gamma2_inverse_cdf(q[:, 0], self.cfg.amplitude_scale)
+            theta2 = gamma2_inverse_cdf(q[:, 1], self.cfg.lengthscale_scale)
+            for key, t1, t2 in zip(misses, theta1, theta2):
+                self._rows[key] = self.solver.predict(t1, t2)
+        return np.array([self._rows[key] for key in keys])
 
 
-def marginal_prediction(
-    data: Dataset,
-    cfg: GPConfig,
-    z_star,
-    method: str,
-    budget: int,
-    seed: int,
-    subset_indices=None,
-) -> float:
-    """Posterior-mean prediction at one test input by 2-d integration.
+def reparametrized_integrand(table: PredictionTable, t_idx: int) -> Integrand:
+    """The unit-square integrand x -> predictive mean at test input ``t_idx``
+    at theta = prior^-1(x): column ``t_idx`` of the table's means."""
+    if not 0 <= t_idx < table.n_test:
+        raise ValueError(f"test index {t_idx} outside 0..{table.n_test - 1}")
+    return Integrand(2, lambda x: table.means(x)[:, t_idx])
 
+
+def marginal_prediction(table: PredictionTable, method: str, budget: int, seed: int) -> np.ndarray:
+    """Posterior-mean predictions at every test input by 2-d integration:
+    one estimate per test point for one (seed, method).
+
+    The seed fixes one Halton shift and one MC stream, the same for every
+    method and every test point, so within a seed all test points and
+    methods share one theta sample and ``table`` solves each theta once.
     Surrogate-corrected methods fit the k = 1 kernel on the 16-node grid
-    (``GP_NODE_GRID_M``); every method consumes the full budget exactly, so
-    equal-budget accounting holds across methods for a shared seed.
+    (``GP_NODE_GRID_M``); each test point's integrand consumes the full
+    budget exactly, so equal-budget accounting holds across methods.
     """
     if method not in GP_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {GP_METHODS}")
     m_nodes_cf = GP_NODE_GRID_M**2
     if budget < 2 * m_nodes_cf:
         raise ValueError(f"budget {budget} too small for the {m_nodes_cf}-node surrogate")
-    if subset_indices is None:
-        subset_indices = default_subset_indices(data, cfg.n_subset)
-    integrand = reparametrized_integrand(data, cfg, z_star, subset_indices)
     delta = rng_for(seed, "gp-shift").random(2)
     mc_seed = seed_for(seed, "gp-mc")
     spec = KernelSpec(k=1, dim=2)
-    if method == "QMC":
-        estimate = qmc_estimate(
-            integrand, random_shift(halton(budget, 2, scramble=True), delta)
-        )
-    elif method == "MC":
-        estimate = qmc_estimate(integrand, uniform_random(budget, 2, mc_seed))
+    n_eval = budget if method in ("QMC", "MC") else budget - m_nodes_cf
+    if method.startswith("QMC"):
+        eval_pts = random_shift(halton(n_eval, 2, scramble=True), delta)
     else:
-        n_eval = budget - m_nodes_cf
-        nodes = midpoint_grid(GP_NODE_GRID_M, 2)
-        if method == "QMC+CF":
-            eval_pts = random_shift(halton(n_eval, 2, scramble=True), delta)
-        else:  # MC+CF
-            eval_pts = uniform_random(n_eval, 2, mc_seed)
-        estimate, _ = cf_estimate(integrand, nodes, eval_pts, spec)
-    if integrand.eval_count != budget:
-        raise RuntimeError(
-            f"budget accounting violated: consumed {integrand.eval_count}, expected {budget}"
-        )
-    return estimate
+        eval_pts = uniform_random(n_eval, 2, mc_seed)
+    nodes = midpoint_grid(GP_NODE_GRID_M, 2) if method.endswith("+CF") else None
+    estimates = np.empty(table.n_test)
+    for t_idx in range(table.n_test):
+        integrand = reparametrized_integrand(table, t_idx)
+        if nodes is None:
+            estimates[t_idx] = qmc_estimate(integrand, eval_pts)
+        else:
+            estimates[t_idx], _ = cf_estimate(integrand, nodes, eval_pts, spec)
+        if integrand.eval_count != budget:
+            raise RuntimeError(
+                f"budget accounting violated: consumed {integrand.eval_count}, expected {budget}"
+            )
+    return estimates
 
 
 def load_dataset(path, n_train_cap: int, seed: int) -> Dataset:
@@ -391,25 +410,31 @@ def run_prediction_study(
     """Estimate every test point with every method over the given seeds.
 
     The SoR subset is drawn once (from ``subset_seed``) and shared, so the
-    spread over seeds isolates the estimator's sampling variability; within a
-    (test point, seed) the methods share the randomization stream, pairing
-    the comparison.
+    spread over seeds isolates the estimator's sampling variability. Within
+    a seed all test points and methods share one theta sample, pairing the
+    comparison, and each distinct theta is solved once for all test points;
+    the table of solves is cleared per seed, bounding it to
+    methods x budget x T floats.
     """
-    subset = default_subset_indices(data, cfg.n_subset, subset_seed)
-    estimates = []
-    spread = []
-    for t_idx, z_star in enumerate(cfg.test_points):
-        per_method: dict[str, list[float]] = {m: [] for m in methods}
-        for seed in seeds:
-            run_seed = seed_for(seed, "gp-point", t_idx)
-            for method in methods:
-                estimate = marginal_prediction(
-                    data, cfg, z_star, method, budget, run_seed, subset_indices=subset
-                )
-                estimates.append((t_idx, method, budget, seed, estimate))
-                per_method[method].append(estimate)
+    table = PredictionTable(data, cfg, default_subset_indices(data, cfg.n_subset, subset_seed))
+    per_method: dict[str, list[np.ndarray]] = {m: [] for m in methods}
+    for seed in seeds:
+        table.clear()
+        run_seed = seed_for(seed, "gp-point")
         for method in methods:
-            spread.append((t_idx, method, float(np.std(per_method[method], ddof=1))))
+            per_method[method].append(marginal_prediction(table, method, budget, run_seed))
+    by_seed = {m: np.array(per_method[m]) for m in methods}  # (seeds, T)
+    estimates = [
+        (t_idx, method, budget, seed, float(by_seed[method][s_idx, t_idx]))
+        for t_idx in range(table.n_test)
+        for s_idx, seed in enumerate(seeds)
+        for method in methods
+    ]
+    spread = [
+        (t_idx, method, float(np.std(by_seed[method][:, t_idx], ddof=1)))
+        for t_idx in range(table.n_test)
+        for method in methods
+    ]
     return PredictionStudy(estimates=estimates, spread=spread)
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cfqmc import gp
 from cfqmc.cli import main
 from cfqmc.points import read_points_csv
 
@@ -214,6 +215,30 @@ class TestGpCommand:
         )
         assert code == 1
         assert "WARP" in err
+
+    def test_unfactorizable_draw_stops_study_naming_theta(self, tmp_path, capsys, monkeypatch):
+        # With an empty ladder the first draw exhausts it: the study stops
+        # there (no skipped replicate, no NaN) with the runtime-error code
+        # and the draw's theta on stderr.
+        predict = gp._SorSolver.predict
+        drawn = []
+
+        def recording(solver, theta1, theta2):
+            drawn.append((theta1, theta2))
+            return predict(solver, theta1, theta2)
+
+        monkeypatch.setattr(gp, "_SOR_LADDER", ())
+        monkeypatch.setattr(gp._SorSolver, "predict", recording)
+        out_dir = tmp_path / "gp"
+        code, _, err = run_cli(
+            capsys, "gp", "--synthetic", "--n-test", "2", "--methods", "QMC,QMC+CF",
+            "--budget", "64", "--seeds", "2", "--out-dir", str(out_dir),
+        )
+        assert code == 2
+        assert len(drawn) == 1
+        theta1, theta2 = drawn[0]
+        assert f"theta=({theta1:.4g}, {theta2:.4g})" in err
+        assert not (out_dir / "predictions.csv").exists()
 
     def test_data_file_route(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

@@ -9,6 +9,7 @@ from cfqmc import gp
 from cfqmc.gp import (
     Dataset,
     GPConfig,
+    PredictionTable,
     default_subset_indices,
     gamma2_inverse_cdf,
     gp_predictive_mean_full,
@@ -21,6 +22,7 @@ from cfqmc.gp import (
     synthetic_dataset,
     write_prediction_csv,
 )
+from cfqmc.seeding import seed_for
 
 
 def gamma2_cdf(t, scale):
@@ -139,6 +141,8 @@ class TestMarginalPrediction:
     def setup_method(self):
         self.data, self.test_z = synthetic_dataset(n=60, p=4, n_test=3, seed=0)
         self.cfg = GPConfig(test_points=self.test_z, n_subset=30)
+        self.subset = default_subset_indices(self.data, self.cfg.n_subset)
+        self.table = PredictionTable(self.data, self.cfg, self.subset)
 
     def test_budgets_identical_across_methods(self, monkeypatch):
         built = []
@@ -149,35 +153,35 @@ class TestMarginalPrediction:
 
         monkeypatch.setattr(gp, "reparametrized_integrand", recording)
         for m in ("QMC", "QMC+CF", "MC", "MC+CF"):
-            marginal_prediction(self.data, self.cfg, self.test_z[0], m, 128, seed=5)
-        assert [f.eval_count for f in built] == [128] * 4
+            marginal_prediction(self.table, m, 128, seed=5)
+        # one integrand per (method, test point), each charged the full
+        # budget even when its points were already solved for another
+        assert [f.eval_count for f in built] == [128] * 4 * 3
 
     def test_zero_responses_estimate_zero(self):
         zero = Dataset(covariates=self.data.covariates, responses=np.zeros(self.data.n))
-        est = marginal_prediction(zero, self.cfg, self.test_z[0], "QMC", 64, seed=3)
-        assert est == pytest.approx(0.0, abs=1e-14)
+        est = marginal_prediction(PredictionTable(zero, self.cfg, self.subset), "QMC", 64, seed=3)
+        np.testing.assert_allclose(est, 0.0, atol=1e-14)
 
     def test_deterministic_given_seed(self):
-        a = marginal_prediction(self.data, self.cfg, self.test_z[0], "QMC+CF", 64, seed=9)
-        b = marginal_prediction(self.data, self.cfg, self.test_z[0], "QMC+CF", 64, seed=9)
-        assert a == b
+        a = marginal_prediction(self.table, "QMC+CF", 64, seed=9)
+        b = marginal_prediction(self.table, "QMC+CF", 64, seed=9)
+        fresh = marginal_prediction(PredictionTable(self.data, self.cfg, self.subset), "QMC+CF", 64, seed=9)
+        assert a.tobytes() == b.tobytes() == fresh.tobytes()
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
-            marginal_prediction(self.data, self.cfg, self.test_z[0], "QMC+CF-folded", 64, seed=1)
+            marginal_prediction(self.table, "QMC+CF-folded", 64, seed=1)
 
     def test_tiny_budget_rejected(self):
         with pytest.raises(ValueError, match="too small"):
-            marginal_prediction(self.data, self.cfg, self.test_z[0], "QMC+CF", 16, seed=1)
+            marginal_prediction(self.table, "QMC+CF", 16, seed=1)
 
     def test_qmc_and_mc_agree_statistically(self):
         # same estimand: the two plain methods must bracket each other
         ests = []
         for m in ("QMC", "MC"):
-            vals = [
-                marginal_prediction(self.data, self.cfg, self.test_z[0], m, 128, seed=s)
-                for s in range(6)
-            ]
+            vals = [marginal_prediction(self.table, m, 128, seed=s)[0] for s in range(6)]
             ests.append(np.mean(vals))
         assert abs(ests[0] - ests[1]) < 0.05
 
@@ -187,15 +191,26 @@ class TestReparametrizedIntegrand:
         data, test_z = synthetic_dataset(n=40, p=3, n_test=1, seed=2)
         cfg = GPConfig(test_points=test_z, n_subset=20)
         subset = default_subset_indices(data, 20)
-        f = reparametrized_integrand(data, cfg, test_z[0], subset)
-        f.eval_batch(np.array([[0.5, 0.5], [0.2, 0.9]]))
+        f = reparametrized_integrand(PredictionTable(data, cfg, subset), 0)
+        pts = np.array([[0.5, 0.5], [0.2, 0.9]])
+        first = f.eval_batch(pts)
         assert f.eval_count == 2
+        # a table hit is still a counted evaluation, with the same value
+        assert f.eval_batch(pts).tobytes() == first.tobytes()
+        assert f.eval_count == 4
 
     def test_requires_shape_two_priors(self):
         data, test_z = synthetic_dataset(n=30, p=2, n_test=1, seed=3)
         cfg = GPConfig(test_points=test_z, amplitude_shape=3.0)
         with pytest.raises(ValueError, match="shape-2"):
-            reparametrized_integrand(data, cfg, test_z[0], np.arange(10))
+            PredictionTable(data, cfg, np.arange(10))
+
+    def test_test_index_out_of_range_rejected(self):
+        data, test_z = synthetic_dataset(n=30, p=2, n_test=2, seed=3)
+        table = PredictionTable(data, GPConfig(test_points=test_z), np.arange(10))
+        for bad in (-1, 2):
+            with pytest.raises(ValueError, match="test index"):
+                reparametrized_integrand(table, bad)
 
 
 class TestLoadDataset:
@@ -280,3 +295,23 @@ class TestPredictionStudy:
         sd_lines = sd_path.read_text().splitlines()
         assert sd_lines[0] == "test_index,method,sd_over_seeds"
         assert len(sd_lines) == 1 + 2 * 2
+
+    def test_estimates_match_single_point_tables(self):
+        # Each study estimate must equal the estimate for that test point
+        # alone (a one-row solver on the same seed's points), so no column of
+        # the shared table leaks into another test point's integral. The
+        # tolerance covers the rounding of a T-row against a one-row product
+        # with the SoR weights: up to 6.5e-10 measured over 200 random theta.
+        data, test_z = synthetic_dataset(n=60, p=3, n_test=3, seed=7)
+        cfg = GPConfig(test_points=test_z, n_subset=30)
+        methods = ("QMC", "QMC+CF", "MC", "MC+CF")
+        study = run_prediction_study(data, cfg, methods, 64, [0, 1])
+        subset = default_subset_indices(data, cfg.n_subset)
+        single = [
+            PredictionTable(data, GPConfig(test_points=test_z[t : t + 1], n_subset=30), subset)
+            for t in range(3)
+        ]
+        assert len(study.estimates) == 3 * 2 * len(methods)
+        for t_idx, method, _, seed, estimate in study.estimates:
+            alone = marginal_prediction(single[t_idx], method, 64, seed_for(seed, "gp-point"))
+            assert abs(estimate - alone[0]) <= 1e-8

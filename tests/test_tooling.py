@@ -4,7 +4,7 @@ import importlib.util
 from pathlib import Path
 
 import cfqmc
-from cfqmc import bench, interpolate
+from cfqmc import bench, gp, interpolate
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -48,3 +48,29 @@ def test_grid_factorization_reused_across_fits():
     assert names.count("interpolate.fit") == 2 * 2 * 3
     assert len(shapes) == 4
     assert names.count("kernels.gram") == len(shapes)
+
+
+def test_sor_solves_shared_across_test_points_and_methods(monkeypatch):
+    # Within a seed every test point and method reads one table of SoR
+    # solves: QMC solves its 64 points, QMC+CF its 16 grid nodes (its 48
+    # evaluation points are QMC's first 48), MC+CF its 48 MC points (the
+    # nodes are already solved). Solving per test point would take 1,152.
+    tracing = load_tracing()
+    build = gp.reparametrized_integrand
+    built = []
+
+    def recording(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(gp, "reparametrized_integrand", recording)
+    data, test_z = gp.synthetic_dataset(n=80, p=4, n_test=3, seed=0)
+    cfg = gp.GPConfig(test_points=test_z, n_subset=40)
+    methods = ("QMC", "QMC+CF", "MC+CF")
+    tracer = tracing.Tracer()
+    with tracer.recording(0):
+        gp.run_prediction_study(data, cfg, methods, 64, [0, 1])
+    metrics = tracer.run_metrics(0)
+    assert metrics["gp.sor_solves"] == 2 * (64 + 16 + 48)
+    assert metrics["gp.integrand_builds"] == len(built) == 2 * len(methods) * 3
+    assert [f.eval_count for f in built] == [64] * len(built)
