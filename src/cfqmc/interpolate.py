@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 from scipy import linalg as sla
 
-from .kernels import KernelSpec, gram, kernel_cross, kernel_integral, row_blocks, wendland_1d
+from .kernels import KernelSpec, _wendland_inplace, gram, kernel_cross, kernel_integral, row_blocks
 from .points import PointSet, midpoint_grid
 
 DEFAULT_JITTER_PER_NODE = 1e-10
@@ -206,8 +206,10 @@ def _grid_values(interp: Interpolant, rows: np.ndarray) -> np.ndarray:
     m, d = interp.grid_m, interp.spec.dim
     # the last coordinate of the first m grid nodes runs over the axis midpoints
     axis = interp.nodes.points[:m, d - 1]
-    r = np.abs(rows[:, :, None] - axis) / interp.spec.support_radius
-    w = wendland_1d(interp.spec.k, r)
+    r = np.subtract(rows[:, :, None], axis)
+    np.abs(r, out=r)
+    r /= interp.spec.support_radius
+    w = _wendland_inplace(interp.spec.k, r)
     t = w[:, 0, :] @ interp.beta.reshape(m, -1)
     for i in range(1, d):
         t = np.matmul(w[:, i, None, :], t.reshape(rows.shape[0], m, -1))[:, 0, :]
@@ -227,8 +229,8 @@ def evaluate(interp: Interpolant, x):
         raise ValueError(f"dimension mismatch: spec.dim={d}, points are {rows.shape[1]}-d")
     out = np.empty(rows.shape[0])
     if m:
-        # a row holds d * m distances and kernel values (with wendland_1d's
-        # temporaries, about 4 d m floats) or m^(d-1) partial sums
+        # a row holds d * m distances and kernel values (with the kernel
+        # core's temporaries, at most 4 d m floats) or m^(d-1) partial sums
         for block in row_blocks(rows.shape[0], max(4 * d * m, m ** (d - 1))):
             out[block] = _grid_values(interp, rows[block])
     else:

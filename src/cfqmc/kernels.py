@@ -69,17 +69,33 @@ def wendland_1d(k: int, r):
     """Univariate kernel piece at distance r >= 0 (scalar or array)."""
     if k not in SMOOTHNESS_LEVELS:
         raise ValueError(f"smoothness index must be one of {SMOOTHNESS_LEVELS}, got {k}")
-    r_arr = np.asarray(r, dtype=np.float64)
+    r_arr = np.array(r, dtype=np.float64)
     if np.any(r_arr < 0.0):
         raise ValueError("r must be non-negative")
-    w = np.maximum(1.0 - r_arr, 0.0)
-    if k == 0:
-        out = w
-    elif k == 1:
-        out = w**3 * (3.0 * r_arr + 1.0)
-    else:
-        out = w**5 * (8.0 * r_arr**2 + 5.0 * r_arr + 1.0)
+    out = _wendland_inplace(k, r_arr.reshape(-1)).reshape(r_arr.shape)
     return float(out) if np.isscalar(r) or out.ndim == 0 else out
+
+
+def _wendland_inplace(k: int, r: np.ndarray) -> np.ndarray:
+    """``wendland_1d(k, r)`` without its checks, for a float64 array of
+    distances r >= 0 that the caller owns: ``r`` is overwritten, and the
+    result may be ``r`` itself."""
+    w = np.subtract(1.0, r, out=r if k == 0 else None)
+    np.maximum(w, 0.0, out=w)
+    if k == 0:
+        return w
+    if k == 1:
+        np.power(w, 3, out=w)
+        r *= 3.0
+    else:
+        np.power(w, 5, out=w)
+        poly = np.square(r)
+        poly *= 8.0
+        r *= 5.0
+        r += poly
+    r += 1.0
+    w *= r
+    return w
 
 
 def _coords(nodes) -> np.ndarray:
@@ -96,10 +112,14 @@ def kernel_cross(spec: KernelSpec, x, y) -> np.ndarray:
             f"dimension mismatch: spec.dim={spec.dim}, arrays are "
             f"{xa.shape[1]} and {ya.shape[1]}"
         )
-    out = np.ones((xa.shape[0], ya.shape[0]))
+    out = None
     for i in range(spec.dim):
-        r = np.abs(xa[:, i, None] - ya[None, :, i]) / spec.support_radius
-        out *= wendland_1d(spec.k, r)
+        r = np.subtract(xa[:, i, None], ya[None, :, i])
+        np.abs(r, out=r)
+        r /= spec.support_radius
+        w = _wendland_inplace(spec.k, r)
+        # the first factor is the product itself: 1.0 * w is w exactly
+        out = w if out is None else np.multiply(out, w, out=out)
     return out
 
 

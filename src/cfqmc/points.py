@@ -13,7 +13,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import pdist
 
 from .directions import DEFAULT_DIRECTIONS, DirectionTable
 
@@ -321,6 +320,48 @@ def default_fill_resolution(d: int) -> int:
     return _FILL_RESOLUTION.get(d, _FILL_RESOLUTION_HIGH_D)
 
 
+def _index_lattice(values: np.ndarray, d: int) -> np.ndarray:
+    """Every d-tuple over ``values``, as an (len(values)^d, d) index array."""
+    return np.stack(np.meshgrid(*([values] * d), indexing="ij"), axis=-1).reshape(-1, d)
+
+
+def _fill_distance(tree: cKDTree, axis: np.ndarray, d: int) -> float:
+    """max over the grid axis^d of the distance to the nearest point in ``tree``.
+
+    Branch and bound over cells of the grid: every grid point of a cell of
+    side s (in grid steps) lies within its half diagonal of the cell centre,
+    a grid point when s is even, so by the triangle inequality a cell whose
+    centre distance plus half diagonal stays below a distance already
+    attained holds no larger one and is dropped unqueried. Every distance
+    that enters the maximum is a tree query at a grid point, so the result is
+    the float the exhaustive query returns.
+    """
+
+    def nearest(index):
+        return tree.query(axis[index], k=1)[0]
+
+    res = len(axis) - 1
+    side = next((s for s in (8, 4, 2) if res % s == 0), 0)
+    if not side:
+        return float(np.max(nearest(_index_lattice(np.arange(res + 1), d))))
+    best = float(np.max(nearest(_index_lattice(np.arange(0, res + 1, side), d))))
+    cells = _index_lattice(np.arange(0, res, side), d)  # lower corners
+    # half diagonal of a cell per grid step of its side, from the widest step
+    half_step = 0.5 * math.sqrt(d) * float(np.max(np.diff(axis)))
+    while True:
+        centre = nearest(cells + side // 2)
+        best = float(np.max(centre, initial=best))
+        # the relative margin covers rounding in the distances and the bound
+        cells = cells[centre + side * half_step > best * (1.0 - 1e-12)]
+        if side == 2:
+            break
+        side //= 2
+        cells = (cells[:, None, :] + _index_lattice(np.array([0, side]), d)).reshape(-1, d)
+    # the side-1 cells left: every grid point of a side-2 cell
+    corners = np.unique((cells[:, None, :] + _index_lattice(np.arange(3), d)).reshape(-1, d), axis=0)
+    return float(np.max(nearest(corners), initial=best))
+
+
 def geometry(ps: PointSet, fill_resolution: Optional[int] = None) -> GeometryMetrics:
     """Fill distance, separation radius and mesh ratio of a point set.
 
@@ -328,8 +369,9 @@ def geometry(ps: PointSet, fill_resolution: Optional[int] = None) -> GeometryMet
     fill distance sup_x min_n ||x - u^n|| is approximated from below by a
     regular evaluation grid with ``fill_resolution`` cells per axis (grid
     lines include the cube boundary, so boundary-attained suprema of simple
-    configurations are found exactly). A single-point set reports an infinite
-    separation radius with ``single_point`` set.
+    configurations are found exactly). The grid maximum is exact, found by a
+    pruned search that queries only part of the grid. A single-point set
+    reports an infinite separation radius with ``single_point`` set.
     """
     if len(ps) == 0:
         raise ValueError("geometry of an empty point set is undefined")
@@ -341,12 +383,8 @@ def geometry(ps: PointSet, fill_resolution: Optional[int] = None) -> GeometryMet
             f"fill grid of {res + 1}^{ps.dim} evaluation points exceeds the size guard; "
             "lower fill_resolution"
         )
-    axis = np.linspace(0.0, 1.0, res + 1)
-    grids = np.meshgrid(*([axis] * ps.dim), indexing="ij")
-    eval_pts = np.stack([g.reshape(-1) for g in grids], axis=1)
     tree = cKDTree(ps.points)
-    min_dists, _ = tree.query(eval_pts, k=1)
-    fill = float(np.max(min_dists))
+    fill = _fill_distance(tree, np.linspace(0.0, 1.0, res + 1), ps.dim)
 
     if len(ps) == 1:
         return GeometryMetrics(
@@ -356,7 +394,8 @@ def geometry(ps: PointSet, fill_resolution: Optional[int] = None) -> GeometryMet
             fill_resolution=res,
             single_point=True,
         )
-    separation = 0.5 * float(np.min(pdist(ps.points)))
+    # each point's nearest other point: memory linear in N, not N(N-1)/2 pairs
+    separation = 0.5 * float(np.min(tree.query(ps.points, k=2)[0][:, 1]))
     ratio = fill / separation if separation > 0.0 else math.inf
     return GeometryMetrics(
         fill_distance=fill,

@@ -1,5 +1,6 @@
 """Plain and surrogate-corrected estimators, error diagnostics, budget rules."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cfqmc.estimators import (
+    _PAIR_ROWS,
     Integrand,
     cf_estimate,
     optimal_split,
@@ -16,7 +18,7 @@ from cfqmc.estimators import (
     worst_case_error,
 )
 from cfqmc.genz import as_integrand, make_genz, random_genz
-from cfqmc.kernels import KernelSpec, kernel_cross, kernel_double_integral, kernel_integral, row_blocks
+from cfqmc.kernels import KernelSpec, kernel_cross, kernel_double_integral, kernel_integral
 from cfqmc.points import (
     PointSet,
     Provenance,
@@ -206,14 +208,17 @@ class TestWorstCaseError:
             assert abs(closed - mc) <= 3 * se
 
     def test_blocked_pair_sum_matches_whole_matrix(self):
-        spec = KernelSpec(1, 2)
-        ps = halton(1500, 2)
-        n = len(ps)
-        assert len(row_blocks(n, n)) >= 3
-        whole = float(np.sum(kernel_cross(spec, ps.points, ps.points))) / (n * n)
-        single = float(np.mean(kernel_integral(spec, ps.points)))
-        expected = kernel_double_integral(spec) - 2.0 * single + whole
-        assert worst_case_error(spec, ps) ** 2 == pytest.approx(expected, rel=0.0, abs=1e-13)
+        # the upper block triangle against the whole kernel matrix: 1500 rows
+        # end in a short block, and 1 or 2 rows fit in one
+        pts = halton(1500, 2).points
+        assert len(pts) % _PAIR_ROWS
+        for k, support, n in itertools.product((0, 1, 2), (1.0, 0.7), (1, 2, len(pts))):
+            spec = KernelSpec(k, 2, support)
+            ps = point_set(pts[:n])
+            whole = float(np.sum(kernel_cross(spec, ps.points, ps.points))) / (n * n)
+            single = float(np.mean(kernel_integral(spec, ps.points)))
+            expected = kernel_double_integral(spec) - 2.0 * single + whole
+            assert worst_case_error(spec, ps) ** 2 == pytest.approx(expected, rel=0.0, abs=1e-13)
 
     def test_tiny_negative_squared_error_clamped(self):
         # a dense grid drives the squared error to rounding scale; must not

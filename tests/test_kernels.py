@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from cfqmc.kernels import (
     KernelSpec,
+    _wendland_inplace,
     gram,
     kernel_cross,
     kernel_double_integral,
@@ -68,6 +69,18 @@ class TestUnivariateClosedForms:
             oracle = integral_operator(inner, r) / norm
             assert wendland_1d(2, r) == pytest.approx(oracle, abs=1e-8)
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_inplace_core_matches_written_out_piece(self, k):
+        # the pieces as plain expressions: the in-place core must give the
+        # same floats. r > 1 occurs when the support radius is below 1.
+        rng = np.random.default_rng(k)
+        r = np.concatenate([np.linspace(0.0, 1.5, 15001), rng.uniform(0.0, 1.5, 15000), [1.0 - 1e-16, 5e-324]])
+        w = np.maximum(1.0 - r, 0.0)
+        reference = (w, w**3 * (3.0 * r + 1.0), w**5 * (8.0 * r**2 + 5.0 * r + 1.0))[k]
+        assert np.array_equal(_wendland_inplace(k, r.copy()), reference)
+        assert np.array_equal(wendland_1d(k, r), reference)
+        assert [wendland_1d(k, float(x)) for x in r[::1000]] == reference[::1000].tolist()
+
     def test_k1_smooth_at_support_edge(self):
         # derivative from inside tends to 0 at r = 1
         h = 1e-6
@@ -106,6 +119,18 @@ class TestKernelEval:
         v = kernel_value(spec, x, y)
         assert v == kernel_value(spec, y, x)
         assert 0.0 <= v <= 1.0
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("support", [1.0, 0.7])
+    def test_matches_product_of_checked_pieces(self, k, support):
+        spec = KernelSpec(k, 3, support)
+        x = uniform_random(40, 3, seed=1).points
+        y = uniform_random(30, 3, seed=2).points
+        reference = np.ones((40, 30))
+        for i in range(3):
+            r = np.abs(x[:, i, None] - y[None, :, i]) / support
+            reference *= wendland_1d(k, r)
+        assert np.array_equal(kernel_cross(spec, x, y), reference)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

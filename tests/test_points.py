@@ -1,13 +1,16 @@
 """Point-set generators, randomizations and geometry metrics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 from scipy.stats import kstest
 
+from cfqmc import points
 from cfqmc.directions import DEFAULT_DIRECTIONS, parse_direction_lines
 from cfqmc.points import (
     PointSet,
@@ -305,6 +308,60 @@ class TestGeometry:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             geometry(PointSet(np.zeros((0, 1)), 1, Provenance("t")))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 5),
+        n=st.integers(1, 300),
+        layout=st.sampled_from(["uniform", "clustered", "boundary", "on-grid"]),
+        res=st.sampled_from([1, 2, 4, 8, 16, 32, 64, 41, 48, 80]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pruned_fill_search_is_exact(self, d, n, layout, res, seed):
+        # powers of two, an odd resolution (plain query) and multiples of 16
+        while (res + 1) ** d > 300_000:
+            res //= 2
+        rng = np.random.default_rng(seed)
+        pts = rng.random((n, d))
+        if layout == "clustered":
+            pts = np.clip(rng.random(d) + 0.02 * rng.standard_normal((n, d)), 0.0, 1.0)
+        elif layout == "boundary":
+            pts[np.arange(n), rng.integers(0, d, n)] = rng.integers(0, 2, n)
+        elif layout == "on-grid":
+            pts = rng.integers(0, res + 1, (n, d)) / res
+        axis = np.linspace(0.0, 1.0, res + 1)
+        grid = np.stack([g.reshape(-1) for g in np.meshgrid(*([axis] * d), indexing="ij")], axis=1)
+        exhaustive = float(np.max(cKDTree(pts).query(grid, k=1)[0]))
+        assert geometry(make_set(pts), fill_resolution=res).fill_distance == exhaustive
+
+    def test_pruned_fill_search_queries_a_fraction_of_the_grid(self, monkeypatch):
+        queried = []
+
+        class CountingTree(cKDTree):
+            def query(self, x, k=1, **kwargs):
+                if k == 1:
+                    queried.append(len(x))
+                return super().query(x, k=k, **kwargs)
+
+        monkeypatch.setattr(points, "cKDTree", CountingTree)
+        g = geometry(halton(1024, 4))
+        assert g.fill_resolution == 32
+        assert 0 < sum(queried) < 0.1 * 33**4
+
+    def test_separation_in_bounded_memory(self):
+        # all pairwise distances of 2^16 points would take 17 GB
+        ps = halton(1 << 16, 2)
+        tracemalloc.start()
+        try:
+            g = geometry(ps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        closest = 2.0 * g.separation_radius
+        tree = cKDTree(ps.points)
+        assert not tree.query_pairs(closest * (1.0 - 1e-9))
+        assert tree.query_pairs(closest * (1.0 + 1e-9))
 
 
 class TestPointSetValidation:

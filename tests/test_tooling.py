@@ -4,7 +4,8 @@ import importlib.util
 from pathlib import Path
 
 import cfqmc
-from cfqmc import bench, gp, interpolate
+from cfqmc import bench, estimators, gp, interpolate, kernels
+from cfqmc.points import halton
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -74,3 +75,16 @@ def test_sor_solves_shared_across_test_points_and_methods(monkeypatch):
     assert metrics["gp.sor_solves"] == 2 * (64 + 16 + 48)
     assert metrics["gp.integrand_builds"] == len(built) == 2 * len(methods) * 3
     assert [f.eval_count for f in built] == [64] * len(built)
+
+
+def test_wce_pair_sum_covers_half_the_kernel_matrix():
+    # The kernel matrix is symmetric, so the pair sum computes its upper block
+    # triangle only: the whole matrix would be N^2 entries.
+    tracing = load_tracing()
+    n = 1024
+    tracer = tracing.Tracer()
+    with tracer.recording(0):
+        estimators.worst_case_error(kernels.KernelSpec(1, 2), halton(n, 2))
+    counts = tracer.counters[0]
+    assert 0 < counts["cross_entries"] <= 0.6 * n**2
+    assert 0 < counts["max_block_bytes"] <= kernels.BLOCK_BYTES
