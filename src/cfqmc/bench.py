@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -44,21 +44,6 @@ from .seeding import rng_for, seed_for
 METHODS = ("MC", "QMC", "QMC+CF", "MC+CF", "QMC+CF-folded")
 CF_METHODS = ("QMC+CF", "MC+CF", "QMC+CF-folded")
 SEQUENCES = ("halton-rr-shift", "sobol-dshift", "lattice")
-
-_CONFIG_KEYS = (
-    "families",
-    "dims",
-    "methods",
-    "sequence",
-    "k_values",
-    "support_radius",
-    "n_grid",
-    "replicates",
-    "assumed_alpha",
-    "seed_base",
-    "difficulty",
-)
-
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -335,46 +320,57 @@ _CSV_HEADER = (
 )
 _SLOPE_HEADER = "family,dim,method,k,slope,intercept,residual"
 
+# Each schema is its dataclass: field order is column (or line) order, and
+# the annotated type says how a value is written and read back.
+_CONFIG_TYPES = get_type_hints(CampaignConfig)
+_ROW_TYPES = {name: hint for name, hint in get_type_hints(Row).items() if name != "error"}
+_SLOPE_TYPES = get_type_hints(SlopeFit)
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+
+def _format_value(hint, value) -> str:
+    """One value as text: floats to 17 significant digits, None as ``none``."""
+    if value is None:
+        return "none"
+    if hint in (float, Optional[float]):
+        return f"{value:.17g}"
+    if get_origin(hint) is tuple:
+        return ", ".join(str(v) for v in value)
+    return str(value)
+
+
+def _parse_value(hint, text: str):
+    """Inverse of :func:`_format_value`; an empty optional float is None too."""
+    if hint == Optional[float]:
+        return None if text.lower() in ("", "none") else float(text)
+    if get_origin(hint) is tuple:
+        item = get_args(hint)[0]
+        return tuple(item(s.strip()) for s in text.split(",") if s.strip())
+    return hint(text)
+
+
+def _csv_line(record, types: dict) -> str:
+    return ",".join(_format_value(hint, getattr(record, name)) for name, hint in types.items()) + "\n"
+
+
+def _csv_record(cls, types: dict, line: str, path):
+    cells = line.split(",")
+    if len(cells) != len(types):
+        raise ValueError(f"{path}: expected {len(types)} cells, got {len(cells)}: {line}")
+    return cls(**{name: _parse_value(hint, cell) for (name, hint), cell in zip(types.items(), cells)})
 
 
 def emit_csv(table: ConvergenceTable, path) -> None:
     """Write the row schema plus a '#slope' summary section, deterministically
     ordered (lexicographic cell key, then N)."""
+    rows = sorted(table.rows, key=lambda r: (r.cell_key(), r.n_total))
     try:
         with open(path, "w") as fh:
             fh.write(_CSV_HEADER + "\n")
-            for row in sorted(table.rows, key=lambda r: (r.cell_key(), r.n_total)):
-                fh.write(
-                    ",".join(
-                        [
-                            row.family,
-                            str(row.dim),
-                            row.method,
-                            str(row.k),
-                            _fmt(row.support_radius),
-                            row.sequence,
-                            str(row.n_total),
-                            str(row.m_nodes),
-                            str(row.replicates),
-                            _fmt(row.rmse),
-                            _fmt(row.stderr),
-                            _fmt(row.mean_error),
-                            str(row.seed_base),
-                        ]
-                    )
-                    + "\n"
-                )
+            fh.writelines(_csv_line(row, _ROW_TYPES) for row in rows)
             fh.write("#slope\n")
             fh.write(_SLOPE_HEADER + "\n")
-            for s in table.slopes:
-                fh.write(
-                    f"{s.family},{s.dim},{s.method},{s.k},"
-                    f"{_fmt(s.slope)},{_fmt(s.intercept)},{_fmt(s.residual)}\n"
-                )
-            for row in sorted(table.rows, key=lambda r: (r.cell_key(), r.n_total)):
+            fh.writelines(_csv_line(s, _SLOPE_TYPES) for s in table.slopes)
+            for row in rows:
                 if row.error:
                     fh.write(
                         f"#error family={row.family},dim={row.dim},method={row.method},"
@@ -406,37 +402,10 @@ def read_csv(path) -> tuple[list[Row], list[SlopeFit]]:
             continue
         if not ln or ln.startswith("#") or ln == _SLOPE_HEADER:
             continue
-        fields = ln.split(",")
         if section == "rows":
-            rows.append(
-                Row(
-                    family=fields[0],
-                    dim=int(fields[1]),
-                    method=fields[2],
-                    k=int(fields[3]),
-                    support_radius=float(fields[4]),
-                    sequence=fields[5],
-                    n_total=int(fields[6]),
-                    m_nodes=int(fields[7]),
-                    replicates=int(fields[8]),
-                    rmse=float(fields[9]),
-                    stderr=float(fields[10]),
-                    mean_error=float(fields[11]),
-                    seed_base=int(fields[12]),
-                )
-            )
+            rows.append(_csv_record(Row, _ROW_TYPES, ln, path))
         else:
-            slopes.append(
-                SlopeFit(
-                    family=fields[0],
-                    dim=int(fields[1]),
-                    method=fields[2],
-                    k=int(fields[3]),
-                    slope=float(fields[4]),
-                    intercept=float(fields[5]),
-                    residual=float(fields[6]),
-                )
-            )
+            slopes.append(_csv_record(SlopeFit, _SLOPE_TYPES, ln, path))
     rows = [replace(r, error=errors.pop((*r.cell_key(), r.n_total), "")) for r in rows]
     if errors:
         raise ValueError(f"{path}: #error line names no row: {next(iter(errors))}")
@@ -444,8 +413,9 @@ def read_csv(path) -> tuple[list[Row], list[SlopeFit]]:
 
 
 def parse_config(text: str) -> CampaignConfig:
-    """Parse the flat ``key = value`` campaign format (lists comma-separated,
-    '#' comments); unknown keys are rejected by name."""
+    """Parse the flat ``key = value`` campaign format (one key per
+    :class:`CampaignConfig` field, lists comma-separated, '#' comments);
+    unknown keys are rejected by name."""
     data: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -454,55 +424,16 @@ def parse_config(text: str) -> CampaignConfig:
         if "=" not in stripped:
             raise ValueError(f"config line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_TYPES:
             raise ValueError(f"config line {lineno}: unknown config key {key!r}")
         data[key] = value
-
-    def str_list(v: str) -> tuple[str, ...]:
-        return tuple(s.strip() for s in v.split(",") if s.strip())
-
-    def int_list(v: str) -> tuple[int, ...]:
-        return tuple(int(s) for s in str_list(v))
-
-    kwargs: dict = {}
-    if "families" in data:
-        kwargs["families"] = str_list(data["families"])
-    if "dims" in data:
-        kwargs["dims"] = int_list(data["dims"])
-    if "methods" in data:
-        kwargs["methods"] = str_list(data["methods"])
-    if "sequence" in data:
-        kwargs["sequence"] = data["sequence"]
-    if "k_values" in data:
-        kwargs["k_values"] = int_list(data["k_values"])
-    if "support_radius" in data:
-        kwargs["support_radius"] = float(data["support_radius"])
-    if "n_grid" in data:
-        kwargs["n_grid"] = int_list(data["n_grid"])
-    if "replicates" in data:
-        kwargs["replicates"] = int(data["replicates"])
-    if "assumed_alpha" in data:
-        v = data["assumed_alpha"].lower()
-        kwargs["assumed_alpha"] = None if v in ("", "none") else float(data["assumed_alpha"])
-    if "seed_base" in data:
-        kwargs["seed_base"] = int(data["seed_base"])
-    if "difficulty" in data:
-        kwargs["difficulty"] = float(data["difficulty"])
+    kwargs = {key: _parse_value(hint, data[key]) for key, hint in _CONFIG_TYPES.items() if key in data}
     return CampaignConfig(**kwargs)
 
 
 def format_config(cfg: CampaignConfig) -> str:
-    lines = [
-        "families = " + ", ".join(cfg.families),
-        "dims = " + ", ".join(str(d) for d in cfg.dims),
-        "methods = " + ", ".join(cfg.methods),
-        f"sequence = {cfg.sequence}",
-        "k_values = " + ", ".join(str(k) for k in cfg.k_values),
-        f"support_radius = {cfg.support_radius:.17g}",
-        "n_grid = " + ", ".join(str(n) for n in cfg.n_grid),
-        f"replicates = {cfg.replicates}",
-        "assumed_alpha = " + ("none" if cfg.assumed_alpha is None else f"{cfg.assumed_alpha:.17g}"),
-        f"seed_base = {cfg.seed_base}",
-        f"difficulty = {cfg.difficulty:.17g}",
-    ]
-    return "\n".join(lines) + "\n"
+    """One ``key = value`` line per field, in field order, that
+    :func:`parse_config` reads back to ``cfg``."""
+    return "".join(
+        f"{key} = {_format_value(hint, getattr(cfg, key))}\n" for key, hint in _CONFIG_TYPES.items()
+    )

@@ -1,7 +1,7 @@
 """Gaussian-process predictive means integrated over hyper-parameters.
 
 Workflow: a squared-exponential GP with amplitude/lengthscale parameters
-(theta_1, theta_2), independent shape-2 Gamma priors on both, and a
+(theta_1, theta_2), independent Gamma(shape 2, scale 2) priors on both, and a
 subset-of-regressors (SoR) low-rank approximation of the predictive mean.
 The posterior-mean prediction marginalizes the hyper-parameters, i.e.
 integrates the predictive mean against the prior; mapping the prior through
@@ -36,6 +36,7 @@ GP_METHODS = ("QMC", "QMC+CF", "MC", "MC+CF")
 GP_NODE_GRID_M = 4
 
 _CDF_CLIP = 1e-15  # keeps inverse-CDF arguments off the unbounded endpoints
+_PRIOR_SCALE = 2.0  # Gamma scale of both priors; the shape 2 is gamma2_inverse_cdf's
 _SOR_JITTER = 1e-10
 # escalating diagonal boost (relative to trace/n') when a draw makes the
 # normal-equation system numerically semidefinite; deterministic ladder
@@ -82,15 +83,10 @@ def standardize(raw_covariates, raw_responses) -> Dataset:
 
 @dataclass(frozen=True)
 class GPConfig:
-    """Model constants: noise scale, Gamma prior (shape, scale) pairs for the
-    amplitude and lengthscale, SoR subset size, and the test inputs."""
+    """Model constants: noise scale, SoR subset size, and the test inputs."""
 
     test_points: np.ndarray
     sigma: float = 0.1
-    amplitude_shape: float = 2.0
-    amplitude_scale: float = 2.0
-    lengthscale_shape: float = 2.0
-    lengthscale_scale: float = 2.0
     n_subset: int = 100
 
     def __post_init__(self):
@@ -99,10 +95,6 @@ class GPConfig:
         object.__setattr__(self, "test_points", tp)
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
-        for v in (self.amplitude_shape, self.amplitude_scale,
-                  self.lengthscale_shape, self.lengthscale_scale):
-            if v <= 0.0:
-                raise ValueError("prior parameters must be positive")
         if self.n_subset < 1:
             raise ValueError("n_subset must be >= 1")
 
@@ -161,7 +153,8 @@ class _SorSolver:
     """Subset-of-regressors predictive means at fixed test inputs with
     hyper-parameters swapped per call: pairwise squared distances are computed
     once, each evaluation only exponentiates, forms the normal equations,
-    factorizes and returns one mean per row of ``z_star``.
+    factorizes and returns one mean per row of ``z_star``. The inducing rows
+    are training rows, so C_{n'} is read off C_{n',n} by column.
 
     Large lengthscales drive the system numerically semidefinite; a small
     deterministic diagonal ladder restores factorizability. A draw that
@@ -175,7 +168,6 @@ class _SorSolver:
         if self.idx.size != np.unique(self.idx).size:
             raise ValueError("subset indices must be distinct")
         z_sub = data.covariates[self.idx]
-        self.sq_sub = _sq_dists(z_sub, z_sub)
         self.sq_sub_n = _sq_dists(z_sub, data.covariates)
         self.sq_star = _sq_dists(np.atleast_2d(z_star), z_sub)
         self.y = data.responses
@@ -186,8 +178,8 @@ class _SorSolver:
         if theta1 <= 0.0 or theta2 <= 0.0:
             raise ValueError("hyper-parameters must be positive")
         inv2 = -0.5 / theta2**2
-        c_sub = theta1 * np.exp(inv2 * self.sq_sub)
         c_sub_n = theta1 * np.exp(inv2 * self.sq_sub_n)
+        c_sub = c_sub_n[:, self.idx]
         n_sub = self.idx.size
         jitter = _SOR_JITTER * np.trace(c_sub) / n_sub
         system = c_sub_n @ c_sub_n.T + self.sigma2 * (c_sub + jitter * self.eye)
@@ -239,10 +231,10 @@ def gp_predictive_mean_sor(
     return float(out[0]) if out.shape[0] == 1 else out
 
 
-def default_subset_indices(data: Dataset, n_subset: int, seed: int = 0) -> np.ndarray:
-    """Seed-deterministic uniform draw without replacement from the training rows."""
+def default_subset_indices(data: Dataset, n_subset: int) -> np.ndarray:
+    """Deterministic uniform draw without replacement from the training rows."""
     n_sub = min(n_subset, data.n)
-    rng = rng_for(seed, "sor-subset", data.n, n_sub)
+    rng = rng_for(0, "sor-subset", data.n, n_sub)
     return np.sort(rng.choice(data.n, size=n_sub, replace=False))
 
 
@@ -253,14 +245,10 @@ class PredictionTable:
     One ``_SorSolver`` over all test points backs the table, so a theta drawn
     once is solved once however many test points and methods read it. A
     point's entry never goes stale, since the point alone fixes theta;
-    ``clear`` only bounds memory. Shape-2 priors are required by the
-    closed-form quantile.
+    ``clear`` only bounds memory.
     """
 
     def __init__(self, data: Dataset, cfg: GPConfig, subset_indices):
-        if cfg.amplitude_shape != 2.0 or cfg.lengthscale_shape != 2.0:
-            raise ValueError("the quantile reparametrization is specialized to shape-2 priors")
-        self.cfg = cfg
         self.n_test = cfg.test_points.shape[0]
         self.solver = _SorSolver(data, cfg, cfg.test_points, subset_indices)
         self._rows: dict[bytes, np.ndarray] = {}
@@ -282,8 +270,8 @@ class PredictionTable:
                 misses.setdefault(key, i)
         if misses:
             q = np.clip(x[list(misses.values())], _CDF_CLIP, 1.0 - _CDF_CLIP)
-            theta1 = gamma2_inverse_cdf(q[:, 0], self.cfg.amplitude_scale)
-            theta2 = gamma2_inverse_cdf(q[:, 1], self.cfg.lengthscale_scale)
+            theta1 = gamma2_inverse_cdf(q[:, 0], _PRIOR_SCALE)
+            theta2 = gamma2_inverse_cdf(q[:, 1], _PRIOR_SCALE)
             for key, t1, t2 in zip(misses, theta1, theta2):
                 self._rows[key] = self.solver.predict(t1, t2)
         return np.array([self._rows[key] for key in keys])
@@ -405,18 +393,16 @@ def run_prediction_study(
     methods: Sequence[str],
     budget: int,
     seeds: Sequence[int],
-    subset_seed: int = 0,
 ) -> PredictionStudy:
     """Estimate every test point with every method over the given seeds.
 
-    The SoR subset is drawn once (from ``subset_seed``) and shared, so the
-    spread over seeds isolates the estimator's sampling variability. Within
-    a seed all test points and methods share one theta sample, pairing the
-    comparison, and each distinct theta is solved once for all test points;
-    the table of solves is cleared per seed, bounding it to
-    methods x budget x T floats.
+    The SoR subset is drawn once and shared, so the spread over seeds
+    isolates the estimator's sampling variability. Within a seed all test
+    points and methods share one theta sample, pairing the comparison, and
+    each distinct theta is solved once for all test points; the table of
+    solves is cleared per seed, bounding it to methods x budget x T floats.
     """
-    table = PredictionTable(data, cfg, default_subset_indices(data, cfg.n_subset, subset_seed))
+    table = PredictionTable(data, cfg, default_subset_indices(data, cfg.n_subset))
     per_method: dict[str, list[np.ndarray]] = {m: [] for m in methods}
     for seed in seeds:
         table.clear()

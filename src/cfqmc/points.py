@@ -7,6 +7,7 @@ Point arrays are frozen after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -419,20 +420,14 @@ def write_points_csv(ps: PointSet, path) -> None:
 def read_points_csv(path) -> PointSet:
     """Read back a point set written by :func:`write_points_csv`."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("dim,index"):
+        header, _, body = fh.read().lstrip().partition("\n")
+    if not header.startswith("dim,index"):
         raise ValueError(f"{path}: missing 'dim,index,x1,...' header")
-    rows = []
-    dim = None
-    start = None
-    for ln in lines[1:]:
-        fields = ln.split(",")
-        dim = int(fields[0])
-        if start is None:
-            start = int(fields[1])
-        rows.append([float(f) for f in fields[2:]])
-    if dim is None:
+    if not body.strip():
         raise ValueError(f"{path}: no data rows")
-    pts = np.asarray(rows, dtype=np.float64)
-    prov = Provenance(generator=f"file({path})", index_range=(start, start + len(rows)))
-    return PointSet(pts, dim, prov)
+    table = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+    if table.shape[1] < 3:
+        raise ValueError(f"{path}: rows need dim, index and at least one coordinate")
+    dim, start = int(table[-1, 0]), int(table[0, 1])
+    prov = Provenance(generator=f"file({path})", index_range=(start, start + table.shape[0]))
+    return PointSet(table[:, 2:], dim, prov)

@@ -1,7 +1,10 @@
 """Campaign harness: slope fitting, config round trips, CSV/SVG emission."""
 
+import dataclasses
 import math
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,7 @@ from cfqmc.bench import (
     CampaignConfig,
     ConvergenceTable,
     Row,
+    SlopeFit,
     emit_csv,
     fit_slope,
     format_config,
@@ -66,9 +70,47 @@ class TestConfigFile:
         cfg = small_config(assumed_alpha=2.0, difficulty=5.5)
         assert parse_config(format_config(cfg)) == cfg
 
+    def test_readme_example_echo(self):
+        # A literal, so that parse and echo cannot drift together unnoticed.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        example = re.search(r"```\n(families = .*?)```", readme, re.S).group(1)
+        assert format_config(parse_config(example)) == (
+            "families = gaussian, oscillatory, continuous, discontinuous\n"
+            "dims = 1, 2\n"
+            "methods = QMC, QMC+CF\n"
+            "sequence = halton-rr-shift\n"
+            "k_values = 1\n"
+            "support_radius = 1\n"
+            "n_grid = 16, 32, 64, 128, 256, 512, 1024, 2048, 4096\n"
+            "replicates = 10\n"
+            "assumed_alpha = none\n"
+            "seed_base = 0\n"
+            "difficulty = 7\n"
+        )
+
+    def test_float_echo_keeps_every_digit(self):
+        text = format_config(small_config(support_radius=0.7, assumed_alpha=2.5, difficulty=5.5))
+        assert "support_radius = 0.69999999999999996\n" in text
+        assert "assumed_alpha = 2.5\n" in text
+        assert "difficulty = 5.5\n" in text
+
     def test_unknown_key_rejected_by_name(self):
         with pytest.raises(ValueError, match="warp_factor"):
             parse_config("warp_factor = 9")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("dims = 1, x", "invalid literal for int.*'x'"),
+            ("replicates = 4.0", "invalid literal for int.*'4.0'"),
+            ("support_radius = wide", "could not convert string to float: 'wide'"),
+            ("assumed_alpha = 2.5.1", "could not convert string to float"),
+            ("families = gaussian\nfamilies gaussian", "config line 2: expected 'key = value'"),
+        ],
+    )
+    def test_malformed_value_or_line_rejected(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_config(text)
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# a comment\n\nfamilies = gaussian\nreplicates = 4 # trailing\n")
@@ -250,6 +292,36 @@ class TestCsvEmission:
         emit_csv(table, path)
         rows, _ = read_csv(path)
         assert rows == [ok, failed]
+
+    def test_headers_name_the_fields_in_order(self):
+        row_fields = [f.name for f in dataclasses.fields(Row) if f.name != "error"]
+        assert bench._CSV_HEADER.lower().split(",") == row_fields
+        assert bench._SLOPE_HEADER.split(",") == [f.name for f in dataclasses.fields(SlopeFit)]
+
+    def test_emitted_bytes(self, tmp_path):
+        row = Row(
+            family="gaussian", dim=2, method="QMC", k=1, support_radius=0.7,
+            sequence="lattice", n_total=57, m_nodes=0, replicates=3, rmse=0.1,
+            stderr=math.nan, mean_error=-0.25, seed_base=3,
+        )
+        slope = SlopeFit(family="gaussian", dim=2, method="QMC", k=1, slope=-1.0, intercept=0.1, residual=0.0)
+        path = tmp_path / "golden.csv"
+        emit_csv(ConvergenceTable(rows=[row], slopes=[slope], config=small_config()), path)
+        assert path.read_text() == (
+            "family,dim,method,k,support_radius,sequence,N_total,M_nodes,"
+            "replicates,rmse,stderr,mean_error,seed_base\n"
+            "gaussian,2,QMC,1,0.69999999999999996,lattice,57,0,3,"
+            "0.10000000000000001,nan,-0.25,3\n"
+            "#slope\n"
+            "family,dim,method,k,slope,intercept,residual\n"
+            "gaussian,2,QMC,1,-1,0.10000000000000001,0\n"
+        )
+
+    def test_row_with_wrong_cell_count_rejected(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text(bench._CSV_HEADER + "\ngaussian,1,QMC,1,1,lattice,16,0,2,0.5,0.1,0.0\n")
+        with pytest.raises(ValueError, match="expected 13 cells, got 12"):
+            read_csv(path)
 
     def test_io_error_includes_path(self, tmp_path):
         table = ConvergenceTable(rows=[], slopes=[], config=small_config())

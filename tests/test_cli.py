@@ -102,6 +102,16 @@ class TestWceCommand:
         code, _, err = run_cli(capsys, "wce")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "text", ["1,1,0.5\n", "dim,index,x1\n1,1,0.5\n1,2,half\n"], ids=["no-header", "non-numeric"]
+    )
+    def test_malformed_input_file_usage_error(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "wce", "--in", str(path))
+        assert code == 1
+        assert "cannot use input file" in err
+
 
 class TestIntegrateCommand:
     def test_constant_family_exact_for_qmc(self, capsys):

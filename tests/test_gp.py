@@ -199,12 +199,6 @@ class TestReparametrizedIntegrand:
         assert f.eval_batch(pts).tobytes() == first.tobytes()
         assert f.eval_count == 4
 
-    def test_requires_shape_two_priors(self):
-        data, test_z = synthetic_dataset(n=30, p=2, n_test=1, seed=3)
-        cfg = GPConfig(test_points=test_z, amplitude_shape=3.0)
-        with pytest.raises(ValueError, match="shape-2"):
-            PredictionTable(data, cfg, np.arange(10))
-
     def test_test_index_out_of_range_rejected(self):
         data, test_z = synthetic_dataset(n=30, p=2, n_test=2, seed=3)
         table = PredictionTable(data, GPConfig(test_points=test_z), np.arange(10))

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -391,3 +392,23 @@ class TestCsvRoundTrip:
         back = read_points_csv(path)
         np.testing.assert_array_equal(back.points, ps.points)
         assert back.dim == 3
+        assert back.provenance.index_range == ps.provenance.index_range == (1, 8)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,0,0.5\n", "missing 'dim,index"),
+            ("", "missing 'dim,index"),
+            ("dim,index,x1\n", "no data rows"),
+            ("dim,index,x1\n\n  \n", "no data rows"),
+            ("dim,index,x1,x2\n2,0,0.5,0.25\n2,1,0.5,abc\n", "abc"),
+            ("dim,index\n1,0\n", "at least one coordinate"),
+        ],
+    )
+    def test_malformed_file_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty body must raise, not warn
+            with pytest.raises(ValueError, match=message):
+                read_points_csv(path)

@@ -1,13 +1,15 @@
 """The public namespace and the benchmark's tracing hooks stay in step with src."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import cfqmc
 from cfqmc import bench, estimators, gp, interpolate, kernels
 from cfqmc.points import halton
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def load_tracing():
@@ -15,6 +17,20 @@ def load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_benchmark_workloads_prepare_and_check(tmp_path, monkeypatch):
+    # The workloads call cfqmc's API directly: `prepare` parses the CLI
+    # arguments and the campaign config, and the GP reference check calls
+    # both predictive means. A renamed or deleted name fails here rather
+    # than in `perfbench/run.py`.
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look the module up
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS.values():
+        workload.prepare(0)
+    assert workloads.GPSpread(0, tmp_path).reference_problems() == []
 
 
 def test_every_exported_name_resolves():
