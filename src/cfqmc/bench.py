@@ -21,11 +21,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .estimators import cf_estimate, optimal_split, qmc_estimate, split_budget
+from .estimators import BudgetSplit, cf_estimate, optimal_split, qmc_estimate, split_budget
 from .genz import DEBUG_FAMILIES, FAMILIES, as_integrand, random_genz
 from .kernels import SMOOTHNESS_LEVELS, KernelSpec
 from .points import (
@@ -139,49 +140,70 @@ class ConvergenceTable:
         raise KeyError(f"no slope for cell ({family}, {dim}, {method}, {k})")
 
 
-def _qmc_eval_points(sequence: str, n: int, d: int, delta: np.ndarray, dshift_seed: int) -> PointSet:
-    if sequence == "halton-rr-shift":
-        return random_shift(halton(n, d, scramble=True), delta)
-    if sequence == "sobol-dshift":
-        return sobol(n, d, digital_shift=True, seed=dshift_seed)
-    return random_shift(lattice(n, d, korobov_vector(n, d)), delta)
+class CellPoints:
+    """The point sets one (family, d, N) cell shares across its replicates.
 
+    The node grid and each unrandomized base set are built on first use and
+    kept until the cell ends; a replicate only shifts or folds them. A set
+    that fails to build is not kept, so every replicate that needs it
+    records the failure.
+    """
 
-def _deterministic_points(sequence: str, n: int, d: int) -> PointSet:
-    if sequence == "halton-rr-shift":
-        return halton(n, d, scramble=True)
-    if sequence == "sobol-dshift":
-        return sobol(n, d)
-    return lattice(n, d, korobov_vector(n, d))
+    def __init__(self, sequence: str, split: BudgetSplit, dim: int):
+        self.sequence = sequence
+        self.split = split
+        self.dim = dim
+        self._bases: dict[int, PointSet] = {}
+
+    @cached_property
+    def nodes(self) -> PointSet:
+        return midpoint_grid(self.split.m_per_axis, self.dim)
+
+    def base(self, n: int) -> PointSet:
+        """The first n points of the sequence, unrandomized."""
+        if n not in self._bases:
+            if self.sequence == "halton-rr-shift":
+                ps = halton(n, self.dim, scramble=True)
+            elif self.sequence == "sobol-dshift":
+                ps = sobol(n, self.dim)
+            else:
+                ps = lattice(n, self.dim, korobov_vector(n, self.dim))
+            self._bases[n] = ps
+        return self._bases[n]
+
+    def randomized(self, n: int, delta: np.ndarray, dshift_seed: int) -> PointSet:
+        """A replicate's n QMC points: the base set shifted by ``delta``. The
+        digital shift of sobol-dshift acts on the integer net, so it builds
+        its net afresh."""
+        if self.sequence == "sobol-dshift":
+            return sobol(n, self.dim, digital_shift=True, seed=dshift_seed)
+        return random_shift(self.base(n), delta)
 
 
 def _run_method(
     method: str,
     integrand,
-    d: int,
     spec: KernelSpec,
-    split,
-    sequence: str,
+    cell: CellPoints,
     delta: np.ndarray,
     dshift_seed: int,
     mc_seed: int,
 ) -> float:
-    budget = split.consumed
+    split, d = cell.split, cell.dim
     if method == "MC":
-        return qmc_estimate(integrand, uniform_random(budget, d, mc_seed))
+        return qmc_estimate(integrand, uniform_random(split.consumed, d, mc_seed))
     if method == "QMC":
-        return qmc_estimate(integrand, _qmc_eval_points(sequence, budget, d, delta, dshift_seed))
-    nodes = midpoint_grid(split.m_per_axis, d)
+        return qmc_estimate(integrand, cell.randomized(split.consumed, delta, dshift_seed))
+    nodes = cell.nodes
     if method == "QMC+CF":
-        eval_pts = _qmc_eval_points(sequence, split.n_eval, d, delta, dshift_seed)
-        return cf_estimate(integrand, nodes, eval_pts, spec)[0]
-    if method == "MC+CF":
+        eval_pts = cell.randomized(split.n_eval, delta, dshift_seed)
+    elif method == "MC+CF":
         eval_pts = uniform_random(split.n_eval, d, mc_seed)
-        return cf_estimate(integrand, nodes, eval_pts, spec)[0]
-    if method == "QMC+CF-folded":
-        det = _deterministic_points(sequence, split.n_eval, d)
-        return cf_estimate(integrand, nodes, baker_fold(random_shift(det, delta)), spec)[0]
-    raise ValueError(f"unknown method {method!r}")
+    elif method == "QMC+CF-folded":
+        eval_pts = baker_fold(random_shift(cell.base(split.n_eval), delta))
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return cf_estimate(integrand, nodes, eval_pts, spec)[0]
 
 
 def run_campaign(cfg: CampaignConfig) -> ConvergenceTable:
@@ -201,6 +223,7 @@ def run_campaign(cfg: CampaignConfig) -> ConvergenceTable:
                             f"{split.discarded} evaluations (consumed budget {split.consumed})",
                             RuntimeWarning,
                         )
+                    cell = CellPoints(cfg.sequence, split, d)
                     errors: dict[str, list[float]] = {m: [] for m in cfg.methods}
                     failures: dict[str, list[str]] = {m: [] for m in cfg.methods}
                     for r in range(cfg.replicates):
@@ -217,8 +240,7 @@ def run_campaign(cfg: CampaignConfig) -> ConvergenceTable:
                             integrand = as_integrand(inst)
                             try:
                                 est = _run_method(
-                                    method, integrand, d, spec, split,
-                                    cfg.sequence, delta, dshift_seed, mc_seed,
+                                    method, integrand, spec, cell, delta, dshift_seed, mc_seed
                                 )
                             except Exception as exc:  # campaign must survive one bad replicate
                                 failures[method].append(f"r{r}: {exc}")

@@ -135,9 +135,8 @@ def _cmd_integrate(args) -> int:
     delta = rng_for(args.seed, "shift").random(args.dim)
     dshift_seed = seed_for(args.seed, "dshift")
     mc_seed = seed_for(args.seed, "mc")
-    estimate = bench_mod._run_method(
-        args.method, integrand, args.dim, spec, split, args.sequence, delta, dshift_seed, mc_seed
-    )
+    cell = bench_mod.CellPoints(args.sequence, split, args.dim)
+    estimate = bench_mod._run_method(args.method, integrand, spec, cell, delta, dshift_seed, mc_seed)
     m_nodes = split.n_nodes if args.method in bench_mod.CF_METHODS else 0
     print(
         f"method={args.method} estimate={estimate:.17g} exact={inst.exact:.17g} "

@@ -8,8 +8,9 @@ estimators module.
 
 On a midpoint grid the Gram matrix of the tensor-product kernel is the d-fold
 Kronecker power of one m x m axis Gram, G = G_1 (x) ... (x) G_1. Its
-eigenpairs G_1 = U diag(s) U^T depend only on (k, support radius, m), so
-they are computed once, kept in a small cache, and every grid fit solves
+eigenpairs G_1 = U diag(s) U^T and the axis node integrals depend only on
+(k, support radius, m), so they are computed once, kept in a small cache,
+and every grid fit solves
 (G + jitter I) beta = y as U^(x)d diag(1 / (s^(x)d + jitter)) U^(x)d,T y.
 Grid surrogates are evaluated per axis: one m-vector of kernel values per
 axis and point, contracted with the coefficient tensor. Node sets that are
@@ -43,10 +44,13 @@ _FACTOR_CACHE_BYTES = 64 << 20
 
 @dataclass(frozen=True)
 class _GridFactor:
-    """Eigenpairs of the axis Gram on m midpoints: G_1 = U diag(s) U^T."""
+    """Eigenpairs of the axis Gram on m midpoints, G_1 = U diag(s) U^T, and
+    the m axis node integrals a, whose d-fold outer product holds the cube
+    integrals of the grid nodes' kernels."""
 
     values: np.ndarray
     vectors: np.ndarray
+    integrals: np.ndarray
 
 
 _FACTORS: OrderedDict[tuple, _GridFactor] = OrderedDict()
@@ -87,14 +91,24 @@ def default_jitter(n_nodes: int) -> float:
 
 
 def _grid_side(spec: KernelSpec, nodes: PointSet) -> int:
-    """m when the nodes are exactly midpoint_grid(m, spec.dim), else 0."""
+    """m when the nodes are exactly midpoint_grid(m, spec.dim), else 0.
+
+    Grid node (i_1, ..., i_d) sits at row-major position (i_1, ..., i_d) and
+    its coordinate j is the i_j-th axis midpoint, so each coordinate is
+    compared with the axis laid along its own tensor axis.
+    """
     n, d = nodes.points.shape
     if d != spec.dim or n == 0:
         return 0
     m = round(n ** (1.0 / d))
     if m**d != n:
         return 0
-    return m if np.array_equal(nodes.points, midpoint_grid(m, d).points) else 0
+    axis = midpoint_grid(m, 1).points[:, 0]
+    tensor = nodes.points.reshape((m,) * d + (d,))
+    for j in range(d):
+        if not np.all(tensor[..., j] == axis.reshape((m,) + (1,) * (d - 1 - j))):
+            return 0
+    return m
 
 
 def _grid_factor(spec: KernelSpec, m: int) -> _GridFactor:
@@ -105,9 +119,10 @@ def _grid_factor(spec: KernelSpec, m: int) -> _GridFactor:
         if factor is not None:
             _FACTORS.move_to_end(key)
             return factor
-    axis_gram = gram(KernelSpec(spec.k, 1, spec.support_radius), midpoint_grid(m, 1))
-    values, vectors = np.linalg.eigh(axis_gram)
-    factor = _GridFactor(values, vectors)
+    axis_spec = KernelSpec(spec.k, 1, spec.support_radius)
+    axis_nodes = midpoint_grid(m, 1)
+    values, vectors = np.linalg.eigh(gram(axis_spec, axis_nodes))
+    factor = _GridFactor(values, vectors, kernel_integral(axis_spec, axis_nodes.points))
     with _FACTORS_LOCK:
         _FACTORS[key] = factor
         held = sum(f.vectors.nbytes for f in _FACTORS.values())
@@ -161,15 +176,19 @@ def fit(spec: KernelSpec, nodes: PointSet, values, jitter: Optional[float] = Non
         raise ValueError("jitter must be >= 0")
 
     m = _grid_side(spec, nodes)
-    solved = _grid_solve(_grid_factor(spec, m), spec.dim, vals, jitter) if m else None
+    factor = _grid_factor(spec, m) if m else None
+    solved = _grid_solve(factor, spec.dim, vals, jitter) if m else None
     note = None
     if solved is not None:
         beta, residual = solved
+        # the product a[i_1] * ... * a[i_d] in kernel_integral's order, so
+        # the node integrals are bitwise the same
+        node_integrals = reduce(np.multiply.outer, [factor.integrals] * spec.dim).reshape(-1)
     else:
         m = 0
         beta, residual, note = _dense_solve(spec, nodes, vals, jitter)
-    node_integrals = kernel_integral(spec, nodes.points)
-    exact = float(np.dot(beta, np.atleast_1d(node_integrals)))
+        node_integrals = np.atleast_1d(kernel_integral(spec, nodes.points))
+    exact = float(np.dot(beta, node_integrals))
     return Interpolant(
         spec=spec,
         nodes=nodes,

@@ -133,15 +133,15 @@ def radical_inverse(n: int, base: int, permutation: Optional[Sequence[int]] = No
 
 
 def _radical_inverse_many(indices: np.ndarray, base: int, sigma: Optional[np.ndarray]) -> np.ndarray:
-    remaining = indices.astype(np.int64).copy()
+    remaining = indices.astype(np.int64)
     out = np.zeros(remaining.shape, dtype=np.float64)
     factor = 1.0 / base
-    while np.any(remaining > 0):
-        alive = remaining > 0
-        digits = remaining % base
+    # an index whose digits have run out adds sigma(0) * factor = +0.0, which
+    # leaves its sum bitwise unchanged (every permutation fixes 0)
+    while remaining.any():
+        remaining, digits = np.divmod(remaining, base)
         mapped = sigma[digits] if sigma is not None else digits
-        out[alive] += mapped[alive] * factor
-        remaining //= base
+        out += mapped * factor
         factor /= base
     return out
 
@@ -408,13 +408,15 @@ def geometry(ps: PointSet, fill_resolution: Optional[int] = None) -> GeometryMet
 
 def write_points_csv(ps: PointSet, path) -> None:
     """CSV export: header ``dim,index,x1,...,xd`` with 17-significant-digit values."""
+    n, d = ps.points.shape
     start = ps.provenance.index_range[0]
+    table = np.empty((n, d + 1), dtype=object)
+    table[:, 0] = range(start, start + n)
+    table[:, 1:] = ps.points
+    line = f"{d},%d" + ",%.17g" * d + "\n"
     with open(path, "w") as fh:
-        header = ",".join(["dim", "index"] + [f"x{i + 1}" for i in range(ps.dim)])
-        fh.write(header + "\n")
-        for i, row in enumerate(ps.points):
-            coords = ",".join(f"{c:.17g}" for c in row)
-            fh.write(f"{ps.dim},{start + i},{coords}\n")
+        fh.write(",".join(["dim", "index"] + [f"x{i + 1}" for i in range(d)]) + "\n")
+        fh.write((line * n) % tuple(table.ravel()))
 
 
 def read_points_csv(path) -> PointSet:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cfqmc import bench
+from cfqmc import bench, estimators, points
 from cfqmc.bench import (
     CampaignConfig,
     ConvergenceTable,
@@ -21,7 +21,10 @@ from cfqmc.bench import (
     read_csv,
     run_campaign,
 )
+from cfqmc.genz import as_integrand, random_genz
+from cfqmc.kernels import KernelSpec, kernel_integral
 from cfqmc.plotting import emit_svg
+from cfqmc.seeding import rng_for, seed_for
 
 
 def small_config(**overrides):
@@ -232,6 +235,79 @@ class TestRunCampaign:
         cfg = small_config(methods=("MC+CF",), n_grid=(32,), replicates=2)
         table = run_campaign(cfg)
         assert all(math.isfinite(r.rmse) for r in table.rows)
+
+
+def fresh_points_estimate(method, integrand, spec, split, sequence, delta, dshift_seed, mc_seed):
+    """The reference for one replicate: every point set generated afresh."""
+    d = spec.dim
+
+    def plain(n):
+        if sequence == "halton-rr-shift":
+            return points.halton(n, d, scramble=True)
+        if sequence == "sobol-dshift":
+            return points.sobol(n, d)
+        return points.lattice(n, d, points.korobov_vector(n, d))
+
+    def randomized(n):
+        if sequence == "sobol-dshift":
+            return points.sobol(n, d, digital_shift=True, seed=dshift_seed)
+        return points.random_shift(plain(n), delta)
+
+    if method == "MC":
+        return estimators.qmc_estimate(integrand, points.uniform_random(split.consumed, d, mc_seed))
+    if method == "QMC":
+        return estimators.qmc_estimate(integrand, randomized(split.consumed))
+    if method == "QMC+CF":
+        eval_pts = randomized(split.n_eval)
+    elif method == "MC+CF":
+        eval_pts = points.uniform_random(split.n_eval, d, mc_seed)
+    else:
+        eval_pts = points.baker_fold(points.random_shift(plain(split.n_eval), delta))
+    nodes = points.midpoint_grid(split.m_per_axis, d)
+    return estimators.cf_estimate(integrand, nodes, eval_pts, spec)[0]
+
+
+class TestCellPoints:
+    @pytest.mark.parametrize("support", [1.0, 0.7])
+    @pytest.mark.parametrize("sequence", bench.SEQUENCES)
+    def test_estimates_equal_fresh_points(self, monkeypatch, sequence, support):
+        # A cell builds its grid and base sets once; every estimate must be
+        # the float that point sets generated afresh per replicate give.
+        cfg = small_config(
+            dims=(1, 2), methods=bench.METHODS, sequence=sequence, k_values=(0, 1, 2),
+            support_radius=support, n_grid=(16, 64), replicates=2,
+        )
+        estimates, cf_results = [], []
+        run_method, cf_estimate = bench._run_method, bench.cf_estimate
+        monkeypatch.setattr(bench, "_run_method", lambda *a: estimates.append(run_method(*a)) or estimates[-1])
+        monkeypatch.setattr(bench, "cf_estimate", lambda *a: cf_results.append(cf_estimate(*a)) or cf_results[-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            table = run_campaign(cfg)
+        assert not any(row.error for row in table.rows)
+
+        expected = []
+        (family,), seed = cfg.families, cfg.seed_base
+        for d in cfg.dims:
+            for k in cfg.k_values:
+                spec = KernelSpec(k, d, support)
+                for n in cfg.n_grid:
+                    split = bench.split_budget(n, cfg.node_fraction, dim=d)
+                    for r in range(cfg.replicates):
+                        inst = random_genz(family, d, seed_for(seed, "instance", family, d, r), cfg.difficulty)
+                        delta = rng_for(seed, "shift", family, d, k, n, r).random(d)
+                        dshift_seed = seed_for(seed, "dshift", family, d, k, n, r)
+                        mc_seed = seed_for(seed, "mc", family, d, k, n, r)
+                        for method in cfg.methods:
+                            integrand = as_integrand(inst)
+                            expected.append(fresh_points_estimate(
+                                method, integrand, spec, split, sequence, delta, dshift_seed, mc_seed
+                            ))
+        assert estimates == expected
+        assert cf_results
+        for _, interp in cf_results:
+            assert interp.grid_m
+            assert interp.exact_integral == float(interp.beta @ kernel_integral(interp.spec, interp.nodes.points))
 
 
 class TestDeterminism:

@@ -111,6 +111,15 @@ class TestHalton:
         assert ps.provenance.index_range == (1, 6)
         assert ps.provenance.generator == "halton"
 
+    @pytest.mark.parametrize("scramble", [False, True])
+    def test_every_dimension_is_radical_inverse(self, scramble):
+        n, d = 700, 8
+        ps = halton(n, d, scramble=scramble)
+        for j, base in enumerate(points.first_primes(d)):
+            sigma = reverse_radix_permutation(base) if scramble else None
+            expected = [radical_inverse(i, base, sigma) for i in range(1, n + 1)]
+            assert ps.points[:, j].tolist() == expected
+
     def test_scramble_changes_points_beyond_base2(self):
         plain = halton(20, 3)
         scrambled = halton(20, 3, scramble=True)
@@ -393,6 +402,16 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(back.points, ps.points)
         assert back.dim == 3
         assert back.provenance.index_range == ps.provenance.index_range == (1, 8)
+
+    def test_written_bytes(self, tmp_path):
+        # zero, an exponent form, 17 significant digits, an index start of 7
+        coords = np.array([[0.0, 1e-5], [0.1, 1.0]])
+        ps = PointSet(coords, 2, Provenance(generator="test", index_range=(7, 9)))
+        path = tmp_path / "pts.csv"
+        write_points_csv(ps, path)
+        assert path.read_bytes() == (
+            b"dim,index,x1,x2\n2,7,0,1.0000000000000001e-05\n2,8,0.10000000000000001,1\n"
+        )
 
     @pytest.mark.parametrize(
         "text, message",

@@ -67,6 +67,39 @@ def test_grid_factorization_reused_across_fits():
     assert names.count("kernels.gram") == len(shapes)
 
 
+def test_campaign_point_sets_built_once_per_cell(monkeypatch):
+    # Replicates and methods only shift a cell's point sets: the Halton base
+    # sets and the node grid are built once per (family, d, N) cell however
+    # many replicates run, while every replicate still fits its own surrogate.
+    tracing = load_tracing()
+    calls = {"halton": 0, "midpoint_grid": 0}
+
+    def counting(name):
+        build = getattr(bench, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return build(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(bench, name, counting(name))
+    cells = 2 * 2  # dims x n_grid, one family
+    seen = []
+    for replicates in (2, 5):
+        cfg = bench.CampaignConfig(dims=(1, 2), methods=("QMC", "QMC+CF"), n_grid=(32, 128), replicates=replicates)
+        calls.update(dict.fromkeys(calls, 0))
+        tracer = tracing.Tracer()
+        with tracer.recording(0):
+            bench.run_campaign(cfg)
+        assert tracer.run_metrics(0)["interpolate.fit_calls"] == replicates * cells
+        seen.append(dict(calls))
+    assert seen[0] == seen[1]
+    assert 0 < seen[0]["halton"] <= 2 * cells
+    assert 0 < seen[0]["midpoint_grid"] <= cells
+
+
 def test_sor_solves_shared_across_test_points_and_methods(monkeypatch):
     # Within a seed every test point and method reads one table of SoR
     # solves: QMC solves its 64 points, QMC+CF its 16 grid nodes (its 48
