@@ -141,11 +141,12 @@ class ConvergenceTable:
 
 
 class CellPoints:
-    """The point sets one (family, d, N) cell shares across its replicates.
+    """The point sets every (family, k) cell at one (d, N) shares across its
+    replicates: they depend only on the sequence, the budget split and d.
 
     The node grid and each unrandomized base set are built on first use and
-    kept until the cell ends; a replicate only shifts or folds them. A set
-    that fails to build is not kept, so every replicate that needs it
+    kept until the campaign ends; a replicate only shifts or folds them. A
+    set that fails to build is not kept, so every replicate that needs it
     records the failure.
     """
 
@@ -211,6 +212,7 @@ def run_campaign(cfg: CampaignConfig) -> ConvergenceTable:
     and the campaign continues."""
     rows: list[Row] = []
     fraction = cfg.node_fraction
+    cells: dict[tuple[int, int], CellPoints] = {}
     for family in cfg.families:
         for d in cfg.dims:
             for k in cfg.k_values:
@@ -223,7 +225,9 @@ def run_campaign(cfg: CampaignConfig) -> ConvergenceTable:
                             f"{split.discarded} evaluations (consumed budget {split.consumed})",
                             RuntimeWarning,
                         )
-                    cell = CellPoints(cfg.sequence, split, d)
+                    if (d, n_nominal) not in cells:
+                        cells[d, n_nominal] = CellPoints(cfg.sequence, split, d)
+                    cell = cells[d, n_nominal]
                     errors: dict[str, list[float]] = {m: [] for m in cfg.methods}
                     failures: dict[str, list[str]] = {m: [] for m in cfg.methods}
                     for r in range(cfg.replicates):

@@ -41,6 +41,8 @@ _SOR_JITTER = 1e-10
 # escalating diagonal boost (relative to trace/n') when a draw makes the
 # normal-equation system numerically semidefinite; deterministic ladder
 _SOR_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
+# the LAPACK routines behind scipy's cho_factor / cho_solve, called directly
+_POTRF, _POTRS = sla.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -172,33 +174,46 @@ class _SorSolver:
         self.sq_star = _sq_dists(np.atleast_2d(z_star), z_sub)
         self.y = data.responses
         self.sigma2 = cfg.sigma**2
-        self.eye = np.eye(self.idx.size)
+        self.diag = np.diag_indices(self.idx.size)
 
     def predict(self, theta1: float, theta2: float) -> np.ndarray:
         if theta1 <= 0.0 or theta2 <= 0.0:
             raise ValueError("hyper-parameters must be positive")
         inv2 = -0.5 / theta2**2
-        c_sub_n = theta1 * np.exp(inv2 * self.sq_sub_n)
-        c_sub = c_sub_n[:, self.idx]
+        c_sub_n = np.multiply(inv2, self.sq_sub_n)
+        np.exp(c_sub_n, out=c_sub_n)
+        c_sub_n *= theta1
+        # C_{n',n} C_{n,n'} + sigma^2 (C_{n'} + jitter I) built in place: the
+        # floats are the same, since adding the identity's zeros changes none
+        c_sub = np.take(c_sub_n, self.idx, axis=1)
         n_sub = self.idx.size
-        jitter = _SOR_JITTER * np.trace(c_sub) / n_sub
-        system = c_sub_n @ c_sub_n.T + self.sigma2 * (c_sub + jitter * self.eye)
+        c_sub[self.diag] += _SOR_JITTER * np.trace(c_sub) / n_sub
+        c_sub *= self.sigma2
+        system = c_sub_n @ c_sub_n.T
+        system += c_sub
         rhs = c_sub_n @ self.y
         scale = np.trace(system) / n_sub
         weights = None
         for extra in _SOR_LADDER:
-            boosted = system + extra * scale * self.eye if extra else system
-            try:
-                cho = sla.cho_factor(boosted, lower=True, check_finite=False)
-            except sla.LinAlgError:
+            boosted = system
+            if extra:
+                boosted = system.copy()
+                boosted[self.diag] += extra * scale
+            factor, info = _POTRF(boosted, lower=True, overwrite_a=bool(extra), clean=False)
+            if info > 0:  # not positive definite: the next rung boosts the diagonal
                 continue
-            weights = sla.cho_solve(cho, rhs, check_finite=False)
+            if info == 0:
+                weights, info = _POTRS(factor, rhs, lower=True)
+            if info:
+                raise ValueError(f"LAPACK rejected argument {-info} of the SoR Cholesky solve")
             break
         if weights is None:
             raise sla.LinAlgError(
                 f"SoR system unfactorizable at theta=({theta1:.4g}, {theta2:.4g})"
             )
-        c_star = theta1 * np.exp(inv2 * self.sq_star)
+        c_star = np.multiply(inv2, self.sq_star)
+        np.exp(c_star, out=c_star)
+        c_star *= theta1
         return c_star @ weights
 
 

@@ -33,13 +33,21 @@ import numpy as np
 from scipy import linalg as sla
 
 from .kernels import KernelSpec, _wendland_inplace, gram, kernel_cross, kernel_integral, row_blocks
-from .points import PointSet, midpoint_grid
+from .points import PointSet, midpoint_axis, midpoint_grid
 
 DEFAULT_JITTER_PER_NODE = 1e-10
 
 # Bound on the eigenvector bytes the grid factor cache keeps (the newest
 # factor is always kept).
 _FACTOR_CACHE_BYTES = 64 << 20
+
+# Bound on one grid-evaluation block, counted as 4 d m floats per row (the
+# distances, kernel values and kernel-core temporaries). Blocks that stay in
+# cache run faster. With a 2 MiB L2 per core, a 1024-row stack took 7.0-8.2
+# ms at d = 1, m = 1024 in 1 MiB (32-row) blocks against 8.4-9.7 ms in 8 MiB
+# ones and 9.6 ms in 256 KiB ones; at d = 2, m = 32 it took 0.42-0.66 ms in
+# 1 MiB blocks against 0.61-0.71 ms in 8 MiB ones.
+_GRID_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -103,7 +111,7 @@ def _grid_side(spec: KernelSpec, nodes: PointSet) -> int:
     m = round(n ** (1.0 / d))
     if m**d != n:
         return 0
-    axis = midpoint_grid(m, 1).points[:, 0]
+    axis = midpoint_axis(m)
     tensor = nodes.points.reshape((m,) * d + (d,))
     for j in range(d):
         if not np.all(tensor[..., j] == axis.reshape((m,) + (1,) * (d - 1 - j))):
@@ -132,28 +140,31 @@ def _grid_factor(spec: KernelSpec, m: int) -> _GridFactor:
     return factor
 
 
-def _kron_apply(mat: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """(mat (x) ... (x) mat) applied to the flattened tensor t of shape (m,)*d.
+def _kron_apply(mat: np.ndarray, t: np.ndarray, d: int) -> np.ndarray:
+    """(mat (x) ... (x) mat) applied to the flat C-ordered tensor t of shape
+    (m,)*d, returned flat.
 
     Each step contracts the leading axis and appends the result axis, so
-    after d steps the axes are back in their original order.
+    after d steps the axes are back in their original order. A step is
+    ``np.tensordot(t, mat, axes=(0, 1))`` written as the one matrix product
+    tensordot makes, on the same operands, so the floats are the same.
     """
-    for _ in range(t.ndim):
-        t = np.tensordot(t, mat, axes=(0, 1))
-    return t
+    m = mat.shape[0]
+    for _ in range(d):
+        t = np.dot(t.reshape(m, -1).T, mat.T)
+    return t.reshape(-1)
 
 
 def _grid_solve(factor: _GridFactor, d: int, vals: np.ndarray, jitter: float):
     """(beta, bare-kernel node residual) of the Kronecker system, or None when
     the shifted spectrum is not positive."""
-    spectrum = reduce(np.multiply.outer, [factor.values] * d)
+    spectrum = reduce(np.multiply.outer, [factor.values] * d).reshape(-1)
     shifted = spectrum + jitter
     if not np.all(shifted > 0.0):
         return None
-    m = factor.values.shape[0]
-    coeffs = _kron_apply(factor.vectors.T, vals.reshape((m,) * d)) / shifted
-    beta = _kron_apply(factor.vectors, coeffs).reshape(-1)
-    fitted = _kron_apply(factor.vectors, spectrum * coeffs).reshape(-1)
+    coeffs = _kron_apply(factor.vectors.T, vals, d) / shifted
+    beta = _kron_apply(factor.vectors, coeffs, d)
+    fitted = _kron_apply(factor.vectors, spectrum * coeffs, d)
     return beta, float(np.max(np.abs(fitted - vals)))
 
 
@@ -227,7 +238,8 @@ def _grid_values(interp: Interpolant, rows: np.ndarray) -> np.ndarray:
     axis = interp.nodes.points[:m, d - 1]
     r = np.subtract(rows[:, :, None], axis)
     np.abs(r, out=r)
-    r /= interp.spec.support_radius
+    if interp.spec.support_radius != 1.0:  # r / 1.0 is r
+        r /= interp.spec.support_radius
     w = _wendland_inplace(interp.spec.k, r)
     t = w[:, 0, :] @ interp.beta.reshape(m, -1)
     for i in range(1, d):
@@ -235,24 +247,44 @@ def _grid_values(interp: Interpolant, rows: np.ndarray) -> np.ndarray:
     return t[:, 0]
 
 
+def _grid_blocked(interp: Interpolant, rows: np.ndarray) -> np.ndarray:
+    """``_grid_values`` over a stack, in blocks of a multiple of 8 rows
+    within ``_GRID_BLOCK_BYTES`` (and at least 8). A row holds d m distances
+    and kernel values (with the kernel core's temporaries, at most 4 d m
+    floats) or m^(d-1) partial sums.
+
+    With one thread, OpenBLAS rounds a row alike in any block of whole 8-row
+    groups but takes its vector path on a one-row block, so a last block of
+    one row joins the block before it: the floats are those of one block
+    over the stack.
+    """
+    n, m, d = rows.shape[0], interp.grid_m, interp.spec.dim
+    step = 8 * max(1, _GRID_BLOCK_BYTES // (64 * max(4 * d * m, m ** (d - 1))))
+    if n <= step + 1:
+        return _grid_values(interp, rows)
+    out = np.empty(n)
+    bounds = [*range(0, n - 1, step), n]
+    for start, stop in zip(bounds, bounds[1:]):
+        out[start:stop] = _grid_values(interp, rows[start:stop])
+    return out
+
+
 def evaluate(interp: Interpolant, x):
     """Surrogate value sum_n beta_n K(x, u^n) at a point (d,) or stack (n, d).
 
-    A single point is evaluated as a one-row stack; stacks are evaluated in
+    A single point is evaluated as a one-row stack. Grid surrogates evaluate
+    stacks in cache-sized blocks (``_grid_blocked``), other surrogates in
     blocks bounded by ``kernels.BLOCK_BYTES``.
     """
     x_arr = np.asarray(x, dtype=np.float64)
     rows = np.atleast_2d(x_arr)
-    m, d = interp.grid_m, interp.spec.dim
+    d = interp.spec.dim
     if rows.shape[1] != d:
         raise ValueError(f"dimension mismatch: spec.dim={d}, points are {rows.shape[1]}-d")
-    out = np.empty(rows.shape[0])
-    if m:
-        # a row holds d * m distances and kernel values (with the kernel
-        # core's temporaries, at most 4 d m floats) or m^(d-1) partial sums
-        for block in row_blocks(rows.shape[0], max(4 * d * m, m ** (d - 1))):
-            out[block] = _grid_values(interp, rows[block])
+    if interp.grid_m:
+        out = _grid_blocked(interp, rows)
     else:
+        out = np.empty(rows.shape[0])
         nodes = interp.nodes.points
         for block in row_blocks(rows.shape[0], len(nodes)):
             out[block] = kernel_cross(interp.spec, rows[block], nodes) @ interp.beta

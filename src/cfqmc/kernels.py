@@ -76,12 +76,14 @@ def wendland_1d(k: int, r):
     return float(out) if np.isscalar(r) or out.ndim == 0 else out
 
 
-def _wendland_inplace(k: int, r: np.ndarray) -> np.ndarray:
+def _wendland_inplace(k: int, r: np.ndarray, clip: bool = True) -> np.ndarray:
     """``wendland_1d(k, r)`` without its checks, for a float64 array of
     distances r >= 0 that the caller owns: ``r`` is overwritten, and the
-    result may be ``r`` itself."""
+    result may be ``r`` itself. ``clip=False`` skips the cut-off (1 - r)_+,
+    which leaves the floats unchanged when every r <= 1."""
     w = np.subtract(1.0, r, out=r if k == 0 else None)
-    np.maximum(w, 0.0, out=w)
+    if clip:
+        np.maximum(w, 0.0, out=w)
     if k == 0:
         return w
     if k == 1:
@@ -113,11 +115,18 @@ def kernel_cross(spec: KernelSpec, x, y) -> np.ndarray:
             f"{xa.shape[1]} and {ya.shape[1]}"
         )
     out = None
+    rho = spec.support_radius
     for i in range(spec.dim):
-        r = np.subtract(xa[:, i, None], ya[None, :, i])
+        xi, yi = xa[:, i], ya[:, i]
+        r = np.subtract(xi[:, None], yi[None, :])
         np.abs(r, out=r)
-        r /= spec.support_radius
-        w = _wendland_inplace(spec.k, r)
+        if rho != 1.0:  # r / 1.0 is r
+            r /= rho
+        # float subtraction and division are monotone, so when the widest
+        # gap on the axis is within the support every r <= 1 and the
+        # cut-off changes nothing
+        inside = r.size and max(xi.max() - yi.min(), yi.max() - xi.min()) <= rho
+        w = _wendland_inplace(spec.k, r, clip=not inside)
         # the first factor is the product itself: 1.0 * w is w exactly
         out = w if out is None else np.multiply(out, w, out=out)
     return out

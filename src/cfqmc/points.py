@@ -298,6 +298,11 @@ def baker_fold(ps: PointSet) -> PointSet:
     return PointSet(pts, ps.dim, prov)
 
 
+def midpoint_axis(m: int) -> np.ndarray:
+    """The m cell midpoints (2i-1)/(2m), i = 1..m, of one grid axis."""
+    return (2.0 * np.arange(1, m + 1) - 1.0) / (2.0 * m)
+
+
 def midpoint_grid(m: int, d: int) -> PointSet:
     """Cartesian grid of cell midpoints (2i-1)/(2m), i = 1..m, per axis.
 
@@ -310,8 +315,7 @@ def midpoint_grid(m: int, d: int) -> PointSet:
     total = m**d
     if total > _GRID_GUARD:
         raise ValueError(f"midpoint grid of {m}^{d} = {total} points exceeds the size guard")
-    axis = (2.0 * np.arange(1, m + 1) - 1.0) / (2.0 * m)
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
+    grids = np.meshgrid(*([midpoint_axis(m)] * d), indexing="ij")
     pts = np.stack([g.reshape(-1) for g in grids], axis=1)
     prov = Provenance(generator=f"midpoint-grid(m={m})", index_range=(0, total))
     return PointSet(pts, d, prov)

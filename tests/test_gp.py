@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
 from cfqmc import gp
 from cfqmc.gp import (
@@ -28,6 +29,28 @@ from cfqmc.seeding import seed_for
 def gamma2_cdf(t, scale):
     x = np.asarray(t) / scale
     return 1.0 - (1.0 + x) * np.exp(-x)
+
+
+def sor_reference(solver, theta1, theta2):
+    """The SoR predictive means written out with cho_factor / cho_solve, and
+    the ladder rung that factorized."""
+    inv2 = -0.5 / theta2**2
+    c_sub_n = theta1 * np.exp(inv2 * solver.sq_sub_n)
+    c_sub = c_sub_n[:, solver.idx]
+    n_sub = solver.idx.size
+    eye = np.eye(n_sub)
+    jitter = gp._SOR_JITTER * np.trace(c_sub) / n_sub
+    system = c_sub_n @ c_sub_n.T + solver.sigma2 * (c_sub + jitter * eye)
+    scale = np.trace(system) / n_sub
+    for rung, extra in enumerate(gp._SOR_LADDER):
+        boosted = system + extra * scale * eye if extra else system
+        try:
+            cho = sla.cho_factor(boosted, lower=True, check_finite=False)
+        except sla.LinAlgError:
+            continue
+        weights = sla.cho_solve(cho, c_sub_n @ solver.y, check_finite=False)
+        return theta1 * np.exp(inv2 * solver.sq_star) @ weights, rung
+    raise AssertionError("the ladder ran out")
 
 
 class TestGamma2InverseCdf:
@@ -114,6 +137,21 @@ class TestPredictiveMeans:
         full = gp_predictive_mean_full(data, cfg, theta, test_z[0])
         sor = gp_predictive_mean_sor(data, cfg, theta, test_z[0], np.arange(40))
         assert sor == pytest.approx(full, rel=1e-6)
+
+    def test_sor_predict_matches_cho_factor_reference(self):
+        # predict builds the system in place and calls LAPACK directly; the
+        # floats are those of the written-out system on every ladder rung
+        data, test_z = synthetic_dataset(n=200, p=4, n_test=5, seed=0)
+        cfg = GPConfig(test_points=test_z)
+        solver = gp._SorSolver(data, cfg, test_z, default_subset_indices(data, cfg.n_subset))
+        rng = np.random.default_rng(1)
+        draws = np.vstack([rng.gamma(2.0, 2.0, size=(100, 2)), rng.uniform(5.0, 60.0, size=(100, 2))])
+        rungs = set()
+        for theta1, theta2 in draws:
+            reference, rung = sor_reference(solver, theta1, theta2)
+            assert np.array_equal(solver.predict(theta1, theta2), reference)
+            rungs.add(rung)
+        assert 0 in rungs and len(rungs) > 1
 
     def test_sor_rank_one_is_finite(self):
         val = gp_predictive_mean_sor(self.data, self.cfg, (2.0, 1.0), self.test_z[0], [7])

@@ -1,5 +1,10 @@
 """Surrogate fitting, evaluation, exact integrals and the zero-mean correction."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
@@ -14,6 +19,44 @@ from cfqmc.interpolate import (
 )
 from cfqmc.kernels import KernelSpec, gram, kernel_cross, kernel_integral
 from cfqmc.points import PointSet, Provenance, midpoint_grid, uniform_random
+
+
+# Every blocking of a stack gives the floats of one block over it: the
+# cache-sized blocks, blocks bounded by kernels.BLOCK_BYTES, and 8-row blocks
+# with a one-row tail. A lone row takes BLAS's vector path, so a point
+# evaluated on its own agrees to rounding, not bitwise. Prints the failures.
+BLOCKING_CHECK = """
+import numpy as np
+from cfqmc import interpolate
+from cfqmc.interpolate import evaluate, fit
+from cfqmc.kernels import KernelSpec, row_blocks
+from cfqmc.points import midpoint_grid
+
+failed = []
+cache_sized = interpolate._GRID_BLOCK_BYTES
+for k in (0, 1, 2):
+    for support in (1.0, 0.7):
+        for d, m in ((1, 1024), (1, 37), (2, 32), (2, 5), (3, 8)):
+            case = (k, support, d, m)
+            rng = np.random.default_rng(10 * k + d)
+            interp = fit(KernelSpec(k, d, support), midpoint_grid(m, d), rng.normal(size=m**d))
+            pts = rng.random((1001, d))
+            whole = interpolate._grid_values(interp, pts)
+            old = np.empty(1000)
+            for block in row_blocks(1000, max(4 * d * m, m ** (d - 1))):
+                old[block] = interpolate._grid_values(interp, pts[:1000][block])
+            interpolate._GRID_BLOCK_BYTES = cache_sized
+            blocked = {"cache-sized": evaluate(interp, pts), "8 MB": old}
+            interpolate._GRID_BLOCK_BYTES = 8 * 8 * 4 * d * m
+            blocked["8-row"] = evaluate(interp, pts)
+            for name, got in blocked.items():
+                if not np.array_equal(got, whole[: len(got)]):
+                    failed.append((case, name))
+            singles = np.array([evaluate(interp, p) for p in pts[::50]])
+            if np.max(np.abs(singles - whole[::50])) > 1e-14 * np.sum(np.abs(interp.beta)):
+                failed.append((case, "single points"))
+print(failed)
+"""
 
 
 def node_set(coords):
@@ -240,10 +283,33 @@ class TestGridPath:
         dense = fit(spec, node_set(grid.points[::-1]), values[::-1])
         pts = np.random.default_rng(3).random((1000, 2))
         whole = evaluate(fast, pts)
-        # rows are 4 * d * m = 40 floats wide: seven rows per block
-        monkeypatch.setattr("cfqmc.kernels.BLOCK_BYTES", 8 * 40 * 7)
+        # rows are 4 * d * m = 40 floats wide: eight rows per block
+        monkeypatch.setattr(interpolate, "_GRID_BLOCK_BYTES", 8 * 40 * 8)
         np.testing.assert_array_equal(evaluate(fast, pts), whole)
         np.testing.assert_allclose(evaluate(dense, pts), whole, rtol=0.0, atol=1e-10)
+
+    def test_blocking_leaves_values_unchanged(self):
+        # BLAS threads split a block's rows by count, so with more than one
+        # thread the floats depend on the blocking; the check pins one thread
+        src = str(Path(interpolate.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", BLOCKING_CHECK], env=env, capture_output=True, text=True, timeout=600
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["[]"]
+
+    @pytest.mark.parametrize("d,m", [(1, 1024), (2, 32), (3, 8), (4, 5)])
+    def test_kron_apply_matches_tensordot(self, d, m):
+        rng = np.random.default_rng(d)
+        mat = rng.normal(size=(m, m))
+        t = rng.normal(size=m**d)
+        for op in (mat, mat.T):  # fit applies U^T, then U
+            reference = t.reshape((m,) * d)
+            for _ in range(d):
+                reference = np.tensordot(reference, op, axes=(0, 1))
+            assert np.array_equal(interpolate._kron_apply(op, t, d), reference.reshape(-1))
 
     def test_factor_computed_once_per_shape(self, monkeypatch):
         interpolate._FACTORS.clear()

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from cfqmc import kernels
 from cfqmc.kernels import (
     KernelSpec,
     _wendland_inplace,
@@ -131,6 +132,32 @@ class TestKernelEval:
             r = np.abs(x[:, i, None] - y[None, :, i]) / support
             reference *= wendland_1d(k, r)
         assert np.array_equal(kernel_cross(spec, x, y), reference)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("support", [1.0, 0.7])
+    def test_cutoff_skipped_only_where_it_is_a_no_op(self, monkeypatch, k, support):
+        # An axis whose widest gap is within the support skips the cut-off
+        # (1 - r)_+ and keeps the floats of the clipped expression; an axis
+        # with a gap beyond the support, among gaps within it, clips.
+        rng = np.random.default_rng(k)
+        x, y = rng.random((40, 3)), rng.random((30, 3))
+        x[:, 0], y[:, 0] = 0.3 + 0.4 * x[:, 0], 0.3 + 0.4 * y[:, 0]  # gaps below 0.4
+        x[:, 1], y[:, 1] = support * x[:, 1], support * y[:, 1]
+        x[0, 1], y[0, 1] = 0.0, support  # a gap of exactly the support: r = 1
+        x[0, 2] = -0.25  # gaps beyond the support, the rest within the cube
+        reference = np.ones((40, 30))
+        for i in range(3):
+            reference *= wendland_1d(k, np.abs(x[:, i, None] - y[None, :, i]) / support)
+        clips = []
+        core = kernels._wendland_inplace
+
+        def recording(k_, r, clip=True):
+            clips.append(clip)
+            return core(k_, r, clip)
+
+        monkeypatch.setattr(kernels, "_wendland_inplace", recording)
+        assert np.array_equal(kernel_cross(KernelSpec(k, 3, support), x, y), reference)
+        assert clips == [False, False, True]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -4,8 +4,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import cfqmc
-from cfqmc import bench, estimators, gp, interpolate, kernels
+from cfqmc import bench, estimators, gp, interpolate, kernels, points
 from cfqmc.points import halton
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -67,11 +69,8 @@ def test_grid_factorization_reused_across_fits():
     assert names.count("kernels.gram") == len(shapes)
 
 
-def test_campaign_point_sets_built_once_per_cell(monkeypatch):
-    # Replicates and methods only shift a cell's point sets: the Halton base
-    # sets and the node grid are built once per (family, d, N) cell however
-    # many replicates run, while every replicate still fits its own surrogate.
-    tracing = load_tracing()
+def count_point_builds(monkeypatch) -> dict[str, int]:
+    """Live counts of the campaign's ``halton`` and ``midpoint_grid`` calls."""
     calls = {"halton": 0, "midpoint_grid": 0}
 
     def counting(name):
@@ -85,6 +84,15 @@ def test_campaign_point_sets_built_once_per_cell(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(bench, name, counting(name))
+    return calls
+
+
+def test_campaign_point_sets_built_once_per_cell(monkeypatch):
+    # Replicates and methods only shift a cell's point sets: the Halton base
+    # sets and the node grid are built once per (d, N) however many
+    # replicates run, while every replicate still fits its own surrogate.
+    tracing = load_tracing()
+    calls = count_point_builds(monkeypatch)
     cells = 2 * 2  # dims x n_grid, one family
     seen = []
     for replicates in (2, 5):
@@ -98,6 +106,42 @@ def test_campaign_point_sets_built_once_per_cell(monkeypatch):
     assert seen[0] == seen[1]
     assert 0 < seen[0]["halton"] <= 2 * cells
     assert 0 < seen[0]["midpoint_grid"] <= cells
+
+
+def test_campaign_point_sets_shared_across_families_and_k(monkeypatch):
+    # A cell's point sets depend only on the sequence, the split and d, so
+    # every family and k value at one (d, N) reads the same ones.
+    calls = count_point_builds(monkeypatch)
+    seen = []
+    for families, k_values in ((("gaussian",), (1,)), (("gaussian", "oscillatory"), (0, 2))):
+        cfg = bench.CampaignConfig(
+            families=families, dims=(1, 2), k_values=k_values, n_grid=(32, 128), replicates=2
+        )
+        calls.update(dict.fromkeys(calls, 0))
+        table = bench.run_campaign(cfg)
+        assert all(row.replicates == 2 for row in table.rows)
+        seen.append(dict(calls))
+    assert seen[0] == seen[1]
+
+
+def test_grid_evaluation_blocks_fit_the_cache_bound(monkeypatch):
+    # At d = 1, m = 1024 a row holds 4 * 1024 floats: a 1024-point stack is
+    # cut into blocks of a multiple of 8 rows within the block bound.
+    m = 1024
+    interp = interpolate.fit(
+        kernels.KernelSpec(1, 1), points.midpoint_grid(m, 1), np.sin(np.arange(m))
+    )
+    grid_values = interpolate._grid_values
+    rows = []
+
+    def recording(interp, block):
+        rows.append(block.shape[0])
+        return grid_values(interp, block)
+
+    monkeypatch.setattr(interpolate, "_grid_values", recording)
+    interpolate.evaluate(interp, np.random.default_rng(0).random((m, 1)))
+    assert sum(rows) == m and len(rows) > 1
+    assert all(r % 8 == 0 and r * 4 * m * 8 <= interpolate._GRID_BLOCK_BYTES for r in rows)
 
 
 def test_sor_solves_shared_across_test_points_and_methods(monkeypatch):
