@@ -12,9 +12,15 @@ eigenpairs G_1 = U diag(s) U^T and the axis node integrals depend only on
 (k, support radius, m), so they are computed once, kept in a small cache,
 and every grid fit solves
 (G + jitter I) beta = y as U^(x)d diag(1 / (s^(x)d + jitter)) U^(x)d,T y.
-Grid surrogates are evaluated per axis: one m-vector of kernel values per
-axis and point, contracted with the coefficient tensor. Node sets that are
-not exactly a midpoint grid take the dense Cholesky path.
+At d >= 2 grid surrogates are evaluated per axis: one m-vector of kernel
+values per axis and point, contracted with the coefficient tensor. At d = 1
+the kernel pieces are polynomials in r on [0, 1], so the sum over the nodes
+within reach of x splits into a left and a right sum, each a Taylor sum
+sum_q D_q(X - C) sum_i beta_i (C - V_i)^q about a centre C (X, V_i in units
+of the support radius, D_q = phi^(q) / q!). Every fit keeps prefix sums of
+those moments, and a point costs two binary searches and O(deg^2) flops, not
+O(m). Node sets that are not exactly a midpoint grid take the dense Cholesky
+path.
 
 The kernel span does not contain exact constants, so flat targets are fitted
 approximately; the achieved node residual is recorded on the result.
@@ -25,14 +31,15 @@ from __future__ import annotations
 import threading
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
+from math import ceil, comb
 from typing import Optional
 
 import numpy as np
 from scipy import linalg as sla
 
-from .kernels import KernelSpec, _wendland_inplace, gram, kernel_cross, kernel_integral, row_blocks
+from .kernels import _PHI_COEFFS, KernelSpec, _wendland_inplace, gram, kernel_cross, kernel_integral, row_blocks
 from .points import PointSet, midpoint_axis, midpoint_grid
 
 DEFAULT_JITTER_PER_NODE = 1e-10
@@ -41,13 +48,43 @@ DEFAULT_JITTER_PER_NODE = 1e-10
 # factor is always kept).
 _FACTOR_CACHE_BYTES = 64 << 20
 
-# Bound on one grid-evaluation block, counted as 4 d m floats per row (the
-# distances, kernel values and kernel-core temporaries). Blocks that stay in
-# cache run faster. With a 2 MiB L2 per core, a 1024-row stack took 7.0-8.2
-# ms at d = 1, m = 1024 in 1 MiB (32-row) blocks against 8.4-9.7 ms in 8 MiB
-# ones and 9.6 ms in 256 KiB ones; at d = 2, m = 32 it took 0.42-0.66 ms in
-# 1 MiB blocks against 0.61-0.71 ms in 8 MiB ones.
+# Bound on one grid-evaluation block at d >= 2, counted as 4 d m floats per
+# row (the distances, kernel values and kernel-core temporaries) or m^(d-1)
+# partial sums. Blocks that stay in cache run faster: with a 2 MiB L2 per
+# core, a 1024-row stack at d = 2, m = 32 took 0.42-0.66 ms in 1 MiB blocks
+# against 0.61-0.71 ms in 8 MiB ones. d = 1 evaluates from moment tables
+# and does not use this bound.
 _GRID_BLOCK_BYTES = 1 << 20
+
+# Spacing of the d = 1 moment-table centres, in units of the support radius.
+# A point takes its nearest centre, so it lies within half a step of it and
+# its kernel window within _CENTRE_REACH. The table of a centre holds only
+# those nodes: prefix sums shared by far-apart centres would cancel large
+# sums of far-node moments.
+_CENTRE_STEP = 0.25
+_CENTRE_REACH = 1.0 + _CENTRE_STEP / 2
+# X - 1, X, X + 1: the left edge, the left/right split and the right edge of
+# a point's kernel window
+_WINDOW = np.array([-1.0, 0.0, 1.0])[:, None]
+
+
+def _taylor_table(k: int) -> np.ndarray:
+    """T[e, q, side] with sum_e T[e, q, side] a^e the q-th Taylor coefficient
+    at a of phi (side 0) or of psi(t) = phi(-t) (side 1), shaped
+    (deg + 1, deg + 1, 2, 1) to broadcast over points. The entries are small
+    integers, so they are exact."""
+    c = _PHI_COEFFS[k]
+    deg = len(c) - 1
+    t = np.zeros((deg + 1, deg + 1, 2, 1))
+    for q in range(deg + 1):
+        for e in range(deg + 1 - q):
+            p = q + e
+            t[e, q, 0] = c[p] * comb(p, q)
+            t[e, q, 1] = (-1) ** p * t[e, q, 0]
+    return t
+
+
+_TAYLOR = {k: _taylor_table(k) for k in _PHI_COEFFS}
 
 
 @dataclass(frozen=True)
@@ -66,11 +103,71 @@ _FACTORS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
+class _AxisMoments:
+    """Prefix moments of a d = 1 grid surrogate, in units of the support
+    radius (V_i the nodes, C_j the centres).
+
+    Centre j's table holds the nodes with |V_i - C_j| <= _CENTRE_REACH, and
+    ``prefix[q, base[j] + i]`` is sum beta_l (C_j - V_l)^q over the table's
+    nodes l < i. ``bounds`` are the midpoints between centres.
+    """
+
+    nodes: np.ndarray
+    centres: np.ndarray
+    bounds: np.ndarray
+    base: np.ndarray
+    prefix: np.ndarray
+
+
+def _axis_moments(spec: KernelSpec, axis: np.ndarray, beta: np.ndarray) -> _AxisMoments:
+    """The moment tables of sum_i beta_i phi(|x - axis_i| / rho).
+
+    At radius 1 the one centre 1/2 is within 1/2 of every point of the cube
+    and its table holds every node. Below 1 the centres are the multiples of
+    _CENTRE_STEP up to the first at or past 1/rho. Centres and bounds are
+    then exact multiples of 1/8, so a point past bound j - 1 and at most at
+    bound j has X - 1 >= C_j - _CENTRE_REACH and X + 1 <= C_j + _CENTRE_REACH
+    after rounding too: its window edges fall inside centre j's table.
+
+    The prefix sums accumulate in long double and are rounded once, so on
+    hosts where long double is wider than double their error does not grow
+    with the table length.
+    """
+    rho = spec.support_radius
+    nodes = axis / rho
+    if rho == 1.0:
+        centres = np.array([0.5])
+    else:
+        centres = np.arange(ceil(1.0 / (rho * _CENTRE_STEP)) + 1) * _CENTRE_STEP
+    starts = np.searchsorted(nodes, centres - _CENTRE_REACH, side="left")
+    stops = np.searchsorted(nodes, centres + _CENTRE_REACH, side="right")
+    width = int(np.max(stops - starts))
+    index = starts[:, None] + np.arange(width)
+    held = index < stops[:, None]
+    index = np.minimum(index, len(nodes) - 1)
+    gaps = np.where(held, centres[:, None] - nodes[index], 0.0)
+    terms = np.where(held, beta[index], 0.0)
+    prefix = np.zeros((len(_PHI_COEFFS[spec.k]), len(centres), width + 1))
+    for table in prefix:
+        table[:, 1:] = np.cumsum(terms, axis=1, dtype=np.longdouble)
+        terms *= gaps
+    return _AxisMoments(
+        nodes=nodes,
+        centres=centres,
+        bounds=(centres[1:] + centres[:-1]) / 2,
+        base=np.arange(len(centres)) * (width + 1) - starts,
+        prefix=prefix.reshape(len(prefix), -1),
+    )
+
+
+@dataclass(frozen=True)
 class Interpolant:
     """A fitted surrogate: nodes, coefficients, and its exact cube integral.
 
     ``grid_m`` is the grid side when the nodes are ``midpoint_grid(grid_m, d)``
-    (evaluation then runs per axis) and 0 for any other node set.
+    (evaluation then runs from ``moments`` at d = 1, per axis otherwise) and
+    0 for any other node set. ``moments`` is derived from the nodes and
+    ``beta``.
     """
 
     spec: KernelSpec
@@ -81,6 +178,7 @@ class Interpolant:
     residual_norm: float
     solver_note: Optional[str] = None
     grid_m: int = 0
+    moments: Optional[_AxisMoments] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=np.float64)
@@ -90,6 +188,11 @@ class Interpolant:
             raise ValueError("grid side does not match the node count")
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
+        # 4 / rho centres: a support under 1/16 of the node spacing would
+        # take over 64 m of them, so such a surrogate is evaluated per axis
+        if self.grid_m and self.spec.dim == 1 and 16 * self.grid_m * self.spec.support_radius >= 1.0:
+            moments = _axis_moments(self.spec, self.nodes.points[:, 0], beta)
+            object.__setattr__(self, "moments", moments)
 
 
 def default_jitter(n_nodes: int) -> float:
@@ -230,21 +333,55 @@ def _dense_solve(spec: KernelSpec, nodes: PointSet, vals: np.ndarray, jitter: fl
     return beta, residual, note
 
 
-def _grid_values(interp: Interpolant, rows: np.ndarray) -> np.ndarray:
+def _axis_values(interp: Interpolant, x: np.ndarray) -> np.ndarray:
+    """d = 1 grid surrogate at the points x from its moment tables.
+
+    A point X (in support units) takes its nearest centre C and sums
+    D_q(X - C) times the left-window moments plus the psi analogue times the
+    right-window ones, psi(t) = phi(-t). Every step is elementwise, a gather
+    or a binary search, so a point's float does not depend on the stack
+    around it or on BLAS. A point holds about 10 (deg + 1) floats of
+    temporaries.
+    """
+    mom = interp.moments
+    scaled = x / interp.spec.support_radius
+    centre = np.searchsorted(mom.bounds, scaled)
+    offset = scaled - mom.centres[centre]
+    rows = np.searchsorted(mom.nodes, scaled + _WINDOW, side="right")
+    rows += mom.base[centre]
+    moments = mom.prefix[:, rows]
+    sides = np.subtract(moments[:, 1:], moments[:, :2])
+    taylor = _TAYLOR[interp.spec.k]
+    weights = taylor[-1] * offset
+    for e in range(len(taylor) - 2, 0, -1):  # Horner in the offset
+        weights += taylor[e]
+        weights *= offset
+    weights += taylor[0]
+    weights *= sides
+    return np.cumsum(weights.reshape(-1, len(x)), axis=0)[-1]
+
+
+def _grid_values(interp: Interpolant, rows: np.ndarray, clip: bool = True) -> np.ndarray:
     """Grid surrogate at the rows: per-axis kernel values, then a contraction
-    with the (m,)*d coefficient tensor, one axis at a time."""
+    with the (m,)*d coefficient tensor, one axis at a time. ``clip=False``
+    skips the kernel cut-off, for rows whose every distance is within the
+    support."""
     m, d = interp.grid_m, interp.spec.dim
-    # the last coordinate of the first m grid nodes runs over the axis midpoints
-    axis = interp.nodes.points[:m, d - 1]
+    axis = _grid_axis(interp)
     r = np.subtract(rows[:, :, None], axis)
     np.abs(r, out=r)
     if interp.spec.support_radius != 1.0:  # r / 1.0 is r
         r /= interp.spec.support_radius
-    w = _wendland_inplace(interp.spec.k, r)
+    w = _wendland_inplace(interp.spec.k, r, clip)
     t = w[:, 0, :] @ interp.beta.reshape(m, -1)
     for i in range(1, d):
         t = np.matmul(w[:, i, None, :], t.reshape(rows.shape[0], m, -1))[:, 0, :]
     return t[:, 0]
+
+
+def _grid_axis(interp: Interpolant) -> np.ndarray:
+    """The axis midpoints: the last coordinate of the first m grid nodes."""
+    return interp.nodes.points[: interp.grid_m, interp.spec.dim - 1]
 
 
 def _grid_blocked(interp: Interpolant, rows: np.ndarray) -> np.ndarray:
@@ -259,29 +396,41 @@ def _grid_blocked(interp: Interpolant, rows: np.ndarray) -> np.ndarray:
     over the stack.
     """
     n, m, d = rows.shape[0], interp.grid_m, interp.spec.dim
+    # float subtraction and division are monotone, so when the widest gap
+    # between a row coordinate and a midpoint is within the support every
+    # r <= 1 and the cut-off changes nothing (as in kernels.kernel_cross);
+    # on a lone row the test costs more than the cut-off
+    axis = _grid_axis(interp)
+    inside = n > 1 and max(rows.max() - axis[0], axis[-1] - rows.min()) <= interp.spec.support_radius
     step = 8 * max(1, _GRID_BLOCK_BYTES // (64 * max(4 * d * m, m ** (d - 1))))
     if n <= step + 1:
-        return _grid_values(interp, rows)
+        return _grid_values(interp, rows, not inside)
     out = np.empty(n)
     bounds = [*range(0, n - 1, step), n]
     for start, stop in zip(bounds, bounds[1:]):
-        out[start:stop] = _grid_values(interp, rows[start:stop])
+        out[start:stop] = _grid_values(interp, rows[start:stop], not inside)
     return out
 
 
 def evaluate(interp: Interpolant, x):
     """Surrogate value sum_n beta_n K(x, u^n) at a point (d,) or stack (n, d).
 
-    A single point is evaluated as a one-row stack. Grid surrogates evaluate
-    stacks in cache-sized blocks (``_grid_blocked``), other surrogates in
-    blocks bounded by ``kernels.BLOCK_BYTES``.
+    A single point is evaluated as a one-row stack. d = 1 grid surrogates
+    evaluate from their moment tables (``_axis_values``), other grid
+    surrogates in cache-sized blocks (``_grid_blocked``). Moment-table and
+    non-grid evaluation bound their temporaries by ``kernels.BLOCK_BYTES``;
+    the moment-table floats do not depend on those blocks.
     """
     x_arr = np.asarray(x, dtype=np.float64)
     rows = np.atleast_2d(x_arr)
     d = interp.spec.dim
     if rows.shape[1] != d:
         raise ValueError(f"dimension mismatch: spec.dim={d}, points are {rows.shape[1]}-d")
-    if interp.grid_m:
+    if interp.moments is not None:
+        out = np.empty(rows.shape[0])
+        for block in row_blocks(rows.shape[0], 10 * len(interp.moments.prefix)):
+            out[block] = _axis_values(interp, rows[block, 0])
+    elif interp.grid_m:
         out = _grid_blocked(interp, rows)
     else:
         out = np.empty(rows.shape[0])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
-from cfqmc import interpolate
+from cfqmc import interpolate, kernels
 from cfqmc.interpolate import (
     Interpolant,
     control_functional,
@@ -21,10 +21,12 @@ from cfqmc.kernels import KernelSpec, gram, kernel_cross, kernel_integral
 from cfqmc.points import PointSet, Provenance, midpoint_grid, uniform_random
 
 
-# Every blocking of a stack gives the floats of one block over it: the
-# cache-sized blocks, blocks bounded by kernels.BLOCK_BYTES, and 8-row blocks
-# with a one-row tail. A lone row takes BLAS's vector path, so a point
-# evaluated on its own agrees to rounding, not bitwise. Prints the failures.
+# At d >= 2 every blocking of a stack gives the floats of one block over it:
+# the cache-sized blocks, blocks bounded by kernels.BLOCK_BYTES, and 8-row
+# blocks with a one-row tail. A lone row takes BLAS's vector path, so a point
+# evaluated on its own agrees to rounding, not bitwise. At d = 1 the whole
+# stack, both parts of every split of it and each point on its own give the
+# same floats. Prints the failures.
 BLOCKING_CHECK = """
 import numpy as np
 from cfqmc import interpolate
@@ -41,6 +43,15 @@ for k in (0, 1, 2):
             rng = np.random.default_rng(10 * k + d)
             interp = fit(KernelSpec(k, d, support), midpoint_grid(m, d), rng.normal(size=m**d))
             pts = rng.random((1001, d))
+            if d == 1:
+                whole = evaluate(interp, pts)
+                for split in range(1, len(pts)):
+                    parts = (evaluate(interp, pts[:split]), evaluate(interp, pts[split:]))
+                    if not np.array_equal(np.concatenate(parts), whole):
+                        failed.append((case, split))
+                if not np.array_equal([evaluate(interp, p) for p in pts], whole):
+                    failed.append((case, "single points"))
+                continue
             whole = interpolate._grid_values(interp, pts)
             old = np.empty(1000)
             for block in row_blocks(1000, max(4 * d * m, m ** (d - 1))):
@@ -57,6 +68,48 @@ for k in (0, 1, 2):
                 failed.append((case, "single points"))
 print(failed)
 """
+
+
+# d = 1 grid surrogates evaluate without BLAS, so an Interpolant built from a
+# fixed beta gives the same bytes under any BLAS thread count. Two BLAS
+# threads round a row of a large block by where their halves start, so the
+# stack is evaluated in cache-sized blocks and in one block. Prints a digest.
+THREAD_CHECK = """
+import hashlib
+import numpy as np
+from cfqmc import interpolate
+from cfqmc.interpolate import Interpolant, evaluate
+from cfqmc.kernels import KernelSpec
+from cfqmc.points import midpoint_grid
+
+digest = hashlib.sha256()
+cache_sized = interpolate._GRID_BLOCK_BYTES
+for k in (0, 1, 2):
+    for support in (1.0, 0.3):
+        m = 1024
+        rng = np.random.default_rng(k)
+        interp = Interpolant(
+            KernelSpec(k, 1, support), midpoint_grid(m, 1), rng.normal(size=m),
+            exact_integral=0.0, jitter=0.0, residual_norm=0.0, grid_m=m,
+        )
+        pts = rng.random((1001, 1))
+        for block_bytes in (cache_sized, 1 << 30):
+            interpolate._GRID_BLOCK_BYTES = block_bytes
+            digest.update(evaluate(interp, pts).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def run_check(script, threads):
+    """stdout of ``script`` in a fresh interpreter with that many BLAS threads."""
+    src = str(Path(interpolate.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=600
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
 
 
 def node_set(coords):
@@ -288,17 +341,53 @@ class TestGridPath:
         np.testing.assert_array_equal(evaluate(fast, pts), whole)
         np.testing.assert_allclose(evaluate(dense, pts), whole, rtol=0.0, atol=1e-10)
 
+    def test_1d_support_under_node_spacing_evaluates_per_axis(self):
+        # 4 / rho centres would take 50 MB of tables for 16 nodes
+        grid = midpoint_grid(16, 1)
+        interp = fit(KernelSpec(2, 1, 1e-5), grid, np.arange(16.0))
+        assert interp.moments is None
+        # each node's kernel reaches no other node
+        np.testing.assert_array_equal(evaluate(interp, grid.points), interp.beta)
+
+    def test_1d_evaluation_spans_memory_blocks(self, monkeypatch):
+        interp = fit(KernelSpec(2, 1, 0.3), midpoint_grid(64, 1), np.sin(np.arange(64.0)))
+        pts = np.random.default_rng(6).random((1000, 1))
+        whole = interpolate._axis_values(interp, pts[:, 0])
+        # a point holds 10 (deg + 1) = 80 floats: seven points per block
+        monkeypatch.setattr(kernels, "BLOCK_BYTES", 7 * 80 * 8)
+        np.testing.assert_array_equal(evaluate(interp, pts), whole)
+
     def test_blocking_leaves_values_unchanged(self):
         # BLAS threads split a block's rows by count, so with more than one
-        # thread the floats depend on the blocking; the check pins one thread
-        src = str(Path(interpolate.__file__).resolve().parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-c", BLOCKING_CHECK], env=env, capture_output=True, text=True, timeout=600
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["[]"]
+        # thread the d >= 2 floats depend on the blocking; the check pins one
+        # thread
+        assert run_check(BLOCKING_CHECK, "1").split() == ["[]"]
+
+    def test_1d_values_independent_of_blas_threads(self):
+        assert run_check(THREAD_CHECK, "1") == run_check(THREAD_CHECK, "2")
+
+    @pytest.mark.parametrize("support", [1.0, 0.7, 0.3, 0.1])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_1d_moments_match_direct_sum(self, k, support):
+        # the moment path against the per-axis kernel sum, at the cube's ends,
+        # the nodes, the window edges u_i +- rho and random points
+        eps = np.finfo(np.float64).eps
+        bound = (32.0 if support == 1.0 else 512.0) * eps
+        spec = KernelSpec(k, 1, support)
+        rng = np.random.default_rng(10 * k + int(10 * support))
+        for m in (1, 2, 37, 1024, 2048):
+            grid = midpoint_grid(m, 1)
+            interp = Interpolant(
+                spec, grid, rng.normal(size=m),
+                exact_integral=0.0, jitter=0.0, residual_norm=0.0, grid_m=m,
+            )
+            assert interp.moments is not None
+            u = grid.points[:, 0]
+            edges = np.clip(np.concatenate([u - support, u + support]), 0.0, 1.0)
+            pts = np.concatenate([[0.0, 1.0], u, edges, rng.random(600)])[:, None]
+            direct = interpolate._grid_values(interp, pts)
+            err = np.max(np.abs(evaluate(interp, pts) - direct))
+            assert err <= bound * np.sum(np.abs(interp.beta)), (m, err)
 
     @pytest.mark.parametrize("d,m", [(1, 1024), (2, 32), (3, 8), (4, 5)])
     def test_kron_apply_matches_tensordot(self, d, m):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -52,6 +53,17 @@ class TestUnivariateClosedForms:
     def test_rejects_bad_smoothness(self):
         with pytest.raises(ValueError):
             wendland_1d(3, 0.5)
+
+    def test_coefficients_expand_the_factored_pieces(self):
+        # surrogate values and integrals both read the expanded coefficients
+        one_minus_r = np.array([1.0, -1.0])
+        factored = {
+            0: one_minus_r,
+            1: npoly.polymul(npoly.polypow(one_minus_r, 3), [1.0, 3.0]),
+            2: npoly.polymul(npoly.polypow(one_minus_r, 5), [1.0, 5.0, 8.0]),
+        }
+        for k, coeffs in factored.items():
+            assert np.array_equal(kernels._PHI_COEFFS[k], coeffs)
 
     def test_k1_matches_recursion_oracle(self):
         # one application of the integral operator to the degree-2 base bump

@@ -125,23 +125,24 @@ def test_campaign_point_sets_shared_across_families_and_k(monkeypatch):
 
 
 def test_grid_evaluation_blocks_fit_the_cache_bound(monkeypatch):
-    # At d = 1, m = 1024 a row holds 4 * 1024 floats: a 1024-point stack is
+    # At d = 2, m = 32 a row holds 4 * 2 * 32 floats: a 2048-point stack is
     # cut into blocks of a multiple of 8 rows within the block bound.
-    m = 1024
+    # (d = 1 evaluates from moment tables, without blocks.)
+    d, m, n = 2, 32, 2048
     interp = interpolate.fit(
-        kernels.KernelSpec(1, 1), points.midpoint_grid(m, 1), np.sin(np.arange(m))
+        kernels.KernelSpec(1, d), points.midpoint_grid(m, d), np.sin(np.arange(m**d))
     )
     grid_values = interpolate._grid_values
     rows = []
 
-    def recording(interp, block):
+    def recording(interp, block, *args):
         rows.append(block.shape[0])
-        return grid_values(interp, block)
+        return grid_values(interp, block, *args)
 
     monkeypatch.setattr(interpolate, "_grid_values", recording)
-    interpolate.evaluate(interp, np.random.default_rng(0).random((m, 1)))
-    assert sum(rows) == m and len(rows) > 1
-    assert all(r % 8 == 0 and r * 4 * m * 8 <= interpolate._GRID_BLOCK_BYTES for r in rows)
+    interpolate.evaluate(interp, np.random.default_rng(0).random((n, d)))
+    assert sum(rows) == n and len(rows) > 1
+    assert all(r % 8 == 0 and r * 4 * d * m * 8 <= interpolate._GRID_BLOCK_BYTES for r in rows)
 
 
 def test_sor_solves_shared_across_test_points_and_methods(monkeypatch):
