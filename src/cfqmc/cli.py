@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from . import gp as gp_mod
 from .directions import load_direction_file
 from .estimators import worst_case_error
 from .genz import DEBUG_FAMILIES, FAMILIES, as_integrand, random_genz
@@ -182,6 +181,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_gp(args) -> int:
+    from . import gp as gp_mod  # gp needs scipy, which no other command loads
+
     _print_config(args, "gp")
     methods = tuple(m.strip() for m in args.methods.split(","))
     for m in methods:

@@ -30,6 +30,9 @@ WCE_CLAMP = 1e-14
 # triangle, so it computes about N^2 / 2 + N * rows / 2 kernel entries, and
 # short blocks stay in cache: with a 4 MiB L2, 16 to 64 rows timed within 10%
 # of each other, 128 rows 1.25x and 256 rows 1.65x slower (N = 1024, 2048).
+# 32 rows ran the WCE sums 10-20% faster than 64, but the block sums then
+# add in another order, and the squared error D - 2S + P cancels to about
+# 1e-8 of its terms, so the printed 12-digit errors moved in their last digit.
 _PAIR_ROWS = 64
 
 

@@ -17,10 +17,10 @@ values per axis and point, contracted with the coefficient tensor. At d = 1
 the kernel pieces are polynomials in r on [0, 1], so the sum over the nodes
 within reach of x splits into a left and a right sum, each a Taylor sum
 sum_q D_q(X - C) sum_i beta_i (C - V_i)^q about a centre C (X, V_i in units
-of the support radius, D_q = phi^(q) / q!). Every fit keeps prefix sums of
-those moments, and a point costs two binary searches and O(deg^2) flops, not
-O(m). Node sets that are not exactly a midpoint grid take the dense Cholesky
-path.
+of the support radius, D_q = phi^(q) / q!). Where long double is wider than
+double, every fit keeps prefix sums of those moments, and a point costs two
+binary searches and O(deg^2) flops, not O(m). Node sets that are not
+exactly a midpoint grid take the dense Cholesky path.
 
 The kernel span does not contain exact constants, so flat targets are fitted
 approximately; the achieved node residual is recorded on the result.
@@ -37,7 +37,6 @@ from math import ceil, comb
 from typing import Optional
 
 import numpy as np
-from scipy import linalg as sla
 
 from .kernels import _PHI_COEFFS, KernelSpec, _wendland_inplace, gram, kernel_cross, kernel_integral, row_blocks
 from .points import PointSet, midpoint_axis, midpoint_grid
@@ -63,6 +62,11 @@ _GRID_BLOCK_BYTES = 1 << 20
 # sums of far-node moments.
 _CENTRE_STEP = 0.25
 _CENTRE_REACH = 1.0 + _CENTRE_STEP / 2
+# The moment tables keep their accuracy because their prefix sums accumulate
+# in long double. Where long double is double (Windows and Apple silicon
+# builds, for example) those sums would round at every step, so d = 1 grids
+# are evaluated per axis there.
+_WIDE_LONG_DOUBLE = np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant
 # X - 1, X, X + 1: the left edge, the left/right split and the right edge of
 # a point's kernel window
 _WINDOW = np.array([-1.0, 0.0, 1.0])[:, None]
@@ -165,9 +169,9 @@ class Interpolant:
     """A fitted surrogate: nodes, coefficients, and its exact cube integral.
 
     ``grid_m`` is the grid side when the nodes are ``midpoint_grid(grid_m, d)``
-    (evaluation then runs from ``moments`` at d = 1, per axis otherwise) and
-    0 for any other node set. ``moments`` is derived from the nodes and
-    ``beta``.
+    (evaluation then runs from ``moments`` at d = 1 where long double is
+    wider than double, per axis otherwise) and 0 for any other node set.
+    ``moments`` is derived from the nodes and ``beta``.
     """
 
     spec: KernelSpec
@@ -190,7 +194,12 @@ class Interpolant:
         object.__setattr__(self, "beta", beta)
         # 4 / rho centres: a support under 1/16 of the node spacing would
         # take over 64 m of them, so such a surrogate is evaluated per axis
-        if self.grid_m and self.spec.dim == 1 and 16 * self.grid_m * self.spec.support_radius >= 1.0:
+        if (
+            _WIDE_LONG_DOUBLE
+            and self.grid_m
+            and self.spec.dim == 1
+            and 16 * self.grid_m * self.spec.support_radius >= 1.0
+        ):
             moments = _axis_moments(self.spec, self.nodes.points[:, 0], beta)
             object.__setattr__(self, "moments", moments)
 
@@ -317,12 +326,14 @@ def fit(spec: KernelSpec, nodes: PointSet, values, jitter: Optional[float] = Non
 
 def _dense_solve(spec: KernelSpec, nodes: PointSet, vals: np.ndarray, jitter: float):
     """(beta, bare-kernel node residual, solver note) from the assembled Gram."""
+    from scipy import linalg as sla  # only this path needs scipy
+
     g = gram(spec, nodes, jitter)
     note = None
     try:
         cho = sla.cho_factor(g, lower=True, check_finite=False)
         beta = sla.cho_solve(cho, vals, check_finite=False)
-    except sla.LinAlgError:
+    except np.linalg.LinAlgError:  # scipy.linalg.LinAlgError is this class
         cond = np.linalg.cond(g)
         note = f"cholesky failed (cond~{cond:.3e}); used least-squares fallback"
         warnings.warn(note, RuntimeWarning)
@@ -368,7 +379,10 @@ def _grid_values(interp: Interpolant, rows: np.ndarray, clip: bool = True) -> np
     support."""
     m, d = interp.grid_m, interp.spec.dim
     axis = _grid_axis(interp)
-    r = np.subtract(rows[:, :, None], axis)
+    # axis - rows, bitwise -(rows - axis), as in kernels.kernel_cross
+    r = np.empty((rows.shape[0], d, m))
+    r[...] = axis
+    r -= rows[:, :, None]
     np.abs(r, out=r)
     if interp.spec.support_radius != 1.0:  # r / 1.0 is r
         r /= interp.spec.support_radius

@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .directions import DEFAULT_DIRECTIONS, DirectionTable
 
@@ -330,8 +329,9 @@ def _index_lattice(values: np.ndarray, d: int) -> np.ndarray:
     return np.stack(np.meshgrid(*([values] * d), indexing="ij"), axis=-1).reshape(-1, d)
 
 
-def _fill_distance(tree: cKDTree, axis: np.ndarray, d: int) -> float:
-    """max over the grid axis^d of the distance to the nearest point in ``tree``.
+def _fill_distance(tree, axis: np.ndarray, d: int) -> float:
+    """max over the grid axis^d of the distance to the nearest point in
+    ``tree``, a ``scipy.spatial.cKDTree``.
 
     Branch and bound over cells of the grid: every grid point of a cell of
     side s (in grid steps) lies within its half diagonal of the cell centre,
@@ -362,8 +362,12 @@ def _fill_distance(tree: cKDTree, axis: np.ndarray, d: int) -> float:
             break
         side //= 2
         cells = (cells[:, None, :] + _index_lattice(np.array([0, side]), d)).reshape(-1, d)
-    # the side-1 cells left: every grid point of a side-2 cell
-    corners = np.unique((cells[:, None, :] + _index_lattice(np.arange(3), d)).reshape(-1, d), axis=0)
+    # the side-1 cells left: every grid point of a side-2 cell, deduplicated
+    # by flat grid index, whose sort order is the row order of the indices
+    corners = (cells[:, None, :] + _index_lattice(np.arange(3), d)).reshape(-1, d)
+    shape = (res + 1,) * d
+    flat = np.unique(np.ravel_multi_index(corners.T, shape))
+    corners = np.stack(np.unravel_index(flat, shape), axis=1)
     return float(np.max(nearest(corners), initial=best))
 
 
@@ -388,6 +392,8 @@ def geometry(ps: PointSet, fill_resolution: Optional[int] = None) -> GeometryMet
             f"fill grid of {res + 1}^{ps.dim} evaluation points exceeds the size guard; "
             "lower fill_resolution"
         )
+    from scipy.spatial import cKDTree  # only geometry needs scipy
+
     tree = cKDTree(ps.points)
     fill = _fill_distance(tree, np.linspace(0.0, 1.0, res + 1), ps.dim)
 

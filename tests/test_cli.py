@@ -1,11 +1,15 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cfqmc import gp
+from cfqmc import cli, gp
 from cfqmc.cli import main
 from cfqmc.points import read_points_csv
 
@@ -266,6 +270,20 @@ class TestGpCommand:
         )
         assert code == 0
         assert (out_dir / "predictions.csv").exists()
+
+
+class TestImports:
+    def test_cli_import_loads_no_scipy(self):
+        # only gp, geometry and the dense solve need scipy; they import it
+        # when called
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = "import sys, cfqmc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["[]"]
 
 
 class TestExitCodeContract:

@@ -349,6 +349,15 @@ class TestGridPath:
         # each node's kernel reaches no other node
         np.testing.assert_array_equal(evaluate(interp, grid.points), interp.beta)
 
+    @pytest.mark.parametrize("support", [1.0, 0.3])
+    def test_1d_without_wide_long_double_evaluates_per_axis(self, monkeypatch, support):
+        # where long double is double the moment tables would lose accuracy
+        monkeypatch.setattr(interpolate, "_WIDE_LONG_DOUBLE", False)
+        interp = fit(KernelSpec(2, 1, support), midpoint_grid(37, 1), np.sin(np.arange(37.0)))
+        assert interp.moments is None
+        pts = np.random.default_rng(7).random((200, 1))
+        np.testing.assert_array_equal(evaluate(interp, pts), interpolate._grid_values(interp, pts))
+
     def test_1d_evaluation_spans_memory_blocks(self, monkeypatch):
         interp = fit(KernelSpec(2, 1, 0.3), midpoint_grid(64, 1), np.sin(np.arange(64.0)))
         pts = np.random.default_rng(6).random((1000, 1))

@@ -1,5 +1,7 @@
 """Kernel closed forms validated against quadrature and recursion oracles."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
@@ -84,15 +86,44 @@ class TestUnivariateClosedForms:
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_inplace_core_matches_written_out_piece(self, k):
-        # the pieces as plain expressions: the in-place core must give the
-        # same floats. r > 1 occurs when the support radius is below 1.
+        # the pieces as plain expressions, powers as the core's products: the
+        # in-place core must give the same floats. r > 1 occurs when the
+        # support radius is below 1.
         rng = np.random.default_rng(k)
         r = np.concatenate([np.linspace(0.0, 1.5, 15001), rng.uniform(0.0, 1.5, 15000), [1.0 - 1e-16, 5e-324]])
         w = np.maximum(1.0 - r, 0.0)
-        reference = (w, w**3 * (3.0 * r + 1.0), w**5 * (8.0 * r**2 + 5.0 * r + 1.0))[k]
+        reference = (
+            w,
+            w * w * (w * (3.0 * r + 1.0)),
+            (w * w) * (w * w) * w * (8.0 * r * r + 5.0 * r + 1.0),
+        )[k]
         assert np.array_equal(_wendland_inplace(k, r.copy()), reference)
         assert np.array_equal(wendland_1d(k, r), reference)
         assert [wendland_1d(k, float(x)) for x in r[::1000]] == reference[::1000].tolist()
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_inplace_core_within_8_ulp_of_exact_piece(self, k):
+        # the factored piece in exact rational arithmetic at each float r
+        rng = np.random.default_rng(10 + k)
+        r = np.concatenate([
+            np.linspace(0.0, 1.0, 1001),
+            rng.uniform(0.0, 1.0, 3000),
+            rng.uniform(0.99, 1.0, 500),
+            rng.uniform(0.0, 1e-3, 500),
+            1.0 - np.logspace(-16, -1, 200),
+            [1.0 - 1e-16, 5e-324, 1.0, 1.5],
+        ])
+        values = _wendland_inplace(k, r.copy())
+        assert np.all((values >= 0.0) & (values <= 1.0))
+        for x, value in zip(r.tolist(), values.tolist()):
+            t = Fraction(x)
+            w = max(1 - t, Fraction(0))
+            exact = (w, w**3 * (3 * t + 1), w**5 * (8 * t * t + 5 * t + 1))[k]
+            if exact == 0:
+                assert value == 0.0
+            else:
+                ulp = Fraction(float(np.spacing(float(exact))))
+                assert abs(Fraction(value) - exact) <= 8 * ulp, (x, value)
 
     def test_k1_smooth_at_support_edge(self):
         # derivative from inside tends to 0 at r = 1

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
@@ -353,7 +354,7 @@ class TestGeometry:
                     queried.append(len(x))
                 return super().query(x, k=k, **kwargs)
 
-        monkeypatch.setattr(points, "cKDTree", CountingTree)
+        monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
         g = geometry(halton(1024, 4))
         assert g.fill_resolution == 32
         assert 0 < sum(queried) < 0.1 * 33**4
