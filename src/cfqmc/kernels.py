@@ -207,26 +207,10 @@ def kernel_double_integral(spec: KernelSpec) -> float:
     return axis**spec.dim
 
 
-def gram(spec: KernelSpec, nodes, jitter: float = 0.0) -> np.ndarray:
-    """Kernel matrix K(u^i, u^j) + jitter * I over a node set.
-
-    Positive semi-definite by construction; strictly positive definite for
-    distinct nodes with jitter > 0. Exact duplicate nodes with jitter = 0
-    are rejected as ill-conditioned (the system would be singular).
-    """
+def gram(spec: KernelSpec, nodes) -> np.ndarray:
+    """Kernel matrix K(u^i, u^j) over a node set; positive semi-definite by
+    construction."""
     pts = np.atleast_2d(_coords(nodes))
     if pts.shape[0] == 0:
         raise ValueError("gram of an empty node set is undefined")
-    if jitter < 0.0:
-        raise ValueError("jitter must be >= 0")
-    if jitter == 0.0:
-        unique = np.unique(pts, axis=0)
-        if unique.shape[0] < pts.shape[0]:
-            raise ValueError(
-                "duplicate nodes with jitter = 0 make the Gram matrix singular; "
-                "pass jitter > 0"
-            )
-    g = kernel_cross(spec, pts, pts)
-    if jitter:
-        g[np.diag_indices_from(g)] += jitter
-    return g
+    return kernel_cross(spec, pts, pts)

@@ -302,7 +302,22 @@ def midpoint_axis(m: int) -> np.ndarray:
     return (2.0 * np.arange(1, m + 1) - 1.0) / (2.0 * m)
 
 
-def midpoint_grid(m: int, d: int) -> PointSet:
+@dataclass(frozen=True)
+class MidpointGrid(PointSet):
+    """``midpoint_grid(side, dim)``: grid node (i_1, ..., i_d) sits at
+    row-major position (i_1, ..., i_d), and its coordinate j is the i_j-th
+    of the ``side`` axis midpoints. Shifting or folding it gives a plain
+    ``PointSet``."""
+
+    side: int
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.side < 1 or self.side**self.dim != len(self):
+            raise ValueError(f"{len(self)} points are not a {self.side}^{self.dim} grid")
+
+
+def midpoint_grid(m: int, d: int) -> MidpointGrid:
     """Cartesian grid of cell midpoints (2i-1)/(2m), i = 1..m, per axis.
 
     Points are strictly interior; in d = 1 the mesh ratio is exactly 1.
@@ -317,7 +332,7 @@ def midpoint_grid(m: int, d: int) -> PointSet:
     grids = np.meshgrid(*([midpoint_axis(m)] * d), indexing="ij")
     pts = np.stack([g.reshape(-1) for g in grids], axis=1)
     prov = Provenance(generator=f"midpoint-grid(m={m})", index_range=(0, total))
-    return PointSet(pts, d, prov)
+    return MidpointGrid(pts, d, prov, m)
 
 
 def default_fill_resolution(d: int) -> int:

@@ -306,7 +306,6 @@ class TestCellPoints:
         assert estimates == expected
         assert cf_results
         for _, interp in cf_results:
-            assert interp.grid_m
             assert interp.exact_integral == float(interp.beta @ kernel_integral(interp.spec, interp.nodes.points))
 
 

@@ -273,17 +273,30 @@ class TestGpCommand:
 
 
 class TestImports:
-    def test_cli_import_loads_no_scipy(self):
-        # only gp, geometry and the dense solve need scipy; they import it
-        # when called
+    # only gp and geometry need scipy; they import it when called
+
+    @staticmethod
+    def scipy_after(code):
+        """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        script = "import sys, cfqmc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        script = code + "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         result = subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["[]"]
+        return result.stdout.splitlines()[-1]
+
+    def test_cli_import_loads_no_scipy(self):
+        assert self.scipy_after("import cfqmc.cli") == "[]"
+
+    def test_cf_integrate_loads_no_scipy(self):
+        code = "\n".join(
+            f"assert main(['integrate', '--family', 'gaussian', '--dim', '{d}', '--method', 'QMC+CF', "
+            f"'--n', '64', '--seed', '1']) == 0"
+            for d in (1, 2)
+        )
+        assert self.scipy_after("from cfqmc.cli import main\n" + code) == "[]"
 
 
 class TestExitCodeContract:

@@ -18,15 +18,21 @@ from cfqmc.interpolate import (
     fit,
 )
 from cfqmc.kernels import KernelSpec, gram, kernel_cross, kernel_integral
-from cfqmc.points import PointSet, Provenance, midpoint_grid, uniform_random
+from cfqmc.points import PointSet, halton, midpoint_grid, random_shift, uniform_random
+
+# the d = 1 moment tables exist only where long double is wider than double
+NEEDS_WIDE_LONG_DOUBLE = pytest.mark.skipif(
+    not interpolate._WIDE_LONG_DOUBLE, reason="long double is double: no d = 1 moment tables"
+)
 
 
-# At d >= 2 every blocking of a stack gives the floats of one block over it:
-# the cache-sized blocks, blocks bounded by kernels.BLOCK_BYTES, and 8-row
-# blocks with a one-row tail. A lone row takes BLAS's vector path, so a point
-# evaluated on its own agrees to rounding, not bitwise. At d = 1 the whole
-# stack, both parts of every split of it and each point on its own give the
-# same floats. Prints the failures.
+# Per-axis evaluation (d >= 2, and d = 1 where long double is double): every
+# blocking of a stack gives the floats of one block over it: the cache-sized
+# blocks, blocks bounded by kernels.BLOCK_BYTES, and 8-row blocks with a
+# one-row tail. A lone row takes BLAS's vector path, so a point evaluated on
+# its own agrees to rounding, not bitwise. Moment-table evaluation (d = 1
+# where long double is wider): the whole stack, both parts of every split of
+# it and each point on its own give the same floats. Prints the failures.
 BLOCKING_CHECK = """
 import numpy as np
 from cfqmc import interpolate
@@ -43,7 +49,7 @@ for k in (0, 1, 2):
             rng = np.random.default_rng(10 * k + d)
             interp = fit(KernelSpec(k, d, support), midpoint_grid(m, d), rng.normal(size=m**d))
             pts = rng.random((1001, d))
-            if d == 1:
+            if d == 1 and interpolate._WIDE_LONG_DOUBLE:
                 whole = evaluate(interp, pts)
                 for split in range(1, len(pts)):
                     parts = (evaluate(interp, pts[:split]), evaluate(interp, pts[split:]))
@@ -70,19 +76,19 @@ print(failed)
 """
 
 
-# d = 1 grid surrogates evaluate without BLAS, so an Interpolant built from a
-# fixed beta gives the same bytes under any BLAS thread count. Two BLAS
-# threads round a row of a large block by where their halves start, so the
-# stack is evaluated in cache-sized blocks and in one block. Prints a digest.
+# d = 1 surrogates with moment tables evaluate without BLAS, so an
+# Interpolant built from a fixed beta gives the same bytes under any BLAS
+# thread count. Two BLAS threads round a row of a large block by where their
+# halves start, so the stack is evaluated in cache-sized blocks and in one
+# block. Prints the values in units of sum|beta|, as hex bytes.
 THREAD_CHECK = """
-import hashlib
 import numpy as np
 from cfqmc import interpolate
 from cfqmc.interpolate import Interpolant, evaluate
 from cfqmc.kernels import KernelSpec
 from cfqmc.points import midpoint_grid
 
-digest = hashlib.sha256()
+out = []
 cache_sized = interpolate._GRID_BLOCK_BYTES
 for k in (0, 1, 2):
     for support in (1.0, 0.3):
@@ -90,13 +96,13 @@ for k in (0, 1, 2):
         rng = np.random.default_rng(k)
         interp = Interpolant(
             KernelSpec(k, 1, support), midpoint_grid(m, 1), rng.normal(size=m),
-            exact_integral=0.0, jitter=0.0, residual_norm=0.0, grid_m=m,
+            exact_integral=0.0, jitter=0.0, residual_norm=0.0,
         )
         pts = rng.random((1001, 1))
         for block_bytes in (cache_sized, 1 << 30):
             interpolate._GRID_BLOCK_BYTES = block_bytes
-            digest.update(evaluate(interp, pts).tobytes())
-print(digest.hexdigest())
+            out.append(evaluate(interp, pts) / np.sum(np.abs(interp.beta)))
+print(np.concatenate(out).tobytes().hex())
 """
 
 
@@ -112,15 +118,19 @@ def run_check(script, threads):
     return result.stdout
 
 
-def node_set(coords):
-    arr = np.atleast_2d(np.asarray(coords, dtype=np.float64))
-    return PointSet(arr, arr.shape[1], Provenance("test"))
+def dense_fit(spec, grid, values, jitter):
+    """The reference solve of (G + jitter I) beta = values on the assembled
+    Gram: (beta, exact integral, bare-kernel node residual)."""
+    g = gram(spec, grid)
+    beta = np.linalg.solve(g + jitter * np.eye(len(grid)), values)
+    integral = float(beta @ kernel_integral(spec, grid.points))
+    return beta, integral, float(np.max(np.abs(g @ beta - values)))
 
 
 class TestFitBasics:
     def test_single_node_constant_column(self):
         spec = KernelSpec(0, 1)
-        interp = fit(spec, node_set([[0.5]]), [2.5], jitter=0.0)
+        interp = fit(spec, midpoint_grid(1, 1), [2.5], jitter=0.0)
         np.testing.assert_allclose(interp.beta, [2.5])
         assert interp.exact_integral == pytest.approx(2.5 * 0.75)
         assert evaluate(interp, np.array([0.75])) == pytest.approx(2.5 * 0.75)
@@ -147,11 +157,6 @@ class TestFitBasics:
     def test_default_jitter_scales_with_nodes(self):
         assert default_jitter(100) == pytest.approx(1e-8)
 
-    def test_duplicated_nodes_fit_with_jitter(self):
-        nodes = node_set([[0.3], [0.3], [0.7]])
-        interp = fit(KernelSpec(1, 1), nodes, [1.0, 1.0, 2.0], jitter=1e-8)
-        assert np.all(np.isfinite(interp.beta))
-
 
 class TestInterpolationExactness:
     @pytest.mark.parametrize("d,m", [(1, 256), (2, 16), (3, 6)])
@@ -173,13 +178,13 @@ class TestInterpolationExactness:
 
     def test_evaluate_far_from_nodes_is_zero(self):
         spec = KernelSpec(1, 1, 0.2)
-        interp = fit(spec, node_set([[0.1]]), [3.0], jitter=0.0)
+        interp = fit(spec, midpoint_grid(1, 1), [3.0], jitter=0.0)
         assert evaluate(interp, np.array([0.9])) == 0.0
 
     def test_evaluate_hand_value(self):
         interp = Interpolant(
             spec=KernelSpec(0, 1),
-            nodes=node_set([[0.5]]),
+            nodes=midpoint_grid(1, 1),
             beta=np.array([1.0]),
             exact_integral=0.75,
             jitter=0.0,
@@ -238,7 +243,7 @@ class TestNormMinimality:
         nodes = midpoint_grid(96, 1)
         values = np.sin(4.0 * nodes.points[:, 0])
         interp = fit(spec, nodes, values)
-        g = gram(spec, nodes, 0.0)
+        g = gram(spec, nodes)
         base_form = float(interp.beta @ g @ interp.beta)
         eigvals, eigvecs = np.linalg.eigh(g)
         beta_norm = np.linalg.norm(interp.beta)
@@ -279,33 +284,10 @@ class TestControlFunctional:
         assert abs(psi.mean()) <= 3 * se
 
 
-class TestSolverFallback:
-    def test_pathological_system_warns_and_survives(self):
-        # near-coincident nodes with zero jitter force the factorization path
-        nodes = node_set([[0.5], [0.5 + 1e-16], [0.9]])
-        with pytest.warns(RuntimeWarning):
-            interp = fit(KernelSpec(2, 1), nodes, [1.0, 1.0, 2.0], jitter=0.0)
-        assert interp.solver_note is not None
-        assert np.all(np.isfinite(interp.beta))
-
-    def test_nonpositive_grid_spectrum_takes_dense_fallback(self):
-        # the k = 2 axis Gram on 1400 midpoints is numerically singular: its
-        # computed smallest eigenvalue is below zero (the value depends on the
-        # BLAS), so the zero-jitter grid fit leaves the spectral path for the
-        # dense Cholesky, which fails over to least squares
-        spec = KernelSpec(2, 1)
-        nodes = midpoint_grid(1400, 1)
-        with pytest.warns(RuntimeWarning, match="cholesky failed"):
-            interp = fit(spec, nodes, np.sin(4.0 * nodes.points[:, 0]), jitter=0.0)
-        assert interp.grid_m == 0
-        assert interp.solver_note.startswith("cholesky failed")
-        assert np.all(np.isfinite(interp.beta))
-
-
 class TestGridPath:
     """Midpoint-grid fits solve through the cached eigenpairs of the axis Gram
-    and evaluate per axis; the same nodes in another order take the dense
-    Cholesky path and must give the same surrogate."""
+    and evaluate per axis or from moment tables; they must give the surrogate
+    of the assembled Gram solved directly."""
 
     @pytest.mark.parametrize("jitter", [None, 0.0])
     @pytest.mark.parametrize("support", [1.0, 0.7])
@@ -316,30 +298,29 @@ class TestGridPath:
         grid = midpoint_grid(m, d)
         rng = np.random.default_rng(100 * k + 10 * d + m)
         values = np.sin(grid.points @ rng.uniform(1.0, 4.0, size=d)) + grid.points[:, 0] ** 2
-        perm = rng.permutation(len(grid))
         fast = fit(spec, grid, values, jitter)
-        dense = fit(spec, node_set(grid.points[perm]), values[perm], jitter)
-        assert fast.grid_m == m and dense.grid_m == 0
-        assert fast.jitter == dense.jitter
-        assert fast.exact_integral == pytest.approx(dense.exact_integral, abs=1e-10)
-        assert fast.residual_norm == pytest.approx(dense.residual_norm, abs=1e-10)
+        assert fast.jitter == (default_jitter(len(grid)) if jitter is None else jitter)
+        beta, integral, residual = dense_fit(spec, grid, values, fast.jitter)
+        assert fast.exact_integral == pytest.approx(integral, abs=1e-10)
+        assert fast.residual_norm == pytest.approx(residual, abs=1e-10)
         stack = np.vstack([rng.random((200, d)), grid.points, np.zeros((1, d)), np.ones((1, d))])
-        np.testing.assert_allclose(evaluate(fast, stack), evaluate(dense, stack), rtol=0.0, atol=1e-10)
-        for p in stack[::37]:
-            assert evaluate(fast, p) == pytest.approx(evaluate(dense, p), abs=1e-10)
+        dense = kernel_cross(spec, stack, grid.points) @ beta
+        np.testing.assert_allclose(evaluate(fast, stack), dense, rtol=0.0, atol=1e-10)
+        for p, want in zip(stack[::37], dense[::37]):
+            assert evaluate(fast, p) == pytest.approx(want, abs=1e-10)
 
     def test_grid_evaluation_spans_blocks(self, monkeypatch):
         spec = KernelSpec(1, 2)
         grid = midpoint_grid(5, 2)
         values = np.cos(3.0 * grid.points[:, 1]) * grid.points[:, 0]
         fast = fit(spec, grid, values)
-        dense = fit(spec, node_set(grid.points[::-1]), values[::-1])
+        beta, _, _ = dense_fit(spec, grid, values, fast.jitter)
         pts = np.random.default_rng(3).random((1000, 2))
         whole = evaluate(fast, pts)
         # rows are 4 * d * m = 40 floats wide: eight rows per block
         monkeypatch.setattr(interpolate, "_GRID_BLOCK_BYTES", 8 * 40 * 8)
         np.testing.assert_array_equal(evaluate(fast, pts), whole)
-        np.testing.assert_allclose(evaluate(dense, pts), whole, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(kernel_cross(spec, pts, grid.points) @ beta, whole, rtol=0.0, atol=1e-10)
 
     def test_1d_support_under_node_spacing_evaluates_per_axis(self):
         # 4 / rho centres would take 50 MB of tables for 16 nodes
@@ -358,6 +339,7 @@ class TestGridPath:
         pts = np.random.default_rng(7).random((200, 1))
         np.testing.assert_array_equal(evaluate(interp, pts), interpolate._grid_values(interp, pts))
 
+    @NEEDS_WIDE_LONG_DOUBLE
     def test_1d_evaluation_spans_memory_blocks(self, monkeypatch):
         interp = fit(KernelSpec(2, 1, 0.3), midpoint_grid(64, 1), np.sin(np.arange(64.0)))
         pts = np.random.default_rng(6).random((1000, 1))
@@ -373,8 +355,13 @@ class TestGridPath:
         assert run_check(BLOCKING_CHECK, "1").split() == ["[]"]
 
     def test_1d_values_independent_of_blas_threads(self):
-        assert run_check(THREAD_CHECK, "1") == run_check(THREAD_CHECK, "2")
+        one, two = (np.frombuffer(bytes.fromhex(run_check(THREAD_CHECK, t))) for t in "12")
+        if interpolate._WIDE_LONG_DOUBLE:
+            assert np.array_equal(one, two)
+        else:  # evaluated per axis, through BLAS: equal to rounding
+            np.testing.assert_allclose(one, two, rtol=0.0, atol=1e-14)
 
+    @NEEDS_WIDE_LONG_DOUBLE
     @pytest.mark.parametrize("support", [1.0, 0.7, 0.3, 0.1])
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_1d_moments_match_direct_sum(self, k, support):
@@ -387,8 +374,7 @@ class TestGridPath:
         for m in (1, 2, 37, 1024, 2048):
             grid = midpoint_grid(m, 1)
             interp = Interpolant(
-                spec, grid, rng.normal(size=m),
-                exact_integral=0.0, jitter=0.0, residual_norm=0.0, grid_m=m,
+                spec, grid, rng.normal(size=m), exact_integral=0.0, jitter=0.0, residual_norm=0.0
             )
             assert interp.moments is not None
             u = grid.points[:, 0]
@@ -420,16 +406,37 @@ class TestGridPath:
         fit(KernelSpec(1, 1, 0.5), midpoint_grid(7, 1), rng.normal(size=7))
         assert len(calls) == 2
 
-    def test_scattered_and_permuted_nodes_take_dense_path(self):
+    def test_non_grid_node_sets_rejected(self):
+        # the type decides, not the coordinates: an unshifted copy of the
+        # grid is a plain PointSet too
         spec = KernelSpec(1, 2)
         grid = midpoint_grid(4, 2)
         values = np.arange(16.0)
-        assert fit(spec, grid, values).grid_m == 4
-        swapped = grid.points[:, ::-1]  # the same node set, rows in another order
-        assert fit(spec, node_set(swapped), values).grid_m == 0
-        shifted = np.clip(grid.points + 1e-12, 0.0, 1.0)
-        assert fit(spec, node_set(shifted), values).grid_m == 0
-        assert fit(spec, uniform_random(16, 2, seed=0), values).grid_m == 0
+        swapped = PointSet(grid.points[:, ::-1], 2, grid.provenance)  # rows in another order
+        for nodes in (random_shift(grid, [1e-3, 0.0]), random_shift(grid, [0.0, 0.0]), swapped, halton(16, 2)):
+            with pytest.raises(TypeError, match="MidpointGrid"):
+                fit(spec, nodes, values)
+            with pytest.raises(TypeError, match="MidpointGrid"):
+                Interpolant(spec, nodes, values, exact_integral=0.0, jitter=0.0, residual_norm=0.0)
+
+    def test_node_dimension_checked(self):
+        # a grid of another dimension would reshape into the wrong tensor
+        for spec, grid in ((KernelSpec(1, 2), midpoint_grid(4, 1)), (KernelSpec(1, 1), midpoint_grid(4, 2))):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                fit(spec, grid, np.ones(len(grid)))
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                Interpolant(spec, grid, np.ones(len(grid)), exact_integral=0.0, jitter=0.0, residual_norm=0.0)
+
+    def test_nonpositive_grid_spectrum_raises(self):
+        # the k = 2 axis Gram on 1400 midpoints is numerically singular: its
+        # computed smallest eigenvalue is below zero (the value depends on the
+        # BLAS), so a zero jitter leaves no positive shifted spectrum
+        spec = KernelSpec(2, 1)
+        nodes = midpoint_grid(1400, 1)
+        values = np.sin(4.0 * nodes.points[:, 0])
+        with pytest.raises(ValueError, match="jitter 0 .*smallest shifted eigenvalue"):
+            fit(spec, nodes, values, jitter=0.0)
+        assert np.all(np.isfinite(fit(spec, nodes, values).beta))
 
     def test_dimension_mismatch_rejected(self):
         interp = fit(KernelSpec(1, 2), midpoint_grid(3, 2), np.ones(9))

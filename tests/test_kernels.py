@@ -304,20 +304,13 @@ class TestDoubleIntegral:
 
 class TestGram:
     def test_single_node(self):
-        g = gram(KernelSpec(1, 1), node_set([[0.5]]), jitter=0.25)
-        np.testing.assert_allclose(g, [[1.25]])
+        g = gram(KernelSpec(1, 1), node_set([[0.5]]))
+        np.testing.assert_allclose(g, [[1.0]])
 
     def test_far_nodes_give_identity(self):
         spec = KernelSpec(0, 1, 0.25)
-        g = gram(spec, node_set([[0.1], [0.5], [0.9]]), jitter=0.5)
-        np.testing.assert_allclose(g, 1.5 * np.eye(3))
-
-    def test_smallest_eigenvalue_at_least_jitter(self):
-        rng = np.random.default_rng(3)
-        for trial in range(5):
-            nodes = node_set(rng.random((20, 2)))
-            g = gram(KernelSpec(1, 2), nodes, jitter=1e-6)
-            assert np.linalg.eigvalsh(g).min() >= 1e-6 - 1e-12
+        g = gram(spec, node_set([[0.1], [0.5], [0.9]]))
+        np.testing.assert_allclose(g, np.eye(3))
 
     def test_positive_semidefinite_over_random_sets(self):
         rng = np.random.default_rng(12)
@@ -326,16 +319,8 @@ class TestGram:
             m = int(rng.integers(2, 41))
             k = int(rng.integers(0, 3))
             nodes = node_set(rng.random((m, d)))
-            g = gram(KernelSpec(k, d), nodes, jitter=0.0)
+            g = gram(KernelSpec(k, d), nodes)
             assert np.linalg.eigvalsh(g).min() >= -1e-10
-
-    def test_duplicates_without_jitter_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            gram(KernelSpec(0, 1), node_set([[0.5], [0.5]]), jitter=0.0)
-
-    def test_duplicates_with_jitter_allowed(self):
-        g = gram(KernelSpec(0, 1), node_set([[0.5], [0.5]]), jitter=1e-8)
-        assert g.shape == (2, 2)
 
 
 class TestKernelSpecValidation:

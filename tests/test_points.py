@@ -15,6 +15,7 @@ from scipy.stats import kstest
 from cfqmc import points
 from cfqmc.directions import DEFAULT_DIRECTIONS, parse_direction_lines
 from cfqmc.points import (
+    MidpointGrid,
     PointSet,
     Provenance,
     baker_fold,
@@ -273,6 +274,15 @@ class TestMidpointGrid:
     def test_overflow_guard(self):
         with pytest.raises(ValueError, match="guard"):
             midpoint_grid(10_000, 3)
+
+    def test_side_matches_point_count(self):
+        grid = midpoint_grid(3, 2)
+        assert isinstance(grid, MidpointGrid) and grid.side == 3
+        with pytest.raises(ValueError, match="not a 2\\^2 grid"):
+            MidpointGrid(grid.points, 2, grid.provenance, 2)
+        # a transformed grid is a plain point set
+        for ps in (random_shift(grid, [0.0, 0.0]), baker_fold(grid)):
+            assert not isinstance(ps, MidpointGrid)
 
 
 class TestGeometry:
