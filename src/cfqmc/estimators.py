@@ -17,11 +17,11 @@ import math
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .interpolate import Interpolant, evaluate, fit
+from .interpolate import Interpolant, _check_nodes, evaluate, fit
 from .kernels import BLOCK_BYTES, KernelSpec, kernel_cross, kernel_double_integral, kernel_integral, row_blocks
 from .points import MidpointGrid, PointSet
 
@@ -79,22 +79,20 @@ def qmc_estimate(f: Integrand, ps: PointSet) -> float:
 
 
 def cf_estimate(
-    f: Integrand,
-    nodes: MidpointGrid,
-    eval_points: PointSet,
-    spec: KernelSpec,
-    jitter: Optional[float] = None,
+    f: Integrand, nodes: MidpointGrid, eval_points: PointSet, spec: KernelSpec
 ) -> tuple[float, Interpolant]:
     """Surrogate-corrected estimate: I[f_M] + mean over eval_points of (f - f_M),
-    with f_M fitted on the midpoint grid ``nodes``.
+    with f_M fitted on the midpoint grid ``nodes`` (see ``interpolate.fit``).
 
     Consumes len(nodes) + len(eval_points) integrand evaluations. Node and
-    evaluation roles may overlap, but overlapping wastes budget.
+    evaluation roles may overlap, but overlapping wastes budget. Nodes that
+    ``fit`` would reject raise before any evaluation is counted.
     """
+    _check_nodes(spec, nodes)
     if nodes.dim != f.dim or eval_points.dim != f.dim:
         raise ValueError("dimension mismatch between integrand and point sets")
     node_values = f.eval_batch(nodes)
-    interp = fit(spec, nodes, node_values, jitter)
+    interp = fit(spec, nodes, node_values)
     f_vals = f.eval_batch(eval_points)
     surrogate_vals = evaluate(interp, eval_points.points)
     estimate = interp.exact_integral + float(np.mean(f_vals - surrogate_vals))

@@ -11,7 +11,10 @@ Kronecker power of one m x m axis Gram, G = G_1 (x) ... (x) G_1. Its
 eigenpairs G_1 = U diag(s) U^T and the axis node integrals depend only on
 (k, support radius, m), so they are computed once, kept in a small cache,
 and every grid fit solves
-(G + jitter I) beta = y as U^(x)d diag(1 / (s^(x)d + jitter)) U^(x)d,T y.
+(G + lambda I) beta = y as U^(x)d diag(1 / (s^(x)d + lambda)) U^(x)d,T y.
+The nugget lambda = max(0, -min s^(x)d) + 16 eps max s^(x)d is the smallest
+shift that keeps that spectrum positive with a relative margin, so the
+solve is as close to exact interpolation as the computed spectrum allows.
 At d >= 2 grid surrogates are evaluated per axis: one m-vector of kernel
 values per axis and point, contracted with the coefficient tensor. At d = 1
 the kernel pieces are polynomials in r on [0, 1], so the sum over the nodes
@@ -40,8 +43,6 @@ import numpy as np
 # kernel_cross is unused here, but the benchmark's tracer patches it by name
 from .kernels import _PHI_COEFFS, KernelSpec, _wendland_inplace, gram, kernel_cross, kernel_integral, row_blocks
 from .points import MidpointGrid, midpoint_grid
-
-DEFAULT_JITTER_PER_NODE = 1e-10
 
 # Bound on the eigenvector bytes the grid factor cache keeps (the newest
 # factor is always kept).
@@ -169,6 +170,7 @@ class Interpolant:
     """A fitted surrogate: grid nodes, coefficients, and its exact cube
     integral.
 
+    ``jitter`` is the nugget the solve added to the Gram's diagonal.
     Evaluation runs from ``moments`` at d = 1 where long double is wider than
     double, per axis otherwise. ``moments`` is derived from the nodes and
     ``beta``.
@@ -198,13 +200,6 @@ class Interpolant:
         if _WIDE_LONG_DOUBLE and self.spec.dim == 1 and 16 * side * self.spec.support_radius >= 1.0:
             moments = _axis_moments(self.spec, self.nodes.points[:, 0], beta)
             object.__setattr__(self, "moments", moments)
-
-
-def default_jitter(n_nodes: int) -> float:
-    """Scaled nugget 1e-10 * M: keeps ~8-digit interpolation while keeping
-    the shifted grid spectrum positive on fine grids, where the smallest
-    computed eigenvalues of the bare Gram round to zero or below."""
-    return DEFAULT_JITTER_PER_NODE * n_nodes
 
 
 def _check_nodes(spec: KernelSpec, nodes) -> None:
@@ -250,41 +245,35 @@ def _kron_apply(mat: np.ndarray, t: np.ndarray, d: int) -> np.ndarray:
     return t.reshape(-1)
 
 
-def _grid_solve(factor: _GridFactor, d: int, vals: np.ndarray, jitter: float):
-    """(beta, bare-kernel node residual) of the Kronecker system."""
+def _grid_solve(factor: _GridFactor, d: int, vals: np.ndarray):
+    """(beta, nugget, bare-kernel node residual) of the Kronecker system. On
+    fine grids the smallest computed eigenvalues round to zero or below, and
+    the nugget lifts them to 16 eps of the largest."""
     spectrum = reduce(np.multiply.outer, [factor.values] * d).reshape(-1)
-    shifted = spectrum + jitter
-    if not np.all(shifted > 0.0):
-        raise ValueError(
-            f"jitter {jitter:g} leaves the grid system singular: "
-            f"smallest shifted eigenvalue {np.min(shifted):.3e}"
-        )
-    coeffs = _kron_apply(factor.vectors.T, vals, d) / shifted
+    nugget = max(0.0, -float(spectrum.min())) + 16.0 * np.finfo(np.float64).eps * float(spectrum.max())
+    coeffs = _kron_apply(factor.vectors.T, vals, d) / (spectrum + nugget)
     beta = _kron_apply(factor.vectors, coeffs, d)
     fitted = _kron_apply(factor.vectors, spectrum * coeffs, d)
-    return beta, float(np.max(np.abs(fitted - vals)))
+    return beta, nugget, float(np.max(np.abs(fitted - vals)))
 
 
-def fit(spec: KernelSpec, nodes: MidpointGrid, values, jitter: Optional[float] = None) -> Interpolant:
-    """Solve (G + jitter I) beta = values on a midpoint grid and attach the
+def fit(spec: KernelSpec, nodes: MidpointGrid, values) -> Interpolant:
+    """Solve (G + nugget I) beta = values on a midpoint grid and attach the
     closed-form integral.
 
-    The system is solved through the cached eigenpairs of the axis Gram.
-    Raises TypeError for nodes that are not a ``MidpointGrid`` and
-    ValueError when their dimension is not ``spec.dim`` or when a
-    caller-chosen jitter leaves the shifted spectrum not positive.
+    The system is solved through the cached eigenpairs of the axis Gram, and
+    the nugget is chosen from their spectrum (``_grid_solve``); it is
+    recorded as ``Interpolant.jitter``. Raises TypeError for nodes that are
+    not a ``MidpointGrid`` and ValueError when their dimension is not
+    ``spec.dim`` or the value count is not the node count.
     """
     _check_nodes(spec, nodes)
     vals = np.asarray(values, dtype=np.float64).reshape(-1)
     if vals.shape[0] != len(nodes):
         raise ValueError(f"{vals.shape[0]} values for {len(nodes)} nodes")
-    if jitter is None:
-        jitter = default_jitter(len(nodes))
-    if jitter < 0.0:
-        raise ValueError("jitter must be >= 0")
 
     factor = _grid_factor(spec, nodes.side)
-    beta, residual = _grid_solve(factor, spec.dim, vals, jitter)
+    beta, nugget, residual = _grid_solve(factor, spec.dim, vals)
     # the product a[i_1] * ... * a[i_d] in kernel_integral's order, so the
     # node integrals are bitwise the same
     node_integrals = reduce(np.multiply.outer, [factor.integrals] * spec.dim).reshape(-1)
@@ -294,7 +283,7 @@ def fit(spec: KernelSpec, nodes: MidpointGrid, values, jitter: Optional[float] =
         nodes=nodes,
         beta=beta,
         exact_integral=exact,
-        jitter=jitter,
+        jitter=nugget,
         residual_norm=residual,
     )
 

@@ -95,7 +95,7 @@ class TestCorrectedEstimate:
         f = Integrand(2, lambda x: kernel_cross(spec, x, nodes.points) @ beta)
         true_integral = float(beta @ kernel_integral(spec, nodes.points))
         eval_pts = random_shift(halton(64, 2, scramble=True), [0.3, 0.7])
-        est, interp = cf_estimate(f, nodes, eval_pts, spec, jitter=0.0)
+        est, interp = cf_estimate(f, nodes, eval_pts, spec)
         assert abs(est - true_integral) <= 1e-8 * (1.0 + abs(true_integral))
         assert f.eval_count == len(nodes) + len(eval_pts)
 
@@ -132,6 +132,14 @@ class TestCorrectedEstimate:
         assert len(interp.beta) == 8
         assert f.eval_count == 24
 
+    def test_non_grid_nodes_rejected_before_evaluation(self):
+        # a shifted grid is a plain PointSet: rejected with nothing charged
+        f = Integrand(2, lambda x: x[:, 0])
+        nodes = random_shift(midpoint_grid(4, 2), [0.1, 0.2])
+        with pytest.raises(TypeError, match="MidpointGrid"):
+            cf_estimate(f, nodes, halton(16, 2), KernelSpec(1, 2))
+        assert f.eval_count == 0
+
 
 class TestFoldedEstimate:
     def test_exact_on_span_with_zero_shift(self):
@@ -141,7 +149,7 @@ class TestFoldedEstimate:
         f = Integrand(1, lambda x: kernel_cross(spec, x, nodes.points) @ beta)
         truth = float(beta @ kernel_integral(spec, nodes.points))
         folded = baker_fold(random_shift(lattice(64, 1, (1,)), [0.0]))
-        est, _ = cf_estimate(f, nodes, folded, spec, jitter=0.0)
+        est, _ = cf_estimate(f, nodes, folded, spec)
         assert abs(est - truth) <= 1e-8 * (1.0 + abs(truth))
 
     def test_folding_beats_plain_shifted_lattice(self):
