@@ -12,6 +12,10 @@ eigenpairs G_1 = U diag(s) U^T and the axis node integrals depend only on
 (k, support radius, m), so they are computed once, kept in a small cache,
 and every grid fit solves
 (G + lambda I) beta = y as U^(x)d diag(1 / (s^(x)d + lambda)) U^(x)d,T y.
+G_1 is symmetric Toeplitz on the equally spaced midpoints, hence
+persymmetric, so its eigenpairs come from one m x m Gram and two
+eigenproblems of order ceil(m/2) and floor(m/2); they factor the Gram's
+persymmetric part, which equals the float Gram only to rounding.
 The nugget lambda = max(0, -min s^(x)d) + 16 eps max s^(x)d is the smallest
 shift that keeps that spectrum positive with a relative margin, so the
 solve is as close to exact interpolation as the computed spectrum allows.
@@ -94,9 +98,9 @@ _TAYLOR = {k: _taylor_table(k) for k in _PHI_COEFFS}
 
 @dataclass(frozen=True)
 class _GridFactor:
-    """Eigenpairs of the axis Gram on m midpoints, G_1 = U diag(s) U^T, and
-    the m axis node integrals a, whose d-fold outer product holds the cube
-    integrals of the grid nodes' kernels."""
+    """Eigenpairs of the axis Gram on m midpoints, G_1 = U diag(s) U^T (s
+    unsorted), and the m axis node integrals a, whose d-fold outer product
+    holds the cube integrals of the grid nodes' kernels."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -209,6 +213,49 @@ def _check_nodes(spec: KernelSpec, nodes) -> None:
         raise ValueError(f"dimension mismatch: spec.dim={spec.dim}, nodes are {nodes.dim}-d")
 
 
+def _persymmetric_eigh(axis_spec: KernelSpec, axis_nodes: MidpointGrid):
+    """Eigenpairs (values, C-ordered vectors) of the axis Gram G on m
+    midpoints, from two eigenproblems of half its order.
+
+    The midpoints are equally spaced, so G is symmetric Toeplitz and
+    persymmetric, J G J = G with J the reversal. With h = m // 2, T = G[:h, :h]
+    and F = G[:h, m-h:] J, each eigenvector is symmetric,
+    [v; sqrt 2 v_mid; J v] / sqrt 2 with [v; v_mid] an eigenvector of T + F
+    (bordered at odd m by sqrt 2 times G's middle column and G[h, h]), or
+    skew, [w; 0; -J w] / sqrt 2 with w an eigenvector of T - F (Cantoni and
+    Butler, 1976). This factors the persymmetric part of G, which equals the
+    float Gram only to rounding. G is dropped before the eigensolves: at
+    m = 2048 a cold factor raised the peak RSS by 75 MB, against 164 MB for
+    one eigh of G. The eigenvalues are not sorted.
+    """
+    g = gram(axis_spec, axis_nodes)
+    m = len(g)
+    h = m // 2
+    n_sym = m - h
+    top, flip = g[:h, :h], g[:h, n_sym:][:, ::-1]
+    skew = top - flip
+    sym = np.empty((n_sym, n_sym))
+    np.add(top, flip, out=sym[:h, :h])
+    if m % 2:
+        sym[h, :h] = sym[:h, h] = np.sqrt(2.0) * g[:h, h]
+        sym[h, h] = g[h, h]
+    del g, top, flip
+    sym_values, sym_vectors = np.linalg.eigh(sym)
+    del sym
+    skew_values, skew_vectors = np.linalg.eigh(skew)
+    del skew
+    half = np.sqrt(0.5)
+    vectors = np.empty((m, m))
+    np.multiply(sym_vectors[:h], half, out=vectors[:h, :n_sym])
+    np.multiply(skew_vectors, half, out=vectors[:h, n_sym:])
+    vectors[n_sym:, :n_sym] = vectors[:h][::-1, :n_sym]
+    np.negative(vectors[:h][::-1, n_sym:], out=vectors[n_sym:, n_sym:])
+    if m % 2:
+        vectors[h, :n_sym] = sym_vectors[h]
+        vectors[h, n_sym:] = 0.0
+    return np.concatenate([sym_values, skew_values]), vectors
+
+
 def _grid_factor(spec: KernelSpec, m: int) -> _GridFactor:
     """The cached eigenpairs of the axis Gram for (k, support radius, m)."""
     key = (spec.k, spec.support_radius, m)
@@ -219,7 +266,7 @@ def _grid_factor(spec: KernelSpec, m: int) -> _GridFactor:
             return factor
     axis_spec = KernelSpec(spec.k, 1, spec.support_radius)
     axis_nodes = midpoint_grid(m, 1)
-    values, vectors = np.linalg.eigh(gram(axis_spec, axis_nodes))
+    values, vectors = _persymmetric_eigh(axis_spec, axis_nodes)
     factor = _GridFactor(values, vectors, kernel_integral(axis_spec, axis_nodes.points))
     with _FACTORS_LOCK:
         _FACTORS[key] = factor

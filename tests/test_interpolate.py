@@ -405,6 +405,46 @@ class TestGridPath:
         fit(KernelSpec(1, 1, 0.5), midpoint_grid(7, 1), rng.normal(size=7))
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("support", [1.0, 0.3])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_persymmetric_eigh_factors_gram(self, k, support):
+        # against the assembled Gram: reconstruction read at most 2.1e-13 of
+        # max|G| (np.linalg.eigh of G: 2.2e-13) and the eigenvalues at most
+        # 0.61 m eps max|s| from np.linalg.eigvalsh
+        eps = np.finfo(np.float64).eps
+        spec = KernelSpec(k, 1, support)
+        for m in (1, 2, 3, 8, 31, 64, 1024):
+            grid = midpoint_grid(m, 1)
+            g = gram(spec, grid)
+            values, vectors = interpolate._persymmetric_eigh(spec, grid)
+            assert values.shape == (m,) and vectors.shape == (m, m) and vectors.flags.c_contiguous
+            scale = np.max(np.abs(g))
+            assert np.max(np.abs((vectors * values) @ vectors.T - g)) <= 1e-12 * scale, m
+            assert np.max(np.abs(vectors.T @ vectors - np.eye(m))) <= 1e-12, m
+            spread = np.max(np.abs(np.sort(values) - np.linalg.eigvalsh(g)))
+            assert spread <= 2.0 * m * eps * np.max(np.abs(values)), m
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    def test_cold_factor_memory_bounded(self):
+        # the eigenvectors of a 2048-node axis take 32 MiB. One eigh of the
+        # whole Gram holds the Gram, LAPACK's copy and workspace and the
+        # eigenvectors at once and raised the peak RSS by 164 MB; the
+        # half-order split raised it by 75 MB. The peak is the child's own
+        # VmHWM: its ru_maxrss starts from the parent's RSS at the fork.
+        m = 2048
+        script = (
+            "from cfqmc import interpolate\n"
+            "from cfqmc.kernels import KernelSpec\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"
+            "before = peak()\n"
+            f"interpolate._grid_factor(KernelSpec(1, 1), {m})\n"
+            "print(1024 * (peak() - before))\n"
+        )
+        grown = int(run_check(script, "1"))
+        assert grown < 3.5 * 8 * m * m, grown
+
     def test_non_grid_node_sets_rejected(self):
         # the type decides, not the coordinates: an unshifted copy of the
         # grid is a plain PointSet too
@@ -429,9 +469,11 @@ class TestGridPath:
     @pytest.mark.parametrize("m", [1400, 2048])
     def test_nugget_keeps_grid_spectrum_positive(self, m):
         # the k = 2 axis Gram on these grids is numerically singular: its
-        # computed smallest eigenvalue is below zero (-5.7e-14 and -1.6e-13
-        # with OpenBLAS), so a zero nugget would divide by a non-positive
-        # eigenvalue. The node residual read 2.6e-8 and 4.1e-8.
+        # computed smallest eigenvalue is below zero (-2.0e-14 and -1.25e-13
+        # with one OpenBLAS thread, -1.2e-13 and -1.5e-13 with two), so a
+        # zero nugget would divide by a non-positive eigenvalue. The node
+        # residual read 2.8e-8 and 3.7e-8 with one thread, 2.9e-8 and 3.7e-8
+        # with two.
         spec = KernelSpec(2, 1)
         nodes = midpoint_grid(m, 1)
         values = np.sin(4.0 * nodes.points[:, 0])
