@@ -34,7 +34,6 @@ from .points import (
     GeometryMetrics,
     MidpointGrid,
     PointSet,
-    Provenance,
     baker_fold,
     geometry,
     halton,
@@ -57,7 +56,6 @@ __all__ = [
     "KernelSpec",
     "MidpointGrid",
     "PointSet",
-    "Provenance",
     "baker_fold",
     "cf_estimate",
     "control_functional",

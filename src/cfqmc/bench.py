@@ -174,11 +174,11 @@ class CellPoints:
         return self._bases[n]
 
     def randomized(self, n: int, delta: np.ndarray, dshift_seed: int) -> PointSet:
-        """A replicate's n QMC points: the base set shifted by ``delta``. The
-        digital shift of sobol-dshift acts on the integer net, so it builds
-        its net afresh."""
+        """A replicate's n QMC points: the base set shifted by ``delta``, or
+        for sobol-dshift the net digitally shifted with ``dshift_seed``. That
+        shift acts on the integer net, so it builds its net afresh."""
         if self.sequence == "sobol-dshift":
-            return sobol(n, self.dim, digital_shift=True, seed=dshift_seed)
+            return sobol(n, self.dim, shift_seed=dshift_seed)
         return random_shift(self.base(n), delta)
 
 

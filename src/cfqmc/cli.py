@@ -63,12 +63,9 @@ def _generate_points(args) -> "PointSet":
         ps = halton(args.n, args.dim, scramble=args.scramble)
     elif args.seq == "sobol":
         table = load_direction_file(args.directions) if args.directions else None
-        if args.scramble:
-            if args.shift_seed is None:
-                raise _usage_error("sobol --scramble needs --shift-seed for the digital shift")
-            ps = sobol(args.n, args.dim, directions=table, digital_shift=True, seed=args.shift_seed)
-        else:
-            ps = sobol(args.n, args.dim, directions=table)
+        if args.scramble and args.shift_seed is None:
+            raise _usage_error("sobol --scramble needs --shift-seed for the digital shift")
+        ps = sobol(args.n, args.dim, table, args.shift_seed if args.scramble else None)
     elif args.seq == "lattice":
         if args.scramble:
             raise _usage_error("--scramble does not apply to lattice points")
@@ -188,6 +185,10 @@ def _cmd_gp(args) -> int:
     for m in methods:
         if m not in gp_mod.GP_METHODS:
             raise _usage_error(f"unknown method {m!r}; expected one of {gp_mod.GP_METHODS}")
+    if len(set(methods)) != len(methods):
+        raise _usage_error(f"--methods names a method twice: {args.methods}")
+    if args.seeds < 2:
+        raise _usage_error(f"--seeds must be >= 2 for a spread over seeds, got {args.seeds}")
     if args.data:
         data = gp_mod.load_dataset(args.data, args.n_train_cap, args.seed_base)
         rng = rng_for(args.seed_base, "gp-test-rows", data.n)

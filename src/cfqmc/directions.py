@@ -7,9 +7,10 @@ a comment; a non-numeric header line is tolerated)::
 
 where ``d`` is the output dimension the line provides (d >= 2; dimension 1
 is always the plain binary van der Corput sequence), ``s`` the recurrence
-degree, ``a`` the packed recurrence coefficients and ``m_1..m_s`` the odd
-initial values. This matches the common published new-direction-numbers
-text layout.
+degree, ``a`` the packed recurrence coefficients (0 <= a < 2^(s-1)) and
+``m_1..m_s`` the odd initial values. Every dimension from 2 to the largest
+must appear exactly once. This matches the common published
+new-direction-numbers text layout.
 """
 
 from __future__ import annotations
@@ -72,7 +73,9 @@ class DirectionTable:
 
 
 def parse_direction_lines(lines) -> DirectionTable:
+    """Parse table lines; the dimensions must run 2..max, each given once."""
     entries: dict[int, tuple[int, int, tuple[int, ...]]] = {}
+    line_of: dict[int, int] = {}  # the line that gave each dimension
     for lineno, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
@@ -92,9 +95,20 @@ def parse_direction_lines(lines) -> DirectionTable:
                 f"direction table line {lineno}: dimension {d} declares s={s} "
                 f"but provides {len(m)} initial values"
             )
+        if not 0 <= a < 1 << (s - 1):
+            raise ValueError(f"direction table line {lineno}: a={a} must satisfy 0 <= a < 2^(s-1)")
         if any(mi % 2 == 0 or mi < 1 or mi >= (1 << (i + 1)) for i, mi in enumerate(m)):
             raise ValueError(f"direction table line {lineno}: m_i must be odd with m_i < 2^i")
+        if d in entries:
+            raise ValueError(f"direction table line {lineno}: dimension {d} repeats line {line_of[d]}")
         entries[d] = (s, a, m)
+        line_of[d] = lineno
+    after_gap = [d for d in sorted(entries) if d > 2 and d - 1 not in entries]
+    if after_gap:
+        d = after_gap[0]
+        raise ValueError(
+            f"direction table line {line_of[d]}: dimension {d} is given but dimension {d - 1} is missing"
+        )
     return DirectionTable(entries)
 
 

@@ -1,15 +1,17 @@
 """Point sets on the closed unit cube: generators, randomizations, geometry.
 
-Generators are deterministic functions of their parameters; randomness only
-enters through explicit seeds (random shift, digital shift, MC sampling).
-Point arrays are frozen after construction and safe to share across threads.
+A point set is an array of points and ``start``, the sequence index of its
+first row. Generators are deterministic functions of their parameters;
+randomness only enters through explicit seeds (random shift, digital shift,
+MC sampling). Point arrays are frozen after construction and safe to share
+across threads.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,29 +27,17 @@ _GRID_GUARD = 1 << 26  # refuse grids that would not fit in memory
 
 
 @dataclass(frozen=True)
-class Provenance:
-    """How a point set was made: enough to regenerate it bit-exactly."""
-
-    generator: str
-    randomization: str = "none"
-    seed: Optional[int] = None
-    index_range: tuple[int, int] = (0, 0)
-
-
-@dataclass(frozen=True)
 class PointSet:
-    """An ordered set of d-dimensional points in [0, 1]^d."""
+    """An ordered set of d-dimensional points in [0, 1]^d; row n is point
+    ``start + n`` of the sequence that made it."""
 
     points: np.ndarray
-    dim: int
-    provenance: Provenance
+    start: int = 0
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
-        if pts.ndim != 2:
-            raise ValueError(f"points must be a 2-d array, got shape {pts.shape}")
-        if self.dim < 1 or pts.shape[1] != self.dim:
-            raise ValueError(f"dimension mismatch: dim={self.dim}, array is {pts.shape}")
+        if pts.ndim != 2 or pts.shape[1] < 1:
+            raise ValueError(f"points must be a 2-d array of d >= 1 columns, got shape {pts.shape}")
         if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
             raise ValueError("coordinates must lie in the closed unit cube")
         pts.setflags(write=False)
@@ -55,6 +45,10 @@ class PointSet:
 
     def __len__(self) -> int:
         return self.points.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.points.shape[1]
 
 
 @dataclass(frozen=True)
@@ -65,17 +59,6 @@ class GeometryMetrics:
     separation_radius: float
     mesh_ratio: float
     fill_resolution: int
-    single_point: bool = False
-
-
-def as_point(x, dim: int) -> np.ndarray:
-    """Validate a coordinate sequence as a point of the given dimension."""
-    p = np.asarray(x, dtype=np.float64).reshape(-1)
-    if p.shape[0] != dim:
-        raise ValueError(f"dimension mismatch: expected {dim} coordinates, got {p.shape[0]}")
-    if p.min() < 0.0 or p.max() > 1.0:
-        raise ValueError("point must lie in the closed unit cube")
-    return p
 
 
 def first_primes(count: int) -> list[int]:
@@ -162,13 +145,7 @@ def halton(N: int, d: int, scramble: bool = False) -> PointSet:
     for base in bases:
         sigma = reverse_radix_permutation(base) if scramble else None
         columns.append(_radical_inverse_many(indices, base, sigma))
-    pts = np.column_stack(columns) if columns else np.zeros((N, 0))
-    prov = Provenance(
-        generator="halton",
-        randomization="reverse-radix" if scramble else "none",
-        index_range=(1, N + 1),
-    )
-    return PointSet(pts.reshape(N, d), d, prov)
+    return PointSet(np.column_stack(columns), start=1)
 
 
 def _sobol_integers(N: int, d: int, table: DirectionTable) -> np.ndarray:
@@ -187,52 +164,27 @@ def _sobol_integers(N: int, d: int, table: DirectionTable) -> np.ndarray:
     return x
 
 
-def sobol_with_shift(
-    N: int,
-    d: int,
-    shift_vectors: Optional[np.ndarray],
-    directions: Optional[DirectionTable] = None,
-    seed: Optional[int] = None,
-    randomization: str = "none",
-) -> PointSet:
-    """Digital-net points for indices 1..N with an explicit per-dimension
-    XOR shift (``None`` or all zeros leaves the net unshifted)."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    table = directions if directions is not None else DEFAULT_DIRECTIONS
-    x = _sobol_integers(N, d, table)
-    if shift_vectors is not None:
-        shift = np.asarray(shift_vectors, dtype=np.uint64).reshape(1, d)
-        x = x ^ shift
-    pts = x.astype(np.float64) * (0.5 ** SOBOL_BITS)
-    prov = Provenance(
-        generator="sobol", randomization=randomization, seed=seed, index_range=(1, N + 1)
-    )
-    return PointSet(pts, d, prov)
-
-
 def sobol(
     N: int,
     d: int,
     directions: Optional[DirectionTable] = None,
-    digital_shift: bool = False,
-    seed: Optional[int] = None,
+    shift_seed: Optional[int] = None,
 ) -> PointSet:
     """First N points of the binary digital net (indices 1..N, origin skipped).
 
     ``directions`` defaults to the built-in table (dimensions <= 8); larger
     tables can be loaded with :func:`cfqmc.directions.load_direction_file`.
-    With ``digital_shift`` each dimension's bits are XORed with a seed-derived
-    random bit vector, which preserves the net structure and gives marginally
-    uniform points.
+    Given ``shift_seed``, each dimension's bits are XORed with a random bit
+    vector drawn from that seed (a digital shift), which preserves the net
+    structure and gives marginally uniform points.
     """
-    if digital_shift:
-        if seed is None:
-            raise ValueError("digital_shift requires an explicit seed")
-        rng = np.random.default_rng(seed)
-        shift = rng.integers(0, 1 << SOBOL_BITS, size=d, dtype=np.uint64)
-        return sobol_with_shift(N, d, shift, directions, seed=seed, randomization="digital-shift")
-    return sobol_with_shift(N, d, None, directions, seed=seed, randomization="none")
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    table = directions if directions is not None else DEFAULT_DIRECTIONS
+    x = _sobol_integers(N, d, table)
+    if shift_seed is not None:
+        x ^= np.random.default_rng(shift_seed).integers(0, 1 << SOBOL_BITS, size=d, dtype=np.uint64)
+    return PointSet(x.astype(np.float64) * (0.5**SOBOL_BITS), start=1)
 
 
 def lattice(N: int, d: int, generator: Sequence[int]) -> PointSet:
@@ -246,9 +198,7 @@ def lattice(N: int, d: int, generator: Sequence[int]) -> PointSet:
     if N < 1:
         raise ValueError("N must be >= 1")
     n = np.arange(N, dtype=np.float64).reshape(-1, 1)
-    pts = np.mod(n * (z.astype(np.float64) / N), 1.0)
-    prov = Provenance(generator=f"lattice(z={tuple(int(c) for c in z)})", index_range=(0, N))
-    return PointSet(pts, d, prov)
+    return PointSet(np.mod(n * (z.astype(np.float64) / N), 1.0))
 
 
 def korobov_vector(N: int, d: int) -> tuple[int, ...]:
@@ -270,31 +220,23 @@ def korobov_vector(N: int, d: int) -> tuple[int, ...]:
 
 def uniform_random(N: int, d: int, seed: int) -> PointSet:
     """N iid uniform points (the MC baseline); deterministic given the seed."""
-    rng = np.random.default_rng(seed)
-    pts = rng.random((N, d))
-    prov = Provenance(generator="uniform", randomization="iid", seed=seed, index_range=(0, N))
-    return PointSet(pts, d, prov)
+    return PointSet(np.random.default_rng(seed).random((N, d)))
 
 
 def random_shift(ps: PointSet, shift) -> PointSet:
-    """Translate every point by ``shift`` with wrap-around mod 1."""
-    delta = as_point(shift, ps.dim)
-    pts = np.mod(ps.points + delta, 1.0)
-    prov = replace(
-        ps.provenance,
-        randomization=(ps.provenance.randomization + "+shift").removeprefix("none+"),
-    )
-    return PointSet(pts, ps.dim, prov)
+    """Translate every point by ``shift``, a point of the cube, with
+    wrap-around mod 1."""
+    delta = np.asarray(shift, dtype=np.float64).reshape(-1)
+    if delta.shape != (ps.dim,):
+        raise ValueError(f"dimension mismatch: expected {ps.dim} coordinates, got {delta.shape[0]}")
+    if delta.min() < 0.0 or delta.max() > 1.0:
+        raise ValueError("shift must lie in the closed unit cube")
+    return PointSet(np.mod(ps.points + delta, 1.0), ps.start)
 
 
 def baker_fold(ps: PointSet) -> PointSet:
     """Tent map t -> 1 - |2t - 1| applied coordinate-wise; output stays in [0, 1]."""
-    pts = 1.0 - np.abs(2.0 * ps.points - 1.0)
-    prov = replace(
-        ps.provenance,
-        randomization=(ps.provenance.randomization + "+fold").removeprefix("none+"),
-    )
-    return PointSet(pts, ps.dim, prov)
+    return PointSet(1.0 - np.abs(2.0 * ps.points - 1.0), ps.start)
 
 
 def midpoint_axis(m: int) -> np.ndarray:
@@ -309,7 +251,7 @@ class MidpointGrid(PointSet):
     of the ``side`` axis midpoints. Shifting or folding it gives a plain
     ``PointSet``."""
 
-    side: int
+    side: int = field(kw_only=True)
 
     def __post_init__(self):
         super().__post_init__()
@@ -330,9 +272,7 @@ def midpoint_grid(m: int, d: int) -> MidpointGrid:
     if total > _GRID_GUARD:
         raise ValueError(f"midpoint grid of {m}^{d} = {total} points exceeds the size guard")
     grids = np.meshgrid(*([midpoint_axis(m)] * d), indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=1)
-    prov = Provenance(generator=f"midpoint-grid(m={m})", index_range=(0, total))
-    return MidpointGrid(pts, d, prov, m)
+    return MidpointGrid(np.stack([g.reshape(-1) for g in grids], axis=1), side=m)
 
 
 def default_fill_resolution(d: int) -> int:
@@ -395,7 +335,8 @@ def geometry(ps: PointSet, fill_resolution: Optional[int] = None) -> GeometryMet
     lines include the cube boundary, so boundary-attained suprema of simple
     configurations are found exactly). The grid maximum is exact, found by a
     pruned search that queries only part of the grid. A single-point set
-    reports an infinite separation radius with ``single_point`` set.
+    has no nearest other point: its separation radius is infinite and its
+    mesh ratio 0.
     """
     if len(ps) == 0:
         raise ValueError("geometry of an empty point set is undefined")
@@ -411,16 +352,8 @@ def geometry(ps: PointSet, fill_resolution: Optional[int] = None) -> GeometryMet
 
     tree = cKDTree(ps.points)
     fill = _fill_distance(tree, np.linspace(0.0, 1.0, res + 1), ps.dim)
-
-    if len(ps) == 1:
-        return GeometryMetrics(
-            fill_distance=fill,
-            separation_radius=math.inf,
-            mesh_ratio=0.0,
-            fill_resolution=res,
-            single_point=True,
-        )
-    # each point's nearest other point: memory linear in N, not N(N-1)/2 pairs
+    # each point's nearest other point (at infinity when N = 1): memory
+    # linear in N, not N(N-1)/2 pairs
     separation = 0.5 * float(np.min(tree.query(ps.points, k=2)[0][:, 1]))
     ratio = fill / separation if separation > 0.0 else math.inf
     return GeometryMetrics(
@@ -434,9 +367,8 @@ def geometry(ps: PointSet, fill_resolution: Optional[int] = None) -> GeometryMet
 def write_points_csv(ps: PointSet, path) -> None:
     """CSV export: header ``dim,index,x1,...,xd`` with 17-significant-digit values."""
     n, d = ps.points.shape
-    start = ps.provenance.index_range[0]
     table = np.empty((n, d + 1), dtype=object)
-    table[:, 0] = range(start, start + n)
+    table[:, 0] = range(ps.start, ps.start + n)
     table[:, 1:] = ps.points
     line = f"{d},%d" + ",%.17g" * d + "\n"
     with open(path, "w") as fh:
@@ -455,6 +387,9 @@ def read_points_csv(path) -> PointSet:
     table = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
     if table.shape[1] < 3:
         raise ValueError(f"{path}: rows need dim, index and at least one coordinate")
-    dim, start = int(table[-1, 0]), int(table[0, 1])
-    prov = Provenance(generator=f"file({path})", index_range=(start, start + table.shape[0]))
-    return PointSet(table[:, 2:], dim, prov)
+    dim = table.shape[1] - 2
+    bad = np.flatnonzero(table[:, 0] != dim)
+    if bad.size:
+        row = bad[0]
+        raise ValueError(f"{path}: data row {row + 1} has dim {table[row, 0]:g} but {dim} coordinates")
+    return PointSet(table[:, 2:], int(table[0, 1]))

@@ -250,7 +250,7 @@ def fresh_points_estimate(method, integrand, spec, split, sequence, delta, dshif
 
     def randomized(n):
         if sequence == "sobol-dshift":
-            return points.sobol(n, d, digital_shift=True, seed=dshift_seed)
+            return points.sobol(n, d, shift_seed=dshift_seed)
         return points.random_shift(plain(n), delta)
 
     if method == "MC":

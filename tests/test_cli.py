@@ -230,6 +230,26 @@ class TestGpCommand:
         assert code == 1
         assert "WARP" in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seeds", "1"], "--seeds must be >= 2"),
+            (["--seeds", "0"], "--seeds must be >= 2"),
+            (["--methods", "QMC,QMC"], "names a method twice"),
+        ],
+    )
+    def test_degenerate_study_usage_error(self, tmp_path, capsys, flags, message):
+        # one seed has no spread and a repeated method duplicates every row;
+        # the later of two equal flags wins
+        out_dir = tmp_path / "gp"
+        code, _, err = run_cli(
+            capsys, "gp", "--synthetic", "--n-test", "2", "--methods", "QMC,QMC+CF",
+            "--budget", "64", "--seeds", "2", "--out-dir", str(out_dir), *flags,
+        )
+        assert code == 1
+        assert message in err
+        assert not out_dir.exists()
+
     def test_unfactorizable_draw_stops_study_naming_theta(self, tmp_path, capsys, monkeypatch):
         # With an empty ladder the first draw exhausts it: the study stops
         # there (no skipped replicate, no NaN) with the runtime-error code
@@ -317,3 +337,27 @@ class TestExitCodeContract:
             "--out", str(target / "impossible.csv"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, content",
+        [
+            ("points --seq sobol --n 8 --dim 4 --directions {tmp}/in.txt --out {tmp}/p.csv",
+             "2 1 0 1\n4 3 1 1 3 1\n"),
+            ("points --seq sobol --n 8 --dim 3 --directions {tmp}/in.txt --out {tmp}/p.csv",
+             "2 1 0 1\n3 2 7 1 3\n"),
+            ("gp --synthetic --n-test 2 --budget 64 --seeds 0 --out-dir {tmp}/gp", ""),
+            ("gp --synthetic --n-test 2 --budget 64 --seeds 1 --out-dir {tmp}/gp", ""),
+            ("gp --synthetic --n-test 2 --budget 64 --methods QMC,QMC --out-dir {tmp}/gp", ""),
+            ("wce --in {tmp}/in.txt", "dim,index,x1,x2\n3,0,0.1,0.2\n2,1,0.3,0.4\n"),
+        ],
+        ids=["direction-gap", "direction-coefficient", "gp-no-seeds", "gp-one-seed",
+             "gp-repeated-method", "wce-mixed-dim"],
+    )
+    def test_malformed_input_reported_not_raised(self, tmp_path, capsys, argv, content):
+        # parseable arguments whose content is wrong: a contract exit code
+        # and an error line, never a traceback
+        (tmp_path / "in.txt").write_text(content)
+        code, _, err = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv.split()))
+        assert code in (1, 2)
+        assert any(line.startswith("error: ") for line in err.splitlines())
+        assert "Traceback" not in err

@@ -21,7 +21,6 @@ from cfqmc.genz import as_integrand, make_genz, random_genz
 from cfqmc.kernels import KernelSpec, kernel_cross, kernel_double_integral, kernel_integral
 from cfqmc.points import (
     PointSet,
-    Provenance,
     baker_fold,
     halton,
     lattice,
@@ -34,7 +33,7 @@ from cfqmc.seeding import rng_for
 
 def point_set(coords):
     arr = np.atleast_2d(np.asarray(coords, dtype=np.float64))
-    return PointSet(arr, arr.shape[1], Provenance("test"))
+    return PointSet(arr)
 
 
 class TestIntegrand:
@@ -83,7 +82,7 @@ class TestPlainEstimate:
     def test_empty_set_rejected(self):
         f = Integrand(1, lambda x: x[:, 0])
         with pytest.raises(ValueError):
-            qmc_estimate(f, PointSet(np.zeros((0, 1)), 1, Provenance("t")))
+            qmc_estimate(f, PointSet(np.zeros((0, 1))))
 
 
 class TestCorrectedEstimate:

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import dblquad, quad
 
 from cfqmc import interpolate, kernels
 from cfqmc.interpolate import (
@@ -200,25 +199,19 @@ class TestInterpolationExactness:
 
 
 class TestExactIntegral:
-    def test_matches_quadrature_1d(self):
+    # the oracle is a composite Gauss rule exact for the piecewise polynomial
+
+    def test_matches_quadrature_1d(self, surrogate_quadrature):
         nodes = midpoint_grid(12, 1)
         values = np.exp(-3.0 * (nodes.points[:, 0] - 0.4) ** 2)
         interp = fit(KernelSpec(1, 1), nodes, values)
-        oracle, _ = quad(
-            lambda x: evaluate(interp, np.array([x])), 0.0, 1.0,
-            limit=300, epsabs=1e-11, epsrel=1e-11,
-        )
-        assert interp.exact_integral == pytest.approx(oracle, abs=1e-8)
+        assert interp.exact_integral == pytest.approx(surrogate_quadrature(interp), abs=1e-12)
 
-    def test_matches_quadrature_2d(self):
+    def test_matches_quadrature_2d(self, surrogate_quadrature):
         nodes = midpoint_grid(5, 2)
         values = np.sin(2.0 * nodes.points[:, 0]) * (1.0 + nodes.points[:, 1])
         interp = fit(KernelSpec(1, 2), nodes, values)
-        oracle, _ = dblquad(
-            lambda y, x: evaluate(interp, np.array([x, y])),
-            0.0, 1.0, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10,
-        )
-        assert interp.exact_integral == pytest.approx(oracle, abs=1e-8)
+        assert interp.exact_integral == pytest.approx(surrogate_quadrature(interp), abs=1e-12)
 
     def test_recomputable_from_fields(self):
         nodes = midpoint_grid(6, 2)
@@ -451,7 +444,7 @@ class TestGridPath:
         spec = KernelSpec(1, 2)
         grid = midpoint_grid(4, 2)
         values = np.arange(16.0)
-        swapped = PointSet(grid.points[:, ::-1], 2, grid.provenance)  # rows in another order
+        swapped = PointSet(grid.points[:, ::-1])  # rows in another order
         for nodes in (random_shift(grid, [1e-3, 0.0]), random_shift(grid, [0.0, 0.0]), swapped, halton(16, 2)):
             with pytest.raises(TypeError, match="MidpointGrid"):
                 fit(spec, nodes, values)

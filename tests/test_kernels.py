@@ -20,12 +20,12 @@ from cfqmc.kernels import (
     kernel_integral_1d,
     wendland_1d,
 )
-from cfqmc.points import PointSet, Provenance, uniform_random
+from cfqmc.points import PointSet, uniform_random
 
 
 def node_set(coords):
     arr = np.atleast_2d(np.asarray(coords, dtype=np.float64))
-    return PointSet(arr, arr.shape[1], Provenance("test"))
+    return PointSet(arr)
 
 
 def integral_operator(phi, r):

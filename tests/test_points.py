@@ -17,7 +17,6 @@ from cfqmc.directions import DEFAULT_DIRECTIONS, parse_direction_lines
 from cfqmc.points import (
     MidpointGrid,
     PointSet,
-    Provenance,
     baker_fold,
     geometry,
     halton,
@@ -29,7 +28,6 @@ from cfqmc.points import (
     read_points_csv,
     reverse_radix_permutation,
     sobol,
-    sobol_with_shift,
     uniform_random,
     write_points_csv,
 )
@@ -37,7 +35,7 @@ from cfqmc.points import (
 
 def make_set(coords):
     arr = np.atleast_2d(np.asarray(coords, dtype=np.float64))
-    return PointSet(arr, arr.shape[1], Provenance(generator="test"))
+    return PointSet(arr)
 
 
 class TestRadicalInverse:
@@ -108,10 +106,11 @@ class TestHalton:
         b = halton(64, 2, scramble=True)
         np.testing.assert_array_equal(a.points, b.points)
 
-    def test_provenance_records_index_start(self):
+    def test_start_records_first_index(self):
+        # Halton skips the all-zeros index 0; shifting and folding keep the start
         ps = halton(5, 1)
-        assert ps.provenance.index_range == (1, 6)
-        assert ps.provenance.generator == "halton"
+        assert ps.start == 1
+        assert random_shift(ps, [0.25]).start == baker_fold(ps).start == 1
 
     @pytest.mark.parametrize("scramble", [False, True])
     def test_every_dimension_is_radical_inverse(self, scramble):
@@ -146,23 +145,22 @@ class TestSobol:
         np.testing.assert_allclose(ps.points.ravel(), expected)
 
     def test_outputs_in_half_open_interval(self):
-        ps = sobol(256, 8, digital_shift=True, seed=7)
+        ps = sobol(256, 8, shift_seed=7)
         assert ps.points.min() >= 0.0
         assert ps.points.max() < 1.0
 
-    def test_zero_shift_identical_to_unshifted(self):
-        plain = sobol(32, 4)
-        zero = sobol_with_shift(32, 4, np.zeros(4, dtype=np.uint64))
-        np.testing.assert_array_equal(plain.points, zero.points)
+    def test_digital_shift_is_xor_of_unshifted_net(self):
+        # one seed-drawn bit vector per dimension, XORed into every point
+        plain, shifted = sobol(32, 4), sobol(32, 4, shift_seed=3)
+        scale = 2.0**points.SOBOL_BITS
+        shift = (plain.points * scale).astype(np.uint64) ^ (shifted.points * scale).astype(np.uint64)
+        assert np.all(shift == shift[0]) and np.any(shift[0])
+        assert shifted.start == plain.start == 1
 
     def test_digital_shift_deterministic_given_seed(self):
-        a = sobol(64, 3, digital_shift=True, seed=11)
-        b = sobol(64, 3, digital_shift=True, seed=11)
+        a = sobol(64, 3, shift_seed=11)
+        b = sobol(64, 3, shift_seed=11)
         np.testing.assert_array_equal(a.points, b.points)
-
-    def test_digital_shift_requires_seed(self):
-        with pytest.raises(ValueError, match="seed"):
-            sobol(8, 1, digital_shift=True)
 
     def test_dimension_overflow_names_limit(self):
         with pytest.raises(ValueError, match="dimensions up to 8"):
@@ -183,6 +181,21 @@ class TestDirectionTable:
     def test_rejects_wrong_m_count(self):
         with pytest.raises(ValueError, match="s=2"):
             parse_direction_lines(["3 2 1 1"])
+
+    def test_rejects_dimension_gap(self):
+        # dimension 3 would otherwise fail later as a missing table entry
+        with pytest.raises(ValueError, match="line 2: dimension 4 is given but dimension 3 is missing"):
+            parse_direction_lines(["2 1 0 1", "4 3 1 1 3 1"])
+
+    @pytest.mark.parametrize("a", [2, 7, -1])
+    def test_rejects_coefficients_beyond_degree(self, a):
+        # a = 7 >= 2^(s-1) would silently act as a = 1 on the recurrence
+        with pytest.raises(ValueError, match=f"line 2: a={a} must satisfy"):
+            parse_direction_lines(["2 1 0 1", f"3 2 {a} 1 3"])
+
+    def test_rejects_repeated_dimension(self):
+        with pytest.raises(ValueError, match="line 3: dimension 2 repeats line 1"):
+            parse_direction_lines(["2 1 0 1", "3 2 1 1 3", "2 1 0 1"])
 
     def test_builtin_covers_dim8(self):
         assert DEFAULT_DIRECTIONS.max_dim == 8
@@ -279,7 +292,7 @@ class TestMidpointGrid:
         grid = midpoint_grid(3, 2)
         assert isinstance(grid, MidpointGrid) and grid.side == 3
         with pytest.raises(ValueError, match="not a 2\\^2 grid"):
-            MidpointGrid(grid.points, 2, grid.provenance, 2)
+            MidpointGrid(grid.points, side=2)
         # a transformed grid is a plain point set
         for ps in (random_shift(grid, [0.0, 0.0]), baker_fold(grid)):
             assert not isinstance(ps, MidpointGrid)
@@ -289,8 +302,8 @@ class TestGeometry:
     def test_single_point_fill_distance(self):
         g = geometry(make_set([[0.5]]))
         assert g.fill_distance == pytest.approx(0.5)
-        assert g.single_point
         assert math.isinf(g.separation_radius)
+        assert g.mesh_ratio == 0.0
 
     def test_two_endpoint_separation(self):
         g = geometry(make_set([[0.0], [1.0]]))
@@ -328,7 +341,7 @@ class TestGeometry:
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            geometry(PointSet(np.zeros((0, 1)), 1, Provenance("t")))
+            geometry(PointSet(np.zeros((0, 1))))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -412,12 +425,12 @@ class TestCsvRoundTrip:
         back = read_points_csv(path)
         np.testing.assert_array_equal(back.points, ps.points)
         assert back.dim == 3
-        assert back.provenance.index_range == ps.provenance.index_range == (1, 8)
+        assert back.start == ps.start == 1
 
     def test_written_bytes(self, tmp_path):
         # zero, an exponent form, 17 significant digits, an index start of 7
         coords = np.array([[0.0, 1e-5], [0.1, 1.0]])
-        ps = PointSet(coords, 2, Provenance(generator="test", index_range=(7, 9)))
+        ps = PointSet(coords, start=7)
         path = tmp_path / "pts.csv"
         write_points_csv(ps, path)
         assert path.read_bytes() == (
@@ -433,6 +446,7 @@ class TestCsvRoundTrip:
             ("dim,index,x1\n\n  \n", "no data rows"),
             ("dim,index,x1,x2\n2,0,0.5,0.25\n2,1,0.5,abc\n", "abc"),
             ("dim,index\n1,0\n", "at least one coordinate"),
+            ("dim,index,x1,x2\n3,0,0.1,0.2\n2,1,0.3,0.4\n", "row 1 has dim 3 but 2 coordinates"),
         ],
     )
     def test_malformed_file_rejected(self, tmp_path, text, message):
