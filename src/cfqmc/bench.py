@@ -62,6 +62,12 @@ class CampaignConfig:
     difficulty: float = 7.0
 
     def __post_init__(self):
+        # a repeated entry would run its cells twice and pool the copies into
+        # rows that claim twice the replicates
+        for name in ("families", "dims", "methods", "k_values", "n_grid"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} repeats an entry: {', '.join(map(str, values))}")
         known = FAMILIES + DEBUG_FAMILIES
         for fam in self.families:
             if fam not in known:
@@ -442,8 +448,9 @@ def read_csv(path) -> tuple[list[Row], list[SlopeFit]]:
 def parse_config(text: str) -> CampaignConfig:
     """Parse the flat ``key = value`` campaign format (one key per
     :class:`CampaignConfig` field, lists comma-separated, '#' comments);
-    unknown keys are rejected by name."""
-    data: dict[str, str] = {}
+    unknown and repeated keys, and values that do not parse, are rejected
+    by line and key."""
+    kwargs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
@@ -453,8 +460,12 @@ def parse_config(text: str) -> CampaignConfig:
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key not in _CONFIG_TYPES:
             raise ValueError(f"config line {lineno}: unknown config key {key!r}")
-        data[key] = value
-    kwargs = {key: _parse_value(hint, data[key]) for key, hint in _CONFIG_TYPES.items() if key in data}
+        if key in kwargs:
+            raise ValueError(f"config line {lineno}: repeated config key {key!r}")
+        try:
+            kwargs[key] = _parse_value(_CONFIG_TYPES[key], value)
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: bad value for {key!r}: {exc}") from None
     return CampaignConfig(**kwargs)
 
 

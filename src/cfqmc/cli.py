@@ -59,6 +59,10 @@ def _print_config(args: argparse.Namespace, command: str) -> None:
 
 
 def _generate_points(args) -> "PointSet":
+    if args.gen is not None and args.seq != "lattice":
+        raise _usage_error(f"--gen applies to lattice points only, not {args.seq}")
+    if args.directions is not None and args.seq != "sobol":
+        raise _usage_error(f"--directions applies to sobol points only, not {args.seq}")
     if args.seq == "halton":
         ps = halton(args.n, args.dim, scramble=args.scramble)
     elif args.seq == "sobol":
@@ -110,11 +114,7 @@ def _cmd_wce(args) -> int:
     else:
         if args.n is None or args.dim is None:
             raise _usage_error("either --in or both --n and --dim are required")
-        args_ns = argparse.Namespace(
-            seq=args.seq, n=args.n, dim=args.dim, scramble=args.scramble,
-            shift_seed=args.shift_seed, fold=args.fold, gen=None, directions=None,
-        )
-        ps = _generate_points(args_ns)
+        ps = _generate_points(args)
         dim = args.dim
     spec = KernelSpec(k=args.kernel_k, dim=dim, support_radius=args.support)
     value = worst_case_error(spec, ps)
@@ -189,6 +189,8 @@ def _cmd_gp(args) -> int:
         raise _usage_error(f"--methods names a method twice: {args.methods}")
     if args.seeds < 2:
         raise _usage_error(f"--seeds must be >= 2 for a spread over seeds, got {args.seeds}")
+    if args.n_test < 1:
+        raise _usage_error(f"--n-test must be >= 1, got {args.n_test}")
     if args.data:
         data = gp_mod.load_dataset(args.data, args.n_train_cap, args.seed_base)
         rng = rng_for(args.seed_base, "gp-test-rows", data.n)
@@ -243,7 +245,7 @@ def build_parser() -> _Parser:
     p_wce.add_argument("--fold", action="store_true")
     p_wce.add_argument("--kernel-k", dest="kernel_k", type=int, default=1)
     p_wce.add_argument("--support", type=float, default=1.0)
-    p_wce.set_defaults(func=_cmd_wce)
+    p_wce.set_defaults(func=_cmd_wce, gen=None, directions=None)
 
     p_int = sub.add_parser("integrate", help="one integration run on a test family")
     p_int.add_argument("--family", choices=FAMILIES + DEBUG_FAMILIES, required=True)

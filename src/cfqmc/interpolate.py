@@ -20,7 +20,8 @@ The nugget lambda = max(0, -min s^(x)d) + 16 eps max s^(x)d is the smallest
 shift that keeps that spectrum positive with a relative margin, so the
 solve is as close to exact interpolation as the computed spectrum allows.
 At d >= 2 grid surrogates are evaluated per axis: one m-vector of kernel
-values per axis and point, contracted with the coefficient tensor. At d = 1
+values per axis and point, from ``kernels.kernel_cross`` against the axis
+midpoints, contracted with the coefficient tensor. At d = 1
 the kernel pieces are polynomials in r on [0, 1], so the sum over the nodes
 within reach of x splits into a left and a right sum, each a Taylor sum
 sum_q D_q(X - C) sum_i beta_i (C - V_i)^q about a centre C (X, V_i in units
@@ -44,17 +45,16 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-# kernel_cross is unused here, but the benchmark's tracer patches it by name
-from .kernels import _PHI_COEFFS, KernelSpec, _wendland_inplace, gram, kernel_cross, kernel_integral, row_blocks
-from .points import MidpointGrid, midpoint_grid
+from .kernels import _PHI_COEFFS, KernelSpec, gram, kernel_cross, kernel_integral, row_blocks
+from .points import MidpointGrid, midpoint_axis, midpoint_grid
 
 # Bound on the eigenvector bytes the grid factor cache keeps (the newest
 # factor is always kept).
 _FACTOR_CACHE_BYTES = 64 << 20
 
 # Bound on one grid-evaluation block at d >= 2, counted as 4 d m floats per
-# row (the distances, kernel values and kernel-core temporaries) or m^(d-1)
-# partial sums. Blocks that stay in cache run faster: with a 2 MiB L2 per
+# row (the kernel values and kernel-core temporaries) or m^(d-1) partial
+# sums. Blocks that stay in cache run faster: with a 2 MiB L2 per
 # core, a 1024-row stack at d = 2, m = 32 took 0.42-0.66 ms in 1 MiB blocks
 # against 0.61-0.71 ms in 8 MiB ones. d = 1 evaluates from moment tables
 # and does not use this bound.
@@ -363,37 +363,25 @@ def _axis_values(interp: Interpolant, x: np.ndarray) -> np.ndarray:
     return np.cumsum(weights.reshape(-1, len(x)), axis=0)[-1]
 
 
-def _grid_values(interp: Interpolant, rows: np.ndarray, clip: bool = True) -> np.ndarray:
-    """Grid surrogate at the rows: per-axis kernel values, then a contraction
-    with the (m,)*d coefficient tensor, one axis at a time. ``clip=False``
-    skips the kernel cut-off, for rows whose every distance is within the
-    support."""
+def _grid_values(interp: Interpolant, rows: np.ndarray) -> np.ndarray:
+    """Grid surrogate at the rows: one ``kernel_cross`` block of axis kernel
+    values per axis, then a contraction with the (m,)*d coefficient tensor,
+    one axis at a time."""
     m, d = interp.nodes.side, interp.spec.dim
-    axis = _grid_axis(interp)
-    # axis - rows, bitwise -(rows - axis), as in kernels.kernel_cross
-    r = np.empty((rows.shape[0], d, m))
-    r[...] = axis
-    r -= rows[:, :, None]
-    np.abs(r, out=r)
-    if interp.spec.support_radius != 1.0:  # r / 1.0 is r
-        r /= interp.spec.support_radius
-    w = _wendland_inplace(interp.spec.k, r, clip)
-    t = w[:, 0, :] @ interp.beta.reshape(m, -1)
+    axis_spec = KernelSpec(interp.spec.k, 1, interp.spec.support_radius)
+    axis = midpoint_axis(m)[:, None]
+    t = kernel_cross(axis_spec, rows[:, 0, None], axis) @ interp.beta.reshape(m, -1)
     for i in range(1, d):
-        t = np.matmul(w[:, i, None, :], t.reshape(rows.shape[0], m, -1))[:, 0, :]
+        w = kernel_cross(axis_spec, rows[:, i, None], axis)
+        t = np.matmul(w[:, None, :], t.reshape(rows.shape[0], m, -1))[:, 0, :]
     return t[:, 0]
-
-
-def _grid_axis(interp: Interpolant) -> np.ndarray:
-    """The axis midpoints: the last coordinate of the first m grid nodes."""
-    return interp.nodes.points[: interp.nodes.side, interp.spec.dim - 1]
 
 
 def _grid_blocked(interp: Interpolant, rows: np.ndarray) -> np.ndarray:
     """``_grid_values`` over a stack, in blocks of a multiple of 8 rows
-    within ``_GRID_BLOCK_BYTES`` (and at least 8). A row holds d m distances
-    and kernel values (with the kernel core's temporaries, at most 4 d m
-    floats) or m^(d-1) partial sums.
+    within ``_GRID_BLOCK_BYTES`` (and at least 8). A row holds at most 4 d m
+    floats of kernel values and kernel-core temporaries, or m^(d-1) partial
+    sums.
 
     With one thread, OpenBLAS rounds a row alike in any block of whole 8-row
     groups but takes its vector path on a one-row block, so a last block of
@@ -401,19 +389,13 @@ def _grid_blocked(interp: Interpolant, rows: np.ndarray) -> np.ndarray:
     over the stack.
     """
     n, m, d = rows.shape[0], interp.nodes.side, interp.spec.dim
-    # float subtraction and division are monotone, so when the widest gap
-    # between a row coordinate and a midpoint is within the support every
-    # r <= 1 and the cut-off changes nothing (as in kernels.kernel_cross);
-    # on a lone row the test costs more than the cut-off
-    axis = _grid_axis(interp)
-    inside = n > 1 and max(rows.max() - axis[0], axis[-1] - rows.min()) <= interp.spec.support_radius
     step = 8 * max(1, _GRID_BLOCK_BYTES // (64 * max(4 * d * m, m ** (d - 1))))
     if n <= step + 1:
-        return _grid_values(interp, rows, not inside)
+        return _grid_values(interp, rows)
     out = np.empty(n)
     bounds = [*range(0, n - 1, step), n]
     for start, stop in zip(bounds, bounds[1:]):
-        out[start:stop] = _grid_values(interp, rows[start:stop], not inside)
+        out[start:stop] = _grid_values(interp, rows[start:stop])
     return out
 
 

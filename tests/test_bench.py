@@ -109,6 +109,15 @@ class TestConfigFile:
             ("support_radius = wide", "could not convert string to float: 'wide'"),
             ("assumed_alpha = 2.5.1", "could not convert string to float"),
             ("families = gaussian\nfamilies gaussian", "config line 2: expected 'key = value'"),
+            ("replicates = ten", "config line 1: bad value for 'replicates'.*'ten'"),
+            ("families = gaussian\n\ndims = 1, x", "config line 3: bad value for 'dims'"),
+            ("replicates = 2\nfamilies = gaussian\nreplicates = 3",
+             "config line 3: repeated config key 'replicates'"),
+            ("families = gaussian, oscillatory, gaussian", "families repeats an entry"),
+            ("dims = 1, 1", "dims repeats an entry"),
+            ("methods = QMC, QMC", "methods repeats an entry"),
+            ("k_values = 0, 1, 0", "k_values repeats an entry"),
+            ("n_grid = 16, 32, 16", "n_grid repeats an entry"),
         ],
     )
     def test_malformed_value_or_line_rejected(self, text, message):

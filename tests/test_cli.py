@@ -349,9 +349,19 @@ class TestExitCodeContract:
             ("gp --synthetic --n-test 2 --budget 64 --seeds 1 --out-dir {tmp}/gp", ""),
             ("gp --synthetic --n-test 2 --budget 64 --methods QMC,QMC --out-dir {tmp}/gp", ""),
             ("wce --in {tmp}/in.txt", "dim,index,x1,x2\n3,0,0.1,0.2\n2,1,0.3,0.4\n"),
+            ("bench --config {tmp}/in.txt --out-dir {tmp}/b",
+             "families = gaussian, gaussian\nmethods = QMC, QMC\nreplicates = 2\n"),
+            ("bench --config {tmp}/in.txt --out-dir {tmp}/b", "replicates = 2\nreplicates = 3\n"),
+            ("gp --synthetic --n-test 0 --budget 64 --seeds 2 --out-dir {tmp}/gp", ""),
+            ("points --seq halton --n 8 --dim 2 --gen 1,3 --out {tmp}/p.csv", ""),
+            ("points --seq halton --n 8 --dim 2 --directions {tmp}/in.txt --out {tmp}/p.csv", ""),
+            ("points --seq sobol --n 8 --dim 2 --gen 1,3 --out {tmp}/p.csv", ""),
+            ("points --seq lattice --n 8 --dim 2 --directions {tmp}/in.txt --out {tmp}/p.csv", ""),
         ],
         ids=["direction-gap", "direction-coefficient", "gp-no-seeds", "gp-one-seed",
-             "gp-repeated-method", "wce-mixed-dim"],
+             "gp-repeated-method", "wce-mixed-dim", "config-repeated-entries",
+             "config-repeated-key", "gp-no-test-points", "halton-gen", "halton-directions",
+             "sobol-gen", "lattice-directions"],
     )
     def test_malformed_input_reported_not_raised(self, tmp_path, capsys, argv, content):
         # parseable arguments whose content is wrong: a contract exit code

@@ -145,6 +145,21 @@ def test_grid_evaluation_blocks_fit_the_cache_bound(monkeypatch):
     assert all(r % 8 == 0 and r * 4 * d * m * 8 <= interpolate._GRID_BLOCK_BYTES for r in rows)
 
 
+def test_grid_evaluation_counted_as_kernel_entries():
+    # Grid surrogates take their axis kernel values from `kernel_cross`, so a
+    # traced evaluation of n rows at d = 2 records d n m kernel entries, over
+    # more than one evaluation block.
+    d, m, n = 2, 32, 600
+    interp = interpolate.fit(
+        kernels.KernelSpec(1, d, 0.6), points.midpoint_grid(m, d), np.cos(np.arange(m**d))
+    )
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    with tracer.recording(0):
+        interpolate.evaluate(interp, np.random.default_rng(1).random((n, d)))
+    assert tracer.run_metrics(0)["kernels.cross_entries"] == d * n * m
+
+
 def test_sor_solves_shared_across_test_points_and_methods(monkeypatch):
     # Within a seed every test point and method reads one table of SoR
     # solves: QMC solves its 64 points, QMC+CF its 16 grid nodes (its 48
