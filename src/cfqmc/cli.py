@@ -59,6 +59,8 @@ def _print_config(args: argparse.Namespace, command: str) -> None:
 
 
 def _generate_points(args) -> "PointSet":
+    if args.n < 1:
+        raise _usage_error(f"--n must be >= 1, got {args.n}")
     if args.gen is not None and args.seq != "lattice":
         raise _usage_error(f"--gen applies to lattice points only, not {args.seq}")
     if args.directions is not None and args.seq != "sobol":
@@ -191,6 +193,8 @@ def _cmd_gp(args) -> int:
         raise _usage_error(f"--seeds must be >= 2 for a spread over seeds, got {args.seeds}")
     if args.n_test < 1:
         raise _usage_error(f"--n-test must be >= 1, got {args.n_test}")
+    if args.n_subset < 1:
+        raise _usage_error(f"--n-subset must be >= 1, got {args.n_subset}")
     if args.data:
         data = gp_mod.load_dataset(args.data, args.n_train_cap, args.seed_base)
         rng = rng_for(args.seed_base, "gp-test-rows", data.n)

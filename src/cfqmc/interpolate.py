@@ -13,9 +13,13 @@ eigenpairs G_1 = U diag(s) U^T and the axis node integrals depend only on
 and every grid fit solves
 (G + lambda I) beta = y as U^(x)d diag(1 / (s^(x)d + lambda)) U^(x)d,T y.
 G_1 is symmetric Toeplitz on the equally spaced midpoints, hence
-persymmetric, so its eigenpairs come from one m x m Gram and two
-eigenproblems of order ceil(m/2) and floor(m/2); they factor the Gram's
-persymmetric part, which equals the float Gram only to rounding.
+persymmetric, so its eigenpairs come from two eigenproblems of order
+ceil(m/2) and floor(m/2), filled from one kernel block of each order
+without forming G_1; they factor the Gram's persymmetric part, which equals
+the float Gram only to rounding. The cache keeps U as the two half-order
+blocks of eigenvectors, ceil(m/2)^2 + floor(m/2)^2 floats. At d = 1 a solve
+applies U from them by folding the node values about the middle node, at
+d >= 2 it assembles U, which then holds no more floats than the node values.
 The nugget lambda = max(0, -min s^(x)d) + 16 eps max s^(x)d is the smallest
 shift that keeps that spectrum positive with a relative margin, so the
 solve is as close to exact interpolation as the computed spectrum allows.
@@ -39,16 +43,18 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from math import ceil, comb
 from typing import ClassVar, Optional
 
 import numpy as np
 
 from .kernels import _PHI_COEFFS, KernelSpec, gram, kernel_cross, kernel_integral, row_blocks
-from .points import MidpointGrid, midpoint_axis, midpoint_grid
+from .points import MidpointGrid, midpoint_axis
 
-# Bound on the eigenvector bytes the grid factor cache keeps (the newest
+# Bound on the eigenvector bytes the grid factor cache keeps, counted as
+# each factor's two half-order blocks: 16 MiB at m = 2048, so the bound holds
+# four such factors where it held two m x m eigenvector matrices (the newest
 # factor is always kept).
 _FACTOR_CACHE_BYTES = 64 << 20
 
@@ -98,13 +104,26 @@ _TAYLOR = {k: _taylor_table(k) for k in _PHI_COEFFS}
 
 @dataclass(frozen=True)
 class _GridFactor:
-    """Eigenpairs of the axis Gram on m midpoints, G_1 = U diag(s) U^T (s
-    unsorted), and the m axis node integrals a, whose d-fold outer product
-    holds the cube integrals of the grid nodes' kernels."""
+    """Eigenpairs of the axis Gram on m midpoints, G_1 = U diag(s) U^T, and
+    the m axis node integrals a, whose d-fold outer product holds the cube
+    integrals of the grid nodes' kernels.
+
+    U is kept as its two persymmetric blocks (``_persymmetric_eigh``). With
+    h = m // 2 and c = m - h, ``sym`` is U[:c, :c] and ``skew`` is U[:h, c:];
+    the other rows of U are their reversals, U[c:, :c] = J sym[:h] and
+    U[c:, c:] = -J skew, and row h of the skew columns is zero at odd m.
+    ``values`` holds the c symmetric eigenvalues, then the h skew ones
+    (each group unsorted).
+    """
 
     values: np.ndarray
-    vectors: np.ndarray
+    sym: np.ndarray
+    skew: np.ndarray
     integrals: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return self.sym.nbytes + self.skew.nbytes
 
 
 _FACTORS: OrderedDict[tuple, _GridFactor] = OrderedDict()
@@ -213,47 +232,52 @@ def _check_nodes(spec: KernelSpec, nodes) -> None:
         raise ValueError(f"dimension mismatch: spec.dim={spec.dim}, nodes are {nodes.dim}-d")
 
 
-def _persymmetric_eigh(axis_spec: KernelSpec, axis_nodes: MidpointGrid):
-    """Eigenpairs (values, C-ordered vectors) of the axis Gram G on m
-    midpoints, from two eigenproblems of half its order.
+def _persymmetric_folds(axis_spec: KernelSpec, axis: np.ndarray):
+    """T + F (bordered at odd m) and T - F of the axis Gram G on the m
+    midpoints ``axis`` (a column), without forming G.
 
     The midpoints are equally spaced, so G is symmetric Toeplitz and
-    persymmetric, J G J = G with J the reversal. With h = m // 2, T = G[:h, :h]
-    and F = G[:h, m-h:] J, each eigenvector is symmetric,
-    [v; sqrt 2 v_mid; J v] / sqrt 2 with [v; v_mid] an eigenvector of T + F
-    (bordered at odd m by sqrt 2 times G's middle column and G[h, h]), or
-    skew, [w; 0; -J w] / sqrt 2 with w an eigenvector of T - F (Cantoni and
-    Butler, 1976). This factors the persymmetric part of G, which equals the
-    float Gram only to rounding. G is dropped before the eigensolves: at
-    m = 2048 a cold factor raised the peak RSS by 75 MB, against 164 MB for
-    one eigh of G. The eigenvalues are not sorted.
+    persymmetric, J G J = G with J the reversal. With h = m // 2 and
+    c = m - h, T = G[:h, :h] and F = G[:h, c:] J. T and, at odd m, G's middle
+    column and G[h, h] come from one ``gram`` of the first c nodes, F from
+    ``kernel_cross`` of the first h nodes against the last h reversed. Every
+    entry is the kernel at one node pair, so both blocks are bitwise the
+    folds of ``gram`` of all m nodes.
     """
-    g = gram(axis_spec, axis_nodes)
-    m = len(g)
+    m = len(axis)
     h = m // 2
-    n_sym = m - h
-    top, flip = g[:h, :h], g[:h, n_sym:][:, ::-1]
-    skew = top - flip
-    sym = np.empty((n_sym, n_sym))
-    np.add(top, flip, out=sym[:h, :h])
+    sym = gram(axis_spec, axis[: m - h])
+    flip = kernel_cross(axis_spec, axis[:h], axis[::-1][:h])
+    skew = sym[:h, :h] - flip
+    sym[:h, :h] += flip
     if m % 2:
-        sym[h, :h] = sym[:h, h] = np.sqrt(2.0) * g[:h, h]
-        sym[h, h] = g[h, h]
-    del g, top, flip
+        sym[h, :h] = sym[:h, h] = np.sqrt(2.0) * sym[:h, h]
+    return sym, skew
+
+
+def _persymmetric_eigh(axis_spec: KernelSpec, axis: np.ndarray):
+    """(values, sym, skew): the eigenpairs of the axis Gram G on the m
+    midpoints ``axis``, from two eigenproblems of half its order, with the
+    eigenvectors as ``_GridFactor``'s two blocks.
+
+    Each eigenvector of G is symmetric, [v; sqrt 2 v_mid; J v] / sqrt 2 with
+    [v; v_mid] an eigenvector of T + F (``_persymmetric_folds``), or skew,
+    [w; 0; -J w] / sqrt 2 with w an eigenvector of T - F (Cantoni and Butler,
+    1976). This factors the persymmetric part of G, which equals the float
+    Gram only to rounding. Neither G nor the m x m U is formed: at m = 2048
+    a cold factor raised the peak RSS by 51.5 MiB, against 75 MiB when both
+    were and 164 MB for one eigh of G. The eigenvalues are not sorted.
+    """
+    h = len(axis) // 2
+    sym, skew = _persymmetric_folds(axis_spec, axis)
     sym_values, sym_vectors = np.linalg.eigh(sym)
     del sym
     skew_values, skew_vectors = np.linalg.eigh(skew)
     del skew
     half = np.sqrt(0.5)
-    vectors = np.empty((m, m))
-    np.multiply(sym_vectors[:h], half, out=vectors[:h, :n_sym])
-    np.multiply(skew_vectors, half, out=vectors[:h, n_sym:])
-    vectors[n_sym:, :n_sym] = vectors[:h][::-1, :n_sym]
-    np.negative(vectors[:h][::-1, n_sym:], out=vectors[n_sym:, n_sym:])
-    if m % 2:
-        vectors[h, :n_sym] = sym_vectors[h]
-        vectors[h, n_sym:] = 0.0
-    return np.concatenate([sym_values, skew_values]), vectors
+    sym_vectors[:h] *= half
+    skew_vectors *= half
+    return np.concatenate([sym_values, skew_values]), sym_vectors, skew_vectors
 
 
 def _grid_factor(spec: KernelSpec, m: int) -> _GridFactor:
@@ -265,15 +289,14 @@ def _grid_factor(spec: KernelSpec, m: int) -> _GridFactor:
             _FACTORS.move_to_end(key)
             return factor
     axis_spec = KernelSpec(spec.k, 1, spec.support_radius)
-    axis_nodes = midpoint_grid(m, 1)
-    values, vectors = _persymmetric_eigh(axis_spec, axis_nodes)
-    factor = _GridFactor(values, vectors, kernel_integral(axis_spec, axis_nodes.points))
+    axis = midpoint_axis(m)[:, None]
+    factor = _GridFactor(*_persymmetric_eigh(axis_spec, axis), kernel_integral(axis_spec, axis))
     with _FACTORS_LOCK:
         _FACTORS[key] = factor
-        held = sum(f.vectors.nbytes for f in _FACTORS.values())
+        held = sum(f.nbytes for f in _FACTORS.values())
         while held > _FACTOR_CACHE_BYTES and len(_FACTORS) > 1:
             _, dropped = _FACTORS.popitem(last=False)
-            held -= dropped.vectors.nbytes
+            held -= dropped.nbytes
     return factor
 
 
@@ -292,15 +315,56 @@ def _kron_apply(mat: np.ndarray, t: np.ndarray, d: int) -> np.ndarray:
     return t.reshape(-1)
 
 
+def _fold_apply(factor: _GridFactor, x: np.ndarray, transpose: bool) -> np.ndarray:
+    """U^T x (``transpose``) or U x for an m-vector x, from U's blocks.
+
+    U^T x folds x into [top + J bottom; middle; top - J bottom] and
+    multiplies the c symmetric rows by ``sym``^T and the h skew rows by
+    ``skew``^T. U y multiplies first and unfolds the products p (symmetric)
+    and q (skew) into [p_top + q; p_middle; J (p_top - q)]. Either way the
+    c^2 + h^2 floats of the blocks are read once, not the m^2 of U.
+    """
+    sym, skew = factor.sym, factor.skew
+    c, h = len(sym), len(skew)
+    if transpose:
+        top, bottom = x[:h], x[::-1][:h]
+        fold = np.concatenate([top + bottom, x[h:c], top - bottom])
+        return np.concatenate([fold[:c] @ sym, fold[c:] @ skew])
+    p, q = sym @ x[:c], skew @ x[c:]
+    return np.concatenate([p[:h] + q, p[h:], (p[:h] - q)[::-1]])
+
+
+def _eigen_maps(factor: _GridFactor, d: int):
+    """(x -> U^(x)d,T x, y -> U^(x)d y) on flat (m,)*d tensors.
+
+    At d = 1 they apply U from its blocks (``_fold_apply``). At d >= 2, U is
+    assembled once for both maps and applied one axis at a time
+    (``_kron_apply``): it holds no more floats than the tensor, and one
+    matrix product per axis costs less than a fold's several numpy calls on
+    the grids a campaign fits (m <= 45 at N = 4096).
+    """
+    if d == 1:
+        return partial(_fold_apply, factor, transpose=True), partial(_fold_apply, factor, transpose=False)
+    sym, skew = factor.sym, factor.skew
+    c, h = len(sym), len(skew)
+    u = np.zeros((c + h, c + h))
+    u[:c, :c] = sym
+    u[:h, c:] = skew
+    u[c:, :c] = sym[:h][::-1]
+    np.negative(skew[::-1], out=u[c:, c:])
+    return partial(_kron_apply, u.T, d=d), partial(_kron_apply, u, d=d)
+
+
 def _grid_solve(factor: _GridFactor, d: int, vals: np.ndarray):
     """(beta, nugget, bare-kernel node residual) of the Kronecker system. On
     fine grids the smallest computed eigenvalues round to zero or below, and
     the nugget lifts them to 16 eps of the largest."""
     spectrum = reduce(np.multiply.outer, [factor.values] * d).reshape(-1)
     nugget = max(0.0, -float(spectrum.min())) + 16.0 * np.finfo(np.float64).eps * float(spectrum.max())
-    coeffs = _kron_apply(factor.vectors.T, vals, d) / (spectrum + nugget)
-    beta = _kron_apply(factor.vectors, coeffs, d)
-    fitted = _kron_apply(factor.vectors, spectrum * coeffs, d)
+    to_eigen, from_eigen = _eigen_maps(factor, d)
+    coeffs = to_eigen(vals) / (spectrum + nugget)
+    beta = from_eigen(coeffs)
+    fitted = from_eigen(spectrum * coeffs)
     return beta, nugget, float(np.max(np.abs(fitted - vals)))
 
 
@@ -363,16 +427,23 @@ def _axis_values(interp: Interpolant, x: np.ndarray) -> np.ndarray:
     return np.cumsum(weights.reshape(-1, len(x)), axis=0)[-1]
 
 
-def _grid_values(interp: Interpolant, rows: np.ndarray) -> np.ndarray:
+def _axis_operands(interp: Interpolant):
+    """The one-axis kernel and the m axis midpoints as a column: the
+    operands every grid-evaluation block passes to ``kernel_cross``."""
+    spec = interp.spec
+    return KernelSpec(spec.k, 1, spec.support_radius), midpoint_axis(interp.nodes.side)[:, None]
+
+
+def _grid_values(interp: Interpolant, rows: np.ndarray, axis) -> np.ndarray:
     """Grid surrogate at the rows: one ``kernel_cross`` block of axis kernel
     values per axis, then a contraction with the (m,)*d coefficient tensor,
-    one axis at a time."""
+    one axis at a time. ``axis`` is ``_axis_operands(interp)``, which
+    ``_grid_blocked`` builds once for all of its blocks."""
     m, d = interp.nodes.side, interp.spec.dim
-    axis_spec = KernelSpec(interp.spec.k, 1, interp.spec.support_radius)
-    axis = midpoint_axis(m)[:, None]
-    t = kernel_cross(axis_spec, rows[:, 0, None], axis) @ interp.beta.reshape(m, -1)
+    axis_spec, nodes = axis
+    t = kernel_cross(axis_spec, rows[:, 0, None], nodes) @ interp.beta.reshape(m, -1)
     for i in range(1, d):
-        w = kernel_cross(axis_spec, rows[:, i, None], axis)
+        w = kernel_cross(axis_spec, rows[:, i, None], nodes)
         t = np.matmul(w[:, None, :], t.reshape(rows.shape[0], m, -1))[:, 0, :]
     return t[:, 0]
 
@@ -390,12 +461,13 @@ def _grid_blocked(interp: Interpolant, rows: np.ndarray) -> np.ndarray:
     """
     n, m, d = rows.shape[0], interp.nodes.side, interp.spec.dim
     step = 8 * max(1, _GRID_BLOCK_BYTES // (64 * max(4 * d * m, m ** (d - 1))))
+    axis = _axis_operands(interp)
     if n <= step + 1:
-        return _grid_values(interp, rows)
+        return _grid_values(interp, rows, axis)
     out = np.empty(n)
     bounds = [*range(0, n - 1, step), n]
     for start, stop in zip(bounds, bounds[1:]):
-        out[start:stop] = _grid_values(interp, rows[start:stop])
+        out[start:stop] = _grid_values(interp, rows[start:stop], axis)
     return out
 
 

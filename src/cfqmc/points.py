@@ -207,6 +207,8 @@ def korobov_vector(N: int, d: int) -> tuple[int, ...]:
     The multiplier is the golden-ratio fraction of N nudged to be coprime
     with N; a pragmatic default, not a searched-for optimum.
     """
+    if N < 1:
+        raise ValueError(f"a lattice needs N >= 1 points, got {N}")
     if d == 1:
         return (1,)
     a = max(1, round(N * (math.sqrt(5.0) - 1.0) / 2.0))

@@ -69,6 +69,19 @@ class TestPointsCommand:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("seq", ["halton", "sobol", "lattice"])
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_no_points_usage_error(self, tmp_path, capsys, seq, n):
+        # lattice used to raise ZeroDivisionError; halton and sobol wrote an
+        # empty file
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "points", "--seq", seq, "--n", n, "--dim", "2", "--out", str(out))
+        assert code == 1
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: --n must be >= 1, got {n}"
+        ]
+        assert not out.exists()
+
     def test_lattice_scramble_rejected(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "points", "--seq", "lattice", "--n", "8", "--dim", "1",
@@ -105,6 +118,12 @@ class TestWceCommand:
     def test_missing_inputs_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "wce")
         assert code == 1
+
+    @pytest.mark.parametrize("seq", ["halton", "lattice"])
+    def test_no_points_usage_error(self, capsys, seq):
+        code, _, err = run_cli(capsys, "wce", "--seq", seq, "--n", "0", "--dim", "2")
+        assert code == 1
+        assert "error: --n must be >= 1, got 0" in err.splitlines()
 
     @pytest.mark.parametrize(
         "text", ["1,1,0.5\n", "dim,index,x1\n1,1,0.5\n1,2,half\n"], ids=["no-header", "non-numeric"]
@@ -236,6 +255,8 @@ class TestGpCommand:
             (["--seeds", "1"], "--seeds must be >= 2"),
             (["--seeds", "0"], "--seeds must be >= 2"),
             (["--methods", "QMC,QMC"], "names a method twice"),
+            (["--n-subset", "0"], "--n-subset must be >= 1"),
+            (["--n-subset", "-5"], "--n-subset must be >= 1"),
         ],
     )
     def test_degenerate_study_usage_error(self, tmp_path, capsys, flags, message):
@@ -357,11 +378,19 @@ class TestExitCodeContract:
             ("points --seq halton --n 8 --dim 2 --directions {tmp}/in.txt --out {tmp}/p.csv", ""),
             ("points --seq sobol --n 8 --dim 2 --gen 1,3 --out {tmp}/p.csv", ""),
             ("points --seq lattice --n 8 --dim 2 --directions {tmp}/in.txt --out {tmp}/p.csv", ""),
+            ("points --seq lattice --n 0 --dim 2 --out {tmp}/p.csv", ""),
+            ("points --seq halton --n 0 --dim 2 --out {tmp}/p.csv", ""),
+            ("points --seq sobol --n -3 --dim 2 --out {tmp}/p.csv", ""),
+            ("wce --seq lattice --n 0 --dim 2", ""),
+            ("gp --synthetic --n-test 2 --budget 64 --seeds 2 --n-subset 0 --out-dir {tmp}/gp", ""),
+            ("gp --synthetic --n-test 2 --budget 64 --seeds 2 --n-subset -5 --out-dir {tmp}/gp", ""),
         ],
         ids=["direction-gap", "direction-coefficient", "gp-no-seeds", "gp-one-seed",
              "gp-repeated-method", "wce-mixed-dim", "config-repeated-entries",
              "config-repeated-key", "gp-no-test-points", "halton-gen", "halton-directions",
-             "sobol-gen", "lattice-directions"],
+             "sobol-gen", "lattice-directions", "lattice-no-points", "halton-no-points",
+             "sobol-negative-points", "wce-lattice-no-points", "gp-no-subset",
+             "gp-negative-subset"],
     )
     def test_malformed_input_reported_not_raised(self, tmp_path, capsys, argv, content):
         # parseable arguments whose content is wrong: a contract exit code

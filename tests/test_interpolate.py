@@ -16,7 +16,7 @@ from cfqmc.interpolate import (
     fit,
 )
 from cfqmc.kernels import KernelSpec, gram, kernel_cross, kernel_integral
-from cfqmc.points import PointSet, halton, midpoint_grid, random_shift, uniform_random
+from cfqmc.points import PointSet, halton, midpoint_axis, midpoint_grid, random_shift, uniform_random
 
 # the d = 1 moment tables exist only where long double is wider than double
 NEEDS_WIDE_LONG_DOUBLE = pytest.mark.skipif(
@@ -56,10 +56,11 @@ for k in (0, 1, 2):
                 if not np.array_equal([evaluate(interp, p) for p in pts], whole):
                     failed.append((case, "single points"))
                 continue
-            whole = interpolate._grid_values(interp, pts)
+            axis = interpolate._axis_operands(interp)
+            whole = interpolate._grid_values(interp, pts, axis)
             old = np.empty(1000)
             for block in row_blocks(1000, max(4 * d * m, m ** (d - 1))):
-                old[block] = interpolate._grid_values(interp, pts[:1000][block])
+                old[block] = interpolate._grid_values(interp, pts[:1000][block], axis)
             interpolate._GRID_BLOCK_BYTES = cache_sized
             blocked = {"cache-sized": evaluate(interp, pts), "8 MB": old}
             interpolate._GRID_BLOCK_BYTES = 8 * 8 * 4 * d * m
@@ -114,6 +115,18 @@ def run_check(script, threads):
     )
     assert result.returncode == 0, result.stderr
     return result.stdout
+
+
+def assembled_u(sym, skew):
+    """The axis eigenvectors U from a factor's two blocks: sym = U[:c, :c]
+    and skew = U[:h, c:] (h = m // 2, c = m - h), the rows below them
+    reversed, the skew ones negated, and zero skew entries in the middle row
+    at odd m."""
+    c, h = len(sym), len(skew)
+    reverse = np.eye(h)[::-1]
+    left = np.vstack([sym, reverse @ sym[:h]])
+    right = np.vstack([skew, np.zeros((c - h, h)), -(reverse @ skew)])
+    return np.hstack([left, right])
 
 
 def dense_fit(spec, grid, values, nugget):
@@ -329,7 +342,9 @@ class TestGridPath:
         interp = fit(KernelSpec(2, 1, support), midpoint_grid(37, 1), np.sin(np.arange(37.0)))
         assert interp.moments is None
         pts = np.random.default_rng(7).random((200, 1))
-        np.testing.assert_array_equal(evaluate(interp, pts), interpolate._grid_values(interp, pts))
+        np.testing.assert_array_equal(
+            evaluate(interp, pts), interpolate._grid_values(interp, pts, interpolate._axis_operands(interp))
+        )
 
     @NEEDS_WIDE_LONG_DOUBLE
     def test_1d_evaluation_spans_memory_blocks(self, monkeypatch):
@@ -372,7 +387,7 @@ class TestGridPath:
             u = grid.points[:, 0]
             edges = np.clip(np.concatenate([u - support, u + support]), 0.0, 1.0)
             pts = np.concatenate([[0.0, 1.0], u, edges, rng.random(600)])[:, None]
-            direct = interpolate._grid_values(interp, pts)
+            direct = interpolate._grid_values(interp, pts, interpolate._axis_operands(interp))
             err = np.max(np.abs(evaluate(interp, pts) - direct))
             assert err <= bound * np.sum(np.abs(interp.beta)), (m, err)
 
@@ -398,6 +413,42 @@ class TestGridPath:
         fit(KernelSpec(1, 1, 0.5), midpoint_grid(7, 1), rng.normal(size=7))
         assert len(calls) == 2
 
+    # 64^4 floats would take 128 MiB, so that shape is left out
+    @pytest.mark.parametrize(
+        "d,m", [(d, m) for d in (1, 2, 3, 4) for m in (1, 2, 3, 8, 31, 64) if m**d <= 1 << 20]
+    )
+    def test_eigen_maps_match_assembled_u(self, d, m):
+        # both directions against tensordot with U assembled here from the
+        # two blocks
+        factor = interpolate._grid_factor(KernelSpec(1, d), m)
+        u = assembled_u(factor.sym, factor.skew)
+        t = np.random.default_rng(m + d).normal(size=m**d)
+        for mat, apply in zip((u.T, u), interpolate._eigen_maps(factor, d)):
+            reference = t.reshape((m,) * d)
+            for _ in range(d):
+                reference = np.tensordot(reference, mat, axes=(0, 1))
+            reference = reference.reshape(-1)
+            got = apply(t)
+            assert np.max(np.abs(got - reference)) <= 1e-13 * np.max(np.abs(reference))
+            if d > 1:  # U assembled bitwise, then the same products
+                assert np.array_equal(got, reference)
+
+    @pytest.mark.parametrize("support", [1.0, 0.3])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_persymmetric_folds_are_gram_folds(self, k, support):
+        # T + F and T - F, bit for bit as folded from the assembled Gram
+        spec = KernelSpec(k, 1, support)
+        for m in (1, 2, 3, 8, 31, 64, 1024):
+            h, c = m // 2, m - m // 2
+            g = gram(spec, midpoint_grid(m, 1))
+            top, flip = g[:h, :h], g[:h, c:][:, ::-1]
+            want_sym = g[:c, :c].copy()
+            want_sym[:h, :h] = top + flip
+            if m % 2:
+                want_sym[h, :h] = want_sym[:h, h] = np.sqrt(2.0) * g[:h, h]
+            sym, skew = interpolate._persymmetric_folds(spec, midpoint_axis(m)[:, None])
+            assert np.array_equal(sym, want_sym) and np.array_equal(skew, top - flip), m
+
     @pytest.mark.parametrize("support", [1.0, 0.3])
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_persymmetric_eigh_factors_gram(self, k, support):
@@ -407,10 +458,10 @@ class TestGridPath:
         eps = np.finfo(np.float64).eps
         spec = KernelSpec(k, 1, support)
         for m in (1, 2, 3, 8, 31, 64, 1024):
-            grid = midpoint_grid(m, 1)
-            g = gram(spec, grid)
-            values, vectors = interpolate._persymmetric_eigh(spec, grid)
-            assert values.shape == (m,) and vectors.shape == (m, m) and vectors.flags.c_contiguous
+            g = gram(spec, midpoint_grid(m, 1))
+            values, sym, skew = interpolate._persymmetric_eigh(spec, midpoint_axis(m)[:, None])
+            assert values.shape == (m,) and sym.shape == (m - m // 2,) * 2 and skew.shape == (m // 2,) * 2
+            vectors = assembled_u(sym, skew)
             scale = np.max(np.abs(g))
             assert np.max(np.abs((vectors * values) @ vectors.T - g)) <= 1e-12 * scale, m
             assert np.max(np.abs(vectors.T @ vectors - np.eye(m))) <= 1e-12, m
@@ -419,11 +470,13 @@ class TestGridPath:
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
     def test_cold_factor_memory_bounded(self):
-        # the eigenvectors of a 2048-node axis take 32 MiB. One eigh of the
-        # whole Gram holds the Gram, LAPACK's copy and workspace and the
-        # eigenvectors at once and raised the peak RSS by 164 MB; the
-        # half-order split raised it by 75 MB. The peak is the child's own
-        # VmHWM: its ru_maxrss starts from the parent's RSS at the fork.
+        # a 2048-node axis factor keeps two 1024 x 1024 blocks, 16 MiB. One
+        # eigh of the whole Gram holds the Gram, LAPACK's copy and workspace
+        # and the eigenvectors at once and raised the peak RSS by 164 MB; the
+        # half-order split with an m x m Gram and U raised it by 75 MB, and
+        # without them by 51.5 MiB, which the bound of 2 x 8 m^2 (64 MiB)
+        # leaves 24% above. The peak is the child's own VmHWM: its
+        # ru_maxrss starts from the parent's RSS at the fork.
         m = 2048
         script = (
             "from cfqmc import interpolate\n"
@@ -433,10 +486,11 @@ class TestGridPath:
             "        return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"
             "before = peak()\n"
             f"interpolate._grid_factor(KernelSpec(1, 1), {m})\n"
-            "print(1024 * (peak() - before))\n"
+            "print(1024 * (peak() - before), sum(f.nbytes for f in interpolate._FACTORS.values()))\n"
         )
-        grown = int(run_check(script, "1"))
-        assert grown < 3.5 * 8 * m * m, grown
+        grown, held = map(int, run_check(script, "1").split())
+        assert grown < 2 * 8 * m * m, grown
+        assert held == 16 << 20
 
     def test_non_grid_node_sets_rejected(self):
         # the type decides, not the coordinates: an unshifted copy of the

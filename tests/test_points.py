@@ -224,6 +224,13 @@ class TestLattice:
             assert z[0] == 1
             assert math.gcd(z[1], n) == 1
 
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_korobov_vector_needs_points(self, n):
+        # N = 0 used to raise ZeroDivisionError from the modulus
+        for d in (1, 3):
+            with pytest.raises(ValueError, match="N >= 1"):
+                korobov_vector(n, d)
+
 
 class TestRandomShift:
     def test_zero_shift_is_identity(self):
