@@ -27,7 +27,7 @@ from typing import Optional, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .estimators import BudgetSplit, cf_estimate, optimal_split, qmc_estimate, split_budget
-from .genz import DEBUG_FAMILIES, FAMILIES, as_integrand, random_genz
+from .genz import DEBUG_FAMILIES, FAMILIES, GenzInstance, as_integrand, random_genz
 from .kernels import SMOOTHNESS_LEVELS, KernelSpec
 from .points import (
     MidpointGrid,
@@ -179,7 +179,7 @@ class CellPoints:
             self._bases[n] = ps
         return self._bases[n]
 
-    def randomized(self, n: int, delta: np.ndarray, dshift_seed: int) -> PointSet:
+    def randomized(self, n: int, delta: np.ndarray, dshift_seed: Optional[int]) -> PointSet:
         """A replicate's n QMC points: the base set shifted by ``delta``, or
         for sobol-dshift the net digitally shifted with ``dshift_seed``. That
         shift acts on the integer net, so it builds its net afresh."""
@@ -188,40 +188,111 @@ class CellPoints:
         return random_shift(self.base(n), delta)
 
 
-def _run_method(
-    method: str,
-    integrand,
-    spec: KernelSpec,
-    cell: CellPoints,
-    delta: np.ndarray,
-    dshift_seed: int,
-    mc_seed: int,
-) -> float:
+class _Replicate:
+    """The function of one replicate's integrand: its Genz instance, with
+    what an evaluation raises kept in ``error`` and NaN returned in its
+    place. A failing replicate then stays in its own column of the cell's
+    batched fit, the other replicates' estimates do not change, and the
+    exception becomes this replicate's failure tag."""
+
+    def __init__(self, inst: GenzInstance):
+        self.inst = inst
+        self.dim = inst.dim
+        self.error: Optional[Exception] = None
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        try:
+            return self.inst(x)
+        except Exception as exc:  # the campaign must survive one bad replicate
+            if self.error is None:
+                self.error = exc
+            return np.full(len(x), np.nan)
+
+
+def _method_points(
+    method: str, cell: CellPoints, delta: np.ndarray, dshift_seed: Optional[int], mc_seed: Optional[int]
+) -> PointSet:
+    """The points one replicate of ``method`` averages its integrand over:
+    the whole budget for MC and QMC, the evaluation set for a CF method."""
     split, d = cell.split, cell.dim
     if method == "MC":
-        return qmc_estimate(integrand, uniform_random(split.consumed, d, mc_seed))
+        return uniform_random(split.consumed, d, mc_seed)
     if method == "QMC":
-        return qmc_estimate(integrand, cell.randomized(split.consumed, delta, dshift_seed))
-    nodes = cell.nodes
+        return cell.randomized(split.consumed, delta, dshift_seed)
     if method == "QMC+CF":
-        eval_pts = cell.randomized(split.n_eval, delta, dshift_seed)
-    elif method == "MC+CF":
-        eval_pts = uniform_random(split.n_eval, d, mc_seed)
-    elif method == "QMC+CF-folded":
-        eval_pts = baker_fold(random_shift(cell.base(split.n_eval), delta))
+        return cell.randomized(split.n_eval, delta, dshift_seed)
+    if method == "MC+CF":
+        return uniform_random(split.n_eval, d, mc_seed)
+    if method == "QMC+CF-folded":
+        return baker_fold(random_shift(cell.base(split.n_eval), delta))
+    raise ValueError(f"unknown method {method!r}")
+
+
+def _run_method(method: str, integrands, spec: KernelSpec, cell: CellPoints, point_sets) -> np.ndarray:
+    """One estimate per replicate integrand over its point set
+    (``_method_points``): a plain average each, or for a CF method one
+    ``cf_estimate`` on the cell's grid for all of them."""
+    if method in CF_METHODS:
+        return cf_estimate(integrands, cell.nodes, point_sets, spec)[0]
+    return np.array([qmc_estimate(f, ps) for f, ps in zip(integrands, point_sets)])
+
+
+def _cell_row(
+    cfg: CampaignConfig, family: str, d: int, method: str, k: int, split: BudgetSplit, errs, failures
+) -> Row:
+    """The row of one (cell, N, method) from its replicates' errors and
+    failure tags (replicate index -> message)."""
+    errs = np.asarray(errs)
+    ok = errs.size
+    if ok:
+        rmse = float(np.sqrt(np.mean(errs**2)))
+        mean_error = float(np.mean(errs))
+        if rmse > 0.0 and ok >= 2:
+            stderr = float(np.std(errs**2, ddof=1) / (2.0 * rmse * math.sqrt(ok)))
+        else:
+            stderr = 0.0
     else:
-        raise ValueError(f"unknown method {method!r}")
-    return cf_estimate(integrand, nodes, eval_pts, spec)[0]
+        rmse = math.nan
+        mean_error = math.nan
+        stderr = math.nan
+    return Row(
+        family=family,
+        dim=d,
+        method=method,
+        k=k,
+        support_radius=cfg.support_radius,
+        sequence=cfg.sequence,
+        n_total=split.consumed,
+        m_nodes=split.n_nodes if method in CF_METHODS else 0,
+        replicates=ok,
+        rmse=rmse,
+        stderr=stderr,
+        mean_error=mean_error,
+        seed_base=cfg.seed_base,
+        error="; ".join(f"r{r}: {message}" for r, message in sorted(failures.items())),
+    )
 
 
 def run_campaign(cfg: CampaignConfig) -> ConvergenceTable:
     """Run every cell of the campaign; replicate failures are tagged per row
-    and the campaign continues."""
+    and the campaign continues.
+
+    Every replicate's point sets are drawn first, then each method estimates
+    all replicates at once: a CF method fits them in one multi-column solve
+    on the cell's grid (``cf_estimate``). Each replicate still consumes and
+    is checked against its own budget, and fails on its own."""
     rows: list[Row] = []
     fraction = cfg.node_fraction
     cells: dict[tuple[int, int], CellPoints] = {}
+    uses_dshift = cfg.sequence == "sobol-dshift"
+    uses_mc = any(m in ("MC", "MC+CF") for m in cfg.methods)
     for family in cfg.families:
         for d in cfg.dims:
+            # an instance's seed holds no k or N, so every cell of (family, d) shares them
+            insts = [
+                random_genz(family, d, seed_for(cfg.seed_base, "instance", family, d, r), cfg.difficulty)
+                for r in range(cfg.replicates)
+            ]
             for k in cfg.k_values:
                 spec = KernelSpec(k=k, dim=d, support_radius=cfg.support_radius)
                 for n_nominal in cfg.n_grid:
@@ -235,66 +306,40 @@ def run_campaign(cfg: CampaignConfig) -> ConvergenceTable:
                     if (d, n_nominal) not in cells:
                         cells[d, n_nominal] = CellPoints(cfg.sequence, split, d)
                     cell = cells[d, n_nominal]
-                    errors: dict[str, list[float]] = {m: [] for m in cfg.methods}
-                    failures: dict[str, list[str]] = {m: [] for m in cfg.methods}
-                    for r in range(cfg.replicates):
-                        inst = random_genz(
-                            family,
-                            d,
-                            seed_for(cfg.seed_base, "instance", family, d, r),
-                            cfg.difficulty,
-                        )
-                        delta = rng_for(cfg.seed_base, "shift", family, d, k, n_nominal, r).random(d)
-                        dshift_seed = seed_for(cfg.seed_base, "dshift", family, d, k, n_nominal, r)
-                        mc_seed = seed_for(cfg.seed_base, "mc", family, d, k, n_nominal, r)
+                    # per method: (replicate index, integrand function, points), and failures
+                    batches: dict[str, list] = {m: [] for m in cfg.methods}
+                    failures: dict[str, dict[int, str]] = {m: {} for m in cfg.methods}
+                    for r, inst in enumerate(insts):
+                        at = (family, d, k, n_nominal, r)
+                        delta = rng_for(cfg.seed_base, "shift", *at).random(d)
+                        dshift_seed = seed_for(cfg.seed_base, "dshift", *at) if uses_dshift else None
+                        mc_seed = seed_for(cfg.seed_base, "mc", *at) if uses_mc else None
                         for method in cfg.methods:
-                            integrand = as_integrand(inst)
                             try:
-                                est = _run_method(
-                                    method, integrand, spec, cell, delta, dshift_seed, mc_seed
-                                )
+                                pts = _method_points(method, cell, delta, dshift_seed, mc_seed)
                             except Exception as exc:  # campaign must survive one bad replicate
-                                failures[method].append(f"r{r}: {exc}")
+                                failures[method][r] = str(exc)
                                 continue
-                            consumed = integrand.eval_count
-                            if consumed != split.consumed:
-                                failures[method].append(
-                                    f"r{r}: budget mismatch ({consumed} != {split.consumed})"
-                                )
-                                continue
-                            errors[method].append(est - inst.exact)
+                            batches[method].append((r, _Replicate(inst), pts))
                     for method in cfg.methods:
-                        errs = np.asarray(errors[method])
-                        ok = errs.size
-                        if ok:
-                            rmse = float(np.sqrt(np.mean(errs**2)))
-                            mean_error = float(np.mean(errs))
-                            if rmse > 0.0 and ok >= 2:
-                                stderr = float(np.std(errs**2, ddof=1) / (2.0 * rmse * math.sqrt(ok)))
+                        # popped, so a method's point sets go once it is estimated
+                        batch, errs, estimates = batches.pop(method), [], []
+                        integrands = [as_integrand(fn) for _, fn, _ in batch]
+                        if batch:
+                            try:
+                                estimates = _run_method(method, integrands, spec, cell, [p for *_, p in batch])
+                            except Exception as exc:  # a failure of the whole batch tags each replicate
+                                failures[method].update((r, str(exc)) for r, _, _ in batch)
+                        for (r, fn, _), integrand, est in zip(batch, integrands, estimates):
+                            if fn.error is not None:
+                                failures[method][r] = str(fn.error)
+                            elif (consumed := integrand.eval_count) != split.consumed:
+                                failures[method][r] = f"budget mismatch ({consumed} != {split.consumed})"
+                            elif not math.isfinite(est):
+                                failures[method][r] = f"non-finite estimate {est}"
                             else:
-                                stderr = 0.0
-                        else:
-                            rmse = math.nan
-                            mean_error = math.nan
-                            stderr = math.nan
-                        rows.append(
-                            Row(
-                                family=family,
-                                dim=d,
-                                method=method,
-                                k=k,
-                                support_radius=cfg.support_radius,
-                                sequence=cfg.sequence,
-                                n_total=split.consumed,
-                                m_nodes=split.n_nodes if method in CF_METHODS else 0,
-                                replicates=ok,
-                                rmse=rmse,
-                                stderr=stderr,
-                                mean_error=mean_error,
-                                seed_base=cfg.seed_base,
-                                error="; ".join(failures[method]),
-                            )
-                        )
+                                errs.append(est - fn.inst.exact)
+                        rows.append(_cell_row(cfg, family, d, method, k, split, errs, failures[method]))
     slopes = _fit_cell_slopes(rows)
     return ConvergenceTable(rows=rows, slopes=slopes, config=cfg)
 

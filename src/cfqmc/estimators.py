@@ -17,7 +17,7 @@ import math
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -79,24 +79,31 @@ def qmc_estimate(f: Integrand, ps: PointSet) -> float:
 
 
 def cf_estimate(
-    f: Integrand, nodes: MidpointGrid, eval_points: PointSet, spec: KernelSpec
-) -> tuple[float, Interpolant]:
-    """Surrogate-corrected estimate: I[f_M] + mean over eval_points of (f - f_M),
-    with f_M fitted on the midpoint grid ``nodes`` (see ``interpolate.fit``).
+    integrands: Sequence[Integrand], nodes: MidpointGrid, eval_sets: Sequence[PointSet], spec: KernelSpec
+) -> tuple[np.ndarray, Interpolant]:
+    """Surrogate-corrected estimates I[f_M] + mean over V of (f - f_M), one per
+    integrand f with its own evaluation set V, with every f_M fitted on the
+    midpoint grid ``nodes`` (see ``interpolate.fit``).
 
-    Consumes len(nodes) + len(eval_points) integrand evaluations. Node and
-    evaluation roles may overlap, but overlapping wastes budget. Nodes that
-    ``fit`` would reject raise before any evaluation is counted.
+    The integrands are the replicates of one estimate, or any R integrands
+    on the same grid: all their node values are evaluated first and fitted
+    in one multi-column ``fit``. Returns the (R,) estimates and that fit.
+    Integrand r consumes len(nodes) + len(eval_sets[r]) evaluations; node
+    and evaluation roles may overlap, but overlapping wastes budget. Nodes
+    that ``fit`` would reject raise before any evaluation is counted.
     """
+    if not integrands or len(integrands) != len(eval_sets):
+        raise ValueError(f"{len(integrands)} integrands for {len(eval_sets)} evaluation sets")
     _check_nodes(spec, nodes)
-    if nodes.dim != f.dim or eval_points.dim != f.dim:
+    if any(f.dim != nodes.dim or ps.dim != nodes.dim for f, ps in zip(integrands, eval_sets)):
         raise ValueError("dimension mismatch between integrand and point sets")
-    node_values = f.eval_batch(nodes)
+    node_values = np.column_stack([f.eval_batch(nodes) for f in integrands])
     interp = fit(spec, nodes, node_values)
-    f_vals = f.eval_batch(eval_points)
-    surrogate_vals = evaluate(interp, eval_points.points)
-    estimate = interp.exact_integral + float(np.mean(f_vals - surrogate_vals))
-    return estimate, interp
+    estimates = np.empty(len(integrands))
+    for r, (f, ps) in enumerate(zip(integrands, eval_sets)):
+        residuals = f.eval_batch(ps) - evaluate(interp.column(r), ps.points)
+        estimates[r] = interp.exact_integral[r] + float(np.mean(residuals))
+    return estimates, interp
 
 
 def worst_case_error(spec: KernelSpec, ps: PointSet) -> float:

@@ -260,7 +260,7 @@ class PredictionTable:
     One ``_SorSolver`` over all test points backs the table, so a theta drawn
     once is solved once however many test points and methods read it. A
     point's entry never goes stale, since the point alone fixes theta;
-    ``clear`` only bounds memory.
+    ``clear`` only bounds memory, and keeps the rows a caller reads again.
     """
 
     def __init__(self, data: Dataset, cfg: GPConfig, subset_indices):
@@ -268,8 +268,10 @@ class PredictionTable:
         self.solver = _SorSolver(data, cfg, cfg.test_points, subset_indices)
         self._rows: dict[bytes, np.ndarray] = {}
 
-    def clear(self) -> None:
-        self._rows.clear()
+    def clear(self, keep) -> None:
+        """Drop every row but those of the points ``keep``, (n, 2)."""
+        keys = (row.tobytes() for row in np.asarray(keep, dtype=np.float64))
+        self._rows = {key: self._rows[key] for key in keys if key in self._rows}
 
     def means(self, x: np.ndarray) -> np.ndarray:
         """(n, T) predictive means at theta = prior^-1(x), one row per row of x.
@@ -308,8 +310,9 @@ def marginal_prediction(table: PredictionTable, method: str, budget: int, seed: 
     method and every test point, so within a seed all test points and
     methods share one theta sample and ``table`` solves each theta once.
     Surrogate-corrected methods fit the k = 1 kernel on the 16-node grid
-    (``GP_NODE_GRID_M``); each test point's integrand consumes the full
-    budget exactly, so equal-budget accounting holds across methods.
+    (``GP_NODE_GRID_M``), every test point's surrogate in one multi-column
+    fit; each test point's integrand consumes the full budget exactly, so
+    equal-budget accounting holds across methods.
     """
     if method not in GP_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {GP_METHODS}")
@@ -324,14 +327,13 @@ def marginal_prediction(table: PredictionTable, method: str, budget: int, seed: 
         eval_pts = random_shift(halton(n_eval, 2, scramble=True), delta)
     else:
         eval_pts = uniform_random(n_eval, 2, mc_seed)
-    nodes = midpoint_grid(GP_NODE_GRID_M, 2) if method.endswith("+CF") else None
-    estimates = np.empty(table.n_test)
-    for t_idx in range(table.n_test):
-        integrand = reparametrized_integrand(table, t_idx)
-        if nodes is None:
-            estimates[t_idx] = qmc_estimate(integrand, eval_pts)
-        else:
-            estimates[t_idx], _ = cf_estimate(integrand, nodes, eval_pts, spec)
+    integrands = [reparametrized_integrand(table, t_idx) for t_idx in range(table.n_test)]
+    if method.endswith("+CF"):
+        nodes = midpoint_grid(GP_NODE_GRID_M, 2)
+        estimates, _ = cf_estimate(integrands, nodes, [eval_pts] * table.n_test, spec)
+    else:
+        estimates = np.array([qmc_estimate(f, eval_pts) for f in integrands])
+    for integrand in integrands:
         if integrand.eval_count != budget:
             raise RuntimeError(
                 f"budget accounting violated: consumed {integrand.eval_count}, expected {budget}"
@@ -415,12 +417,14 @@ def run_prediction_study(
     isolates the estimator's sampling variability. Within a seed all test
     points and methods share one theta sample, pairing the comparison, and
     each distinct theta is solved once for all test points; the table of
-    solves is cleared per seed, bounding it to methods x budget x T floats.
+    solves is cleared per seed, bounding it to methods x budget x T floats,
+    except for the grid nodes, which every seed's surrogates read.
     """
     table = PredictionTable(data, cfg, default_subset_indices(data, cfg.n_subset))
+    grid = midpoint_grid(GP_NODE_GRID_M, 2).points
     per_method: dict[str, list[np.ndarray]] = {m: [] for m in methods}
     for seed in seeds:
-        table.clear()
+        table.clear(keep=grid)
         run_seed = seed_for(seed, "gp-point")
         for method in methods:
             per_method[method].append(marginal_prediction(table, method, budget, run_seed))

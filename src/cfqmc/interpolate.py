@@ -34,6 +34,20 @@ double, every fit keeps prefix sums of those moments, and a point costs two
 binary searches and O(deg^2) flops, not O(m). The nodes are always a
 ``points.MidpointGrid``, the only node set the Kronecker solve applies to.
 
+``fit`` takes one column of node values or R of them, (M, R), as for the
+replicates of a campaign cell or the test points of the GP study, which
+share the grid: the spectrum, nugget, assembled U, node integrals and d = 1
+moment tables are then formed once, and each application of U or U^T is
+one matrix product over all R columns, not R vector products. A column's
+floats do not depend on the other columns' values, so a non-finite column
+stays in its own coefficients. At d >= 2 a batch only adds rows to each
+axis product, and each integral is its own column's dot product: with
+OpenBLAS the floats were those of the column fits (d = 2..4, m up to 45,
+R up to 17, one and two threads). At d = 1 they depend on R: the BLAS
+blocks a product by its shape, so a column rounds differently in a batch
+of R than alone, as it does under another BLAS thread count. The integrals
+then differ by a few eps sum|beta_i a_i| (a the node integrals).
+
 The kernel span does not contain exact constants, so flat targets are fitted
 approximately; the achieved node residual is recorded on the result.
 """
@@ -42,7 +56,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial, reduce
 from math import ceil, comb
 from typing import ClassVar, Optional
@@ -137,7 +151,8 @@ class _AxisMoments:
 
     Centre j's table holds the nodes with |V_i - C_j| <= _CENTRE_REACH, and
     ``prefix[q, base[j] + i]`` is sum beta_l (C_j - V_l)^q over the table's
-    nodes l < i. ``bounds`` are the midpoints between centres.
+    nodes l < i. ``bounds`` are the midpoints between centres. The tables of
+    R surrogates on one grid stack their ``prefix`` on a leading axis.
     """
 
     nodes: np.ndarray
@@ -148,7 +163,8 @@ class _AxisMoments:
 
 
 def _axis_moments(spec: KernelSpec, axis: np.ndarray, beta: np.ndarray) -> _AxisMoments:
-    """The moment tables of sum_i beta_i phi(|x - axis_i| / rho).
+    """The moment tables of sum_i beta_i phi(|x - axis_i| / rho), for an
+    (m,) ``beta`` or for each column of an (m, R) one.
 
     At radius 1 the one centre 1/2 is within 1/2 of every point of the cube
     and its table holds every node. Below 1 the centres are the multiples of
@@ -159,7 +175,7 @@ def _axis_moments(spec: KernelSpec, axis: np.ndarray, beta: np.ndarray) -> _Axis
 
     The prefix sums accumulate in long double and are rounded once, so on
     hosts where long double is wider than double their error does not grow
-    with the table length.
+    with the table length. Each column's sums run as they would alone.
     """
     rho = spec.support_radius
     nodes = axis / rho
@@ -174,17 +190,19 @@ def _axis_moments(spec: KernelSpec, axis: np.ndarray, beta: np.ndarray) -> _Axis
     held = index < stops[:, None]
     index = np.minimum(index, len(nodes) - 1)
     gaps = np.where(held, centres[:, None] - nodes[index], 0.0)
-    terms = np.where(held, beta[index], 0.0)
-    prefix = np.zeros((len(_PHI_COEFFS[spec.k]), len(centres), width + 1))
-    for table in prefix:
-        table[:, 1:] = np.cumsum(terms, axis=1, dtype=np.longdouble)
+    columns = beta.reshape(len(nodes), -1).T
+    terms = np.where(held, columns[:, index], 0.0)
+    prefix = np.zeros((len(columns), len(_PHI_COEFFS[spec.k]), len(centres), width + 1))
+    for q in range(prefix.shape[1]):
+        prefix[:, q, :, 1:] = np.cumsum(terms, axis=2, dtype=np.longdouble)
         terms *= gaps
+    prefix = prefix.reshape(*prefix.shape[:2], -1)
     return _AxisMoments(
         nodes=nodes,
         centres=centres,
         bounds=(centres[1:] + centres[:-1]) / 2,
         base=np.arange(len(centres)) * (width + 1) - starts,
-        prefix=prefix.reshape(len(prefix), -1),
+        prefix=prefix if beta.ndim == 2 else prefix[0],
     )
 
 
@@ -193,19 +211,23 @@ class Interpolant:
     """A fitted surrogate: grid nodes, coefficients, and its exact cube
     integral.
 
-    ``jitter`` is the nugget the solve added to the Gram's diagonal.
-    Evaluation runs from ``moments`` at d = 1 where long double is wider than
-    double, per axis otherwise. ``moments`` is derived from the nodes and
-    ``beta``.
+    A multi-column fit holds R surrogates on one grid: ``beta`` is (M, R),
+    ``exact_integral`` an (R,) array and ``residual_norm`` the largest node
+    residual over the columns; ``column(r)`` is surrogate r alone, which is
+    what ``evaluate`` takes. ``jitter`` is the nugget the solve added to the
+    Gram's diagonal. Evaluation runs from ``moments`` at d = 1 where long
+    double is wider than double, per axis otherwise. ``moments`` is derived
+    from the nodes and ``beta`` unless given, as ``column`` gives it the
+    column's part of a multi-column fit's tables.
     """
 
     spec: KernelSpec
     nodes: MidpointGrid
     beta: np.ndarray
-    exact_integral: float
+    exact_integral: float | np.ndarray
     jitter: float
     residual_norm: float
-    moments: Optional[_AxisMoments] = field(default=None, init=False, repr=False, compare=False)
+    moments: Optional[_AxisMoments] = field(default=None, repr=False, compare=False)
     # always None; the benchmark's tracer counts a result with a note as a
     # solver fallback
     solver_note: ClassVar[Optional[str]] = None
@@ -213,16 +235,27 @@ class Interpolant:
     def __post_init__(self):
         _check_nodes(self.spec, self.nodes)
         beta = np.asarray(self.beta, dtype=np.float64)
-        if beta.shape != (len(self.nodes),):
+        if beta.ndim not in (1, 2) or beta.shape[0] != len(self.nodes):
             raise ValueError("coefficient vector length must equal the node count")
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
         # 4 / rho centres: a support under 1/16 of the node spacing would
         # take over 64 m of them, so such a surrogate is evaluated per axis
         side = self.nodes.side
-        if _WIDE_LONG_DOUBLE and self.spec.dim == 1 and 16 * side * self.spec.support_radius >= 1.0:
+        tables = self.moments is None and self.spec.dim == 1
+        if _WIDE_LONG_DOUBLE and tables and 16 * side * self.spec.support_radius >= 1.0:
             moments = _axis_moments(self.spec, self.nodes.points[:, 0], beta)
             object.__setattr__(self, "moments", moments)
+
+    def column(self, r: int) -> "Interpolant":
+        """Surrogate r of a multi-column fit, with the fit's nugget and
+        largest residual."""
+        return replace(
+            self,
+            beta=np.ascontiguousarray(self.beta[:, r]),
+            exact_integral=float(self.exact_integral[r]),
+            moments=self.moments and replace(self.moments, prefix=self.moments.prefix[r]),
+        )
 
 
 def _check_nodes(spec: KernelSpec, nodes) -> None:
@@ -301,45 +334,49 @@ def _grid_factor(spec: KernelSpec, m: int) -> _GridFactor:
 
 
 def _kron_apply(mat: np.ndarray, t: np.ndarray, d: int) -> np.ndarray:
-    """(mat (x) ... (x) mat) applied to the flat C-ordered tensor t of shape
-    (m,)*d, returned flat.
+    """(mat (x) ... (x) mat) applied to t, a flat C-ordered tensor of shape
+    (m,)*d or an (m^d, R) stack of R of them, returned in t's shape.
 
     Each step contracts the leading axis and appends the result axis, so
-    after d steps the axes are back in their original order. A step is
-    ``np.tensordot(t, mat, axes=(0, 1))`` written as the one matrix product
-    tensordot makes, on the same operands, so the floats are the same.
+    after d steps the tensor axes are back in their original order, behind
+    the stack axis. A step is ``np.tensordot(t, mat, axes=(0, 1))`` written
+    as the one matrix product tensordot makes, on the same operands, so the
+    floats are the same; a stack only adds rows to that product.
     """
-    m = mat.shape[0]
+    shape, m = t.shape, mat.shape[0]
     for _ in range(d):
         t = np.dot(t.reshape(m, -1).T, mat.T)
-    return t.reshape(-1)
+    return t.reshape(-1, shape[0]).T.reshape(shape)
 
 
 def _fold_apply(factor: _GridFactor, x: np.ndarray, transpose: bool) -> np.ndarray:
-    """U^T x (``transpose``) or U x for an m-vector x, from U's blocks.
+    """U^T x (``transpose``) or U x for an m-vector x or an (m, R) stack of
+    them, from U's blocks.
 
     U^T x folds x into [top + J bottom; middle; top - J bottom] and
     multiplies the c symmetric rows by ``sym``^T and the h skew rows by
     ``skew``^T. U y multiplies first and unfolds the products p (symmetric)
     and q (skew) into [p_top + q; p_middle; J (p_top - q)]. Either way the
-    c^2 + h^2 floats of the blocks are read once, not the m^2 of U.
+    c^2 + h^2 floats of the blocks are read once for all R columns, not the
+    m^2 of U per column.
     """
     sym, skew = factor.sym, factor.skew
     c, h = len(sym), len(skew)
     if transpose:
         top, bottom = x[:h], x[::-1][:h]
         fold = np.concatenate([top + bottom, x[h:c], top - bottom])
-        return np.concatenate([fold[:c] @ sym, fold[c:] @ skew])
+        return np.concatenate([sym.T @ fold[:c], skew.T @ fold[c:]])
     p, q = sym @ x[:c], skew @ x[c:]
     return np.concatenate([p[:h] + q, p[h:], (p[:h] - q)[::-1]])
 
 
 def _eigen_maps(factor: _GridFactor, d: int):
-    """(x -> U^(x)d,T x, y -> U^(x)d y) on flat (m,)*d tensors.
+    """(x -> U^(x)d,T x, y -> U^(x)d y) on flat (m,)*d tensors or (m^d, R)
+    stacks of them.
 
     At d = 1 they apply U from its blocks (``_fold_apply``). At d >= 2, U is
     assembled once for both maps and applied one axis at a time
-    (``_kron_apply``): it holds no more floats than the tensor, and one
+    (``_kron_apply``): it holds no more floats than one tensor, and one
     matrix product per axis costs less than a fold's several numpy calls on
     the grids a campaign fits (m <= 45 at N = 4096).
     """
@@ -356,10 +393,11 @@ def _eigen_maps(factor: _GridFactor, d: int):
 
 
 def _grid_solve(factor: _GridFactor, d: int, vals: np.ndarray):
-    """(beta, nugget, bare-kernel node residual) of the Kronecker system. On
-    fine grids the smallest computed eigenvalues round to zero or below, and
-    the nugget lifts them to 16 eps of the largest."""
-    spectrum = reduce(np.multiply.outer, [factor.values] * d).reshape(-1)
+    """(beta, nugget, bare-kernel node residual) of the Kronecker system for
+    the (M, R) node values ``vals``, the residual the largest over the
+    columns. On fine grids the smallest computed eigenvalues round to zero
+    or below, and the nugget lifts them to 16 eps of the largest."""
+    spectrum = reduce(np.multiply.outer, [factor.values] * d).reshape(-1, 1)
     nugget = max(0.0, -float(spectrum.min())) + 16.0 * np.finfo(np.float64).eps * float(spectrum.max())
     to_eigen, from_eigen = _eigen_maps(factor, d)
     coeffs = to_eigen(vals) / (spectrum + nugget)
@@ -372,23 +410,30 @@ def fit(spec: KernelSpec, nodes: MidpointGrid, values) -> Interpolant:
     """Solve (G + nugget I) beta = values on a midpoint grid and attach the
     closed-form integral.
 
-    The system is solved through the cached eigenpairs of the axis Gram, and
-    the nugget is chosen from their spectrum (``_grid_solve``); it is
-    recorded as ``Interpolant.jitter``. Raises TypeError for nodes that are
-    not a ``MidpointGrid`` and ValueError when their dimension is not
-    ``spec.dim`` or the value count is not the node count.
+    ``values`` holds one value per node, (M,), or R columns of them,
+    (M, R), which are solved together in one pass and give an R-column
+    ``Interpolant``. The system is solved through the cached eigenpairs of
+    the axis Gram, and the nugget is chosen from their spectrum
+    (``_grid_solve``); it is recorded as ``Interpolant.jitter``. Raises
+    TypeError for nodes that are not a ``MidpointGrid`` and ValueError when
+    their dimension is not ``spec.dim`` or the value count is not the node
+    count.
     """
     _check_nodes(spec, nodes)
-    vals = np.asarray(values, dtype=np.float64).reshape(-1)
-    if vals.shape[0] != len(nodes):
-        raise ValueError(f"{vals.shape[0]} values for {len(nodes)} nodes")
+    vals = np.asarray(values, dtype=np.float64)
+    if vals.ndim not in (1, 2) or vals.shape[0] != len(nodes):
+        raise ValueError(f"node values of shape {vals.shape} for {len(nodes)} nodes")
 
     factor = _grid_factor(spec, nodes.side)
-    beta, nugget, residual = _grid_solve(factor, spec.dim, vals)
+    beta, nugget, residual = _grid_solve(factor, spec.dim, vals.reshape(len(nodes), -1))
     # the product a[i_1] * ... * a[i_d] in kernel_integral's order, so the
     # node integrals are bitwise the same
     node_integrals = reduce(np.multiply.outer, [factor.integrals] * spec.dim).reshape(-1)
-    exact = float(np.dot(beta, node_integrals))
+    # one dot product per column, as a one-column fit takes it: a matrix
+    # product over the columns would round each integral another way
+    exact = np.array([np.dot(column, node_integrals) for column in beta.T])
+    if vals.ndim == 1:
+        beta, exact = beta[:, 0], float(exact[0])
     return Interpolant(
         spec=spec,
         nodes=nodes,
@@ -480,6 +525,8 @@ def evaluate(interp: Interpolant, x):
     Moment-table evaluation bounds its temporaries by
     ``kernels.BLOCK_BYTES``; its floats do not depend on those blocks.
     """
+    if interp.beta.ndim != 1:
+        raise ValueError("evaluate one column of a multi-column fit at a time (Interpolant.column)")
     x_arr = np.asarray(x, dtype=np.float64)
     rows = np.atleast_2d(x_arr)
     d = interp.spec.dim

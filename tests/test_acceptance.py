@@ -183,7 +183,7 @@ def test_criterion_5_shift_unbiasedness():
     errors = []
     for _ in range(200):
         f = as_integrand(inst)
-        est, _ = cf_estimate(f, nodes, random_shift(base, rng.random(2)), spec)
+        (est,), _ = cf_estimate([f], nodes, [random_shift(base, rng.random(2))], spec)
         errors.append(est - inst.exact)
     errors = np.asarray(errors)
     t_stat = errors.mean() / (errors.std(ddof=1) / math.sqrt(len(errors)))
@@ -273,7 +273,7 @@ def test_criterion_8_exactness_on_span_functions():
         f = Integrand(d, lambda x, b=beta, s=spec, u=nodes: kernel_cross(s, x, u.points) @ b)
         truth = float(beta @ kernel_integral(spec, nodes.points))
         eval_pts = random_shift(halton(64, d, scramble=True), rng.random(d))
-        est, _ = cf_estimate(f, nodes, eval_pts, spec)
+        (est,), _ = cf_estimate([f], nodes, [eval_pts], spec)
         rel = abs(est - truth) / (1.0 + abs(truth))
         worst = max(worst, rel)
     assert worst <= 1e-8

@@ -6,6 +6,7 @@ import re
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cfqmc import bench, estimators, points
@@ -240,14 +241,94 @@ class TestRunCampaign:
         cf_rows = [r for r in table.rows if r.method == "QMC+CF-folded"]
         assert all(r.m_nodes > 0 for r in cf_rows)
 
+    def test_instances_built_once_per_family_dim_replicate(self, monkeypatch):
+        # an instance's seed holds no k or N, so every (k, N) of a (family, d)
+        # reuses its replicates' instances
+        calls = []
+        build = bench.random_genz
+        monkeypatch.setattr(bench, "random_genz", lambda *a: calls.append(a[:3]) or build(*a))
+        cfg = small_config(
+            families=("gaussian", "oscillatory"), dims=(1, 2), k_values=(0, 1), n_grid=(16, 32), replicates=3
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run_campaign(cfg)
+        assert len(calls) == len(set(calls)) == 2 * 2 * 3
+
     def test_mc_cf_method_runs(self):
         cfg = small_config(methods=("MC+CF",), n_grid=(32,), replicates=2)
         table = run_campaign(cfg)
         assert all(math.isfinite(r.rmse) for r in table.rows)
 
 
-def fresh_points_estimate(method, integrand, spec, split, sequence, delta, dshift_seed, mc_seed):
-    """The reference for one replicate: every point set generated afresh."""
+class BrokenInstance:
+    """A replicate's instance that raises on every evaluation."""
+
+    def __init__(self, inst):
+        self.dim, self.exact = inst.dim, inst.exact
+
+    def __call__(self, x):
+        raise FloatingPointError("instance blew up")
+
+
+class HoleyInstance:
+    """A replicate's instance that reads NaN at the first node of an m-grid."""
+
+    def __init__(self, inst, m):
+        self.inst, self.dim, self.exact = inst, inst.dim, inst.exact
+        self.hole = 0.5 / m
+
+    def __call__(self, x):
+        out = self.inst(x)
+        out[np.all(x == self.hole, axis=1)] = np.nan
+        return out
+
+
+class TestReplicateFailures:
+    # One replicate's instance is replaced; the other replicates' estimates
+    # must be the floats of the campaign without it.
+    def run(self, monkeypatch, spoil=None):
+        cfg = small_config(dims=(1, 2), methods=("QMC", "QMC+CF"), n_grid=(64,), replicates=4)
+        bad = {seed_for(cfg.seed_base, "instance", "gaussian", d, 2) for d in cfg.dims}
+        build, run_method = random_genz, bench._run_method
+        estimates = []
+        monkeypatch.setattr(
+            bench, "random_genz", lambda *a: spoil(build(*a)) if spoil and a[2] in bad else build(*a)
+        )
+        monkeypatch.setattr(bench, "_run_method", lambda *a: estimates.append(run_method(*a)) or estimates[-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            table = run_campaign(cfg)
+        return table.rows, estimates
+
+    def test_raising_replicate_tagged_alone(self, monkeypatch):
+        clean_rows, clean = self.run(monkeypatch)
+        rows, spoiled = self.run(monkeypatch, BrokenInstance)
+        assert all(row.replicates == 4 and not row.error for row in clean_rows)
+        for row in rows:
+            assert row.replicates == 3
+            assert row.error == "r2: instance blew up"
+        for got, want in zip(spoiled, clean):
+            assert np.isnan(got[2])
+            assert np.array_equal(np.delete(got, 2), np.delete(want, 2))
+
+    def test_non_finite_node_value_tagged_alone(self, monkeypatch):
+        _, clean = self.run(monkeypatch)
+        # the 64-point budget puts 32 nodes at d = 1 and 25 at d = 2
+        m = {1: 32, 2: 5}
+        rows, spoiled = self.run(monkeypatch, lambda inst: HoleyInstance(inst, m[inst.dim]))
+        for row in rows:
+            if row.method == "QMC":
+                assert row.replicates == 4 and not row.error
+            else:
+                assert row.replicates == 3
+                assert row.error == "r2: non-finite estimate nan"
+        for got, want in zip(spoiled, clean):
+            assert np.array_equal(np.delete(got, 2), np.delete(want, 2))
+
+
+def fresh_points(method, spec, split, sequence, delta, dshift_seed, mc_seed):
+    """The reference for one replicate's point set, generated afresh."""
     d = spec.dim
 
     def plain(n):
@@ -263,17 +344,14 @@ def fresh_points_estimate(method, integrand, spec, split, sequence, delta, dshif
         return points.random_shift(plain(n), delta)
 
     if method == "MC":
-        return estimators.qmc_estimate(integrand, points.uniform_random(split.consumed, d, mc_seed))
+        return points.uniform_random(split.consumed, d, mc_seed)
     if method == "QMC":
-        return estimators.qmc_estimate(integrand, randomized(split.consumed))
+        return randomized(split.consumed)
     if method == "QMC+CF":
-        eval_pts = randomized(split.n_eval)
-    elif method == "MC+CF":
-        eval_pts = points.uniform_random(split.n_eval, d, mc_seed)
-    else:
-        eval_pts = points.baker_fold(points.random_shift(plain(split.n_eval), delta))
-    nodes = points.midpoint_grid(split.m_per_axis, d)
-    return estimators.cf_estimate(integrand, nodes, eval_pts, spec)[0]
+        return randomized(split.n_eval)
+    if method == "MC+CF":
+        return points.uniform_random(split.n_eval, d, mc_seed)
+    return points.baker_fold(points.random_shift(plain(split.n_eval), delta))
 
 
 class TestCellPoints:
@@ -281,7 +359,8 @@ class TestCellPoints:
     @pytest.mark.parametrize("sequence", bench.SEQUENCES)
     def test_estimates_equal_fresh_points(self, monkeypatch, sequence, support):
         # A cell builds its grid and base sets once; every estimate must be
-        # the float that point sets generated afresh per replicate give.
+        # the float that the same batched estimators give on point sets
+        # generated afresh per replicate.
         cfg = small_config(
             dims=(1, 2), methods=bench.METHODS, sequence=sequence, k_values=(0, 1, 2),
             support_radius=support, n_grid=(16, 64), replicates=2,
@@ -297,25 +376,38 @@ class TestCellPoints:
 
         expected = []
         (family,), seed = cfg.families, cfg.seed_base
+        insts = {
+            (d, r): random_genz(family, d, seed_for(seed, "instance", family, d, r), cfg.difficulty)
+            for d in cfg.dims
+            for r in range(cfg.replicates)
+        }
         for d in cfg.dims:
             for k in cfg.k_values:
                 spec = KernelSpec(k, d, support)
                 for n in cfg.n_grid:
                     split = bench.split_budget(n, cfg.node_fraction, dim=d)
+                    sets = {m: [] for m in cfg.methods}
                     for r in range(cfg.replicates):
-                        inst = random_genz(family, d, seed_for(seed, "instance", family, d, r), cfg.difficulty)
                         delta = rng_for(seed, "shift", family, d, k, n, r).random(d)
                         dshift_seed = seed_for(seed, "dshift", family, d, k, n, r)
                         mc_seed = seed_for(seed, "mc", family, d, k, n, r)
                         for method in cfg.methods:
-                            integrand = as_integrand(inst)
-                            expected.append(fresh_points_estimate(
-                                method, integrand, spec, split, sequence, delta, dshift_seed, mc_seed
-                            ))
-        assert estimates == expected
+                            pts = fresh_points(method, spec, split, sequence, delta, dshift_seed, mc_seed)
+                            sets[method].append(pts)
+                    for method in cfg.methods:
+                        integrands = [as_integrand(insts[d, r]) for r in range(cfg.replicates)]
+                        if method in bench.CF_METHODS:
+                            nodes = points.midpoint_grid(split.m_per_axis, d)
+                            ests = estimators.cf_estimate(integrands, nodes, sets[method], spec)[0]
+                        else:
+                            ests = [estimators.qmc_estimate(f, ps) for f, ps in zip(integrands, sets[method])]
+                        expected.append(list(ests))
+        assert [list(e) for e in estimates] == expected
         assert cf_results
         for _, interp in cf_results:
-            assert interp.exact_integral == float(interp.beta @ kernel_integral(interp.spec, interp.nodes.points))
+            integrals = kernel_integral(interp.spec, interp.nodes.points)
+            columns = interp.beta.T
+            assert np.array_equal(interp.exact_integral, [np.dot(column, integrals) for column in columns])
 
 
 class TestDeterminism:

@@ -94,7 +94,7 @@ class TestCorrectedEstimate:
         f = Integrand(2, lambda x: kernel_cross(spec, x, nodes.points) @ beta)
         true_integral = float(beta @ kernel_integral(spec, nodes.points))
         eval_pts = random_shift(halton(64, 2, scramble=True), [0.3, 0.7])
-        est, interp = cf_estimate(f, nodes, eval_pts, spec)
+        (est,), interp = cf_estimate([f], nodes, [eval_pts], spec)
         assert abs(est - true_integral) <= 1e-8 * (1.0 + abs(true_integral))
         assert f.eval_count == len(nodes) + len(eval_pts)
 
@@ -105,7 +105,7 @@ class TestCorrectedEstimate:
         f = Integrand(1, lambda x: np.full(len(x), c))
         nodes = midpoint_grid(128, 1)
         eval_pts = random_shift(halton(128, 1, scramble=True), [0.37])
-        est, _ = cf_estimate(f, nodes, eval_pts, KernelSpec(1, 1))
+        (est,), _ = cf_estimate([f], nodes, [eval_pts], KernelSpec(1, 1))
         assert est != c  # genuinely approximate
         assert abs(est - c) <= abs(c) * 1e-6
 
@@ -118,7 +118,7 @@ class TestCorrectedEstimate:
         errors = []
         for _ in range(60):
             f = as_integrand(inst)
-            est, _ = cf_estimate(f, nodes, random_shift(base, rng.random(2)), spec)
+            (est,), _ = cf_estimate([f], nodes, [random_shift(base, rng.random(2))], spec)
             errors.append(est - inst.exact)
         errors = np.asarray(errors)
         t_stat = errors.mean() / (errors.std(ddof=1) / math.sqrt(len(errors)))
@@ -127,7 +127,7 @@ class TestCorrectedEstimate:
     def test_returns_interpolant_with_budget(self):
         inst = make_genz("continuous", 1, [1.0], [0.5])
         f = as_integrand(inst)
-        est, interp = cf_estimate(f, midpoint_grid(8, 1), halton(16, 1), KernelSpec(0, 1))
+        (est,), interp = cf_estimate([f], midpoint_grid(8, 1), [halton(16, 1)], KernelSpec(0, 1))
         assert len(interp.beta) == 8
         assert f.eval_count == 24
 
@@ -136,7 +136,7 @@ class TestCorrectedEstimate:
         f = Integrand(2, lambda x: x[:, 0])
         nodes = random_shift(midpoint_grid(4, 2), [0.1, 0.2])
         with pytest.raises(TypeError, match="MidpointGrid"):
-            cf_estimate(f, nodes, halton(16, 2), KernelSpec(1, 2))
+            cf_estimate([f], nodes, [halton(16, 2)], KernelSpec(1, 2))
         assert f.eval_count == 0
 
 
@@ -148,7 +148,7 @@ class TestFoldedEstimate:
         f = Integrand(1, lambda x: kernel_cross(spec, x, nodes.points) @ beta)
         truth = float(beta @ kernel_integral(spec, nodes.points))
         folded = baker_fold(random_shift(lattice(64, 1, (1,)), [0.0]))
-        est, _ = cf_estimate(f, nodes, folded, spec)
+        (est,), _ = cf_estimate([f], nodes, [folded], spec)
         assert abs(est - truth) <= 1e-8 * (1.0 + abs(truth))
 
     def test_folding_beats_plain_shifted_lattice(self):
@@ -163,10 +163,10 @@ class TestFoldedEstimate:
         for _ in range(10):
             shift = rng.random(1)
             f1 = as_integrand(inst)
-            folded, _ = cf_estimate(f1, nodes, baker_fold(random_shift(base, shift)), spec)
+            (folded,), _ = cf_estimate([f1], nodes, [baker_fold(random_shift(base, shift))], spec)
             folded_err.append(folded - inst.exact)
             f2 = as_integrand(inst)
-            plain, _ = cf_estimate(f2, nodes, random_shift(base, shift), spec)
+            (plain,), _ = cf_estimate([f2], nodes, [random_shift(base, shift)], spec)
             plain_err.append(plain - inst.exact)
         rmse_folded = float(np.sqrt(np.mean(np.square(folded_err))))
         rmse_plain = float(np.sqrt(np.mean(np.square(plain_err))))
@@ -325,5 +325,5 @@ class TestBudgetAccounting:
         f = as_integrand(inst)
         nodes = midpoint_grid(split.m_per_axis, 2)
         eval_pts = halton(split.n_eval, 2)
-        cf_estimate(f, nodes, eval_pts, KernelSpec(1, 2))
+        cf_estimate([f], nodes, [eval_pts], KernelSpec(1, 2))
         assert f.eval_count == split.consumed

@@ -536,3 +536,86 @@ class TestGridPath:
         interp = fit(KernelSpec(1, 2), midpoint_grid(3, 2), np.ones(9))
         with pytest.raises(ValueError, match="dimension mismatch"):
             evaluate(interp, np.ones((4, 3)))
+
+
+def bump_columns(nodes, r_count, seed):
+    """R node-value columns: Gaussian bumps, every other column with unit
+    noise, so both smooth and rough values are fitted."""
+    rng = np.random.default_rng(seed)
+    x = nodes.points
+    centres = rng.random((r_count, x.shape[1]))
+    widths = rng.uniform(1, 30, r_count)
+    vals = np.exp(-widths * np.sum((x[:, None, :] - centres) ** 2, axis=2))
+    vals[:, 1::2] += rng.normal(size=vals[:, 1::2].shape)
+    return vals
+
+
+class TestMultiColumnFit:
+    @pytest.mark.parametrize("support", [1.0, 0.3])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_1d_batch_matches_column_fits(self, k, support):
+        # At d = 1 a batch rounds another way than a column alone. With
+        # F = eps sum|beta_i a_i| (a the node integrals) of the column fit,
+        # the integrals differed by at most 7.0 F and the batch residual from
+        # the largest column residual by 4.6 F (of the largest column's F),
+        # over k = 0, 1, 2, supports 1, 0.6, 0.3 and 60 batches of 2-11
+        # columns at m = 1024, with one and two BLAS threads. The
+        # coefficients carry the near-null directions at full weight, so
+        # they moved by up to 3.7e9 F; they stay within 0.46 of
+        # eps ||y||_2 / nugget, the rounding of U^T y amplified by the
+        # smallest shifted eigenvalue.
+        eps = np.finfo(np.float64).eps
+        spec = KernelSpec(k, 1, support)
+        nodes = midpoint_grid(1024, 1)
+        a = kernel_integral(spec, nodes.points)
+        vals = bump_columns(nodes, 10, k)
+        batch = fit(spec, nodes, vals)
+        assert batch.beta.shape == vals.shape and batch.exact_integral.shape == (10,)
+        singles = [fit(spec, nodes, vals[:, r]) for r in range(vals.shape[1])]
+        floors = [eps * np.sum(np.abs(s.beta * a)) for s in singles]
+        for r, (single, floor) in enumerate(zip(singles, floors)):
+            assert batch.jitter == single.jitter
+            assert abs(batch.exact_integral[r] - single.exact_integral) <= 16 * floor
+            beta_bound = eps * np.linalg.norm(vals[:, r]) / single.jitter
+            assert np.max(np.abs(batch.beta[:, r] - single.beta)) <= beta_bound
+        assert abs(batch.residual_norm - max(s.residual_norm for s in singles)) <= 16 * max(floors)
+
+    @pytest.mark.parametrize("d,m", [(2, 16), (2, 7), (3, 6)])
+    def test_batch_matches_column_fits_bitwise_above_1d(self, d, m):
+        # At d >= 2 a batch only adds rows to each axis product, and every
+        # integral is its own column's dot product: the floats are those of
+        # the column fits.
+        spec = KernelSpec(1, d, 0.7)
+        nodes = midpoint_grid(m, d)
+        vals = bump_columns(nodes, 5, d * m)
+        batch = fit(spec, nodes, vals)
+        singles = [fit(spec, nodes, vals[:, r]) for r in range(vals.shape[1])]
+        assert np.array_equal(batch.beta, np.stack([s.beta for s in singles], axis=1))
+        assert np.array_equal(batch.exact_integral, [s.exact_integral for s in singles])
+        assert batch.residual_norm == max(s.residual_norm for s in singles)
+
+    def test_column_is_the_one_column_surrogate(self):
+        spec = KernelSpec(2, 2)
+        nodes = midpoint_grid(5, 2)
+        batch = fit(spec, nodes, bump_columns(nodes, 3, 0))
+        column = batch.column(1)
+        assert column.beta.shape == (25,) and column.exact_integral == batch.exact_integral[1]
+        pts = halton(40, 2)
+        np.testing.assert_array_equal(evaluate(column, pts.points), evaluate(Interpolant(
+            spec, nodes, batch.beta[:, 1].copy(), exact_integral=0.0, jitter=0.0, residual_norm=0.0
+        ), pts.points))
+        with pytest.raises(ValueError, match="one column"):
+            evaluate(batch, pts.points)
+
+    @pytest.mark.parametrize("d,m", [(1, 64), (2, 8)])
+    def test_non_finite_column_leaves_the_others_alone(self, d, m):
+        spec = KernelSpec(1, d)
+        nodes = midpoint_grid(m, d)
+        vals = bump_columns(nodes, 4, m)
+        clean = fit(spec, nodes, vals)
+        vals[3, 2] = np.nan
+        dirty = fit(spec, nodes, vals)
+        keep = [0, 1, 3]
+        assert np.array_equal(dirty.beta[:, keep], clean.beta[:, keep])
+        assert np.array_equal(dirty.exact_integral[keep], clean.exact_integral[keep])
+        assert np.all(np.isnan(dirty.beta[:, 2])) and np.isnan(dirty.exact_integral[2])

@@ -52,8 +52,9 @@ def test_tracing_hooks_install_and_restore():
 
 
 def test_grid_factorization_reused_across_fits():
-    # A campaign fits every replicate and method on a handful of grids; the
-    # axis Gram behind each grid is assembled and factorized once.
+    # A campaign fits every replicate and method on a handful of grids, all
+    # replicates of a cell in one call; the axis Gram behind each grid is
+    # assembled and factorized once.
     tracing = load_tracing()
     interpolate._FACTORS.clear()
     cfg = bench.CampaignConfig(
@@ -64,7 +65,7 @@ def test_grid_factorization_reused_across_fits():
         bench.run_campaign(cfg)
     names = [span[0] for span in tracer.spans]
     shapes = tracer.counters[0]["shapes"]
-    assert names.count("interpolate.fit") == 2 * 2 * 3
+    assert names.count("interpolate.fit") == 2 * 2
     assert len(shapes) == 4
     assert names.count("kernels.gram") == len(shapes)
 
@@ -90,7 +91,7 @@ def count_point_builds(monkeypatch) -> dict[str, int]:
 def test_campaign_point_sets_built_once_per_cell(monkeypatch):
     # Replicates and methods only shift a cell's point sets: the Halton base
     # sets and the node grid are built once per (d, N) however many
-    # replicates run, while every replicate still fits its own surrogate.
+    # replicates run, and one multi-column fit per cell serves them all.
     tracing = load_tracing()
     calls = count_point_builds(monkeypatch)
     cells = 2 * 2  # dims x n_grid, one family
@@ -101,7 +102,7 @@ def test_campaign_point_sets_built_once_per_cell(monkeypatch):
         tracer = tracing.Tracer()
         with tracer.recording(0):
             bench.run_campaign(cfg)
-        assert tracer.run_metrics(0)["interpolate.fit_calls"] == replicates * cells
+        assert tracer.run_metrics(0)["interpolate.fit_calls"] == cells
         seen.append(dict(calls))
     assert seen[0] == seen[1]
     assert 0 < seen[0]["halton"] <= 2 * cells
@@ -164,7 +165,8 @@ def test_sor_solves_shared_across_test_points_and_methods(monkeypatch):
     # Within a seed every test point and method reads one table of SoR
     # solves: QMC solves its 64 points, QMC+CF its 16 grid nodes (its 48
     # evaluation points are QMC's first 48), MC+CF its 48 MC points (the
-    # nodes are already solved). Solving per test point would take 1,152.
+    # nodes are already solved). The table keeps the nodes' solves across
+    # seeds. Solving per test point would take 1,152.
     tracing = load_tracing()
     build = gp.reparametrized_integrand
     built = []
@@ -181,7 +183,8 @@ def test_sor_solves_shared_across_test_points_and_methods(monkeypatch):
     with tracer.recording(0):
         gp.run_prediction_study(data, cfg, methods, 64, [0, 1])
     metrics = tracer.run_metrics(0)
-    assert metrics["gp.sor_solves"] == 2 * (64 + 16 + 48)
+    assert metrics["gp.sor_solves"] == 2 * (64 + 48) + 16
+    assert metrics["interpolate.fit_calls"] == 2 * 2  # one per seed and CF method, for all test points
     assert metrics["gp.integrand_builds"] == len(built) == 2 * len(methods) * 3
     assert [f.eval_count for f in built] == [64] * len(built)
 
