@@ -149,12 +149,13 @@ class ConvergenceTable:
 
 class CellPoints:
     """The point sets every (family, k) cell at one (d, N) shares across its
-    replicates: they depend only on the sequence, the budget split and d.
+    replicates, and the one recipe (``points``) by which each method draws
+    its own, for the campaign, ``cfqmc integrate`` and the GP study alike.
 
     The node grid and each unrandomized base set are built on first use and
-    kept until the campaign ends; a replicate only shifts or folds them. A
-    set that fails to build is not kept, so every replicate that needs it
-    records the failure.
+    kept as long as the cell; a replicate only shifts or folds them. A set
+    that fails to build is not kept, so every replicate that needs it records
+    the failure.
     """
 
     def __init__(self, sequence: str, split: BudgetSplit, dim: int):
@@ -179,10 +180,22 @@ class CellPoints:
             self._bases[n] = ps
         return self._bases[n]
 
-    def randomized(self, n: int, delta: np.ndarray, dshift_seed: Optional[int]) -> PointSet:
-        """A replicate's n QMC points: the base set shifted by ``delta``, or
-        for sobol-dshift the net digitally shifted with ``dshift_seed``. That
-        shift acts on the integer net, so it builds its net afresh."""
+    def points(
+        self, method: str, delta: np.ndarray, dshift_seed: Optional[int], mc_seed: Optional[int]
+    ) -> PointSet:
+        """The points one replicate of ``method`` averages its integrand over:
+        the evaluation set for a CF method, the whole budget otherwise. MC
+        methods draw them from ``mc_seed`` and QMC+CF-folded tent-folds the
+        base set shifted by ``delta``. QMC and QMC+CF shift the base set by
+        ``delta`` too, but sobol-dshift digitally shifts a fresh net with
+        ``dshift_seed`` instead, as that shift acts on the integer net."""
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}")
+        n = self.split.n_eval if method in CF_METHODS else self.split.consumed
+        if method in ("MC", "MC+CF"):
+            return uniform_random(n, self.dim, mc_seed)
+        if method == "QMC+CF-folded":
+            return baker_fold(random_shift(self.base(n), delta))
         if self.sequence == "sobol-dshift":
             return sobol(n, self.dim, shift_seed=dshift_seed)
         return random_shift(self.base(n), delta)
@@ -209,28 +222,9 @@ class _Replicate:
             return np.full(len(x), np.nan)
 
 
-def _method_points(
-    method: str, cell: CellPoints, delta: np.ndarray, dshift_seed: Optional[int], mc_seed: Optional[int]
-) -> PointSet:
-    """The points one replicate of ``method`` averages its integrand over:
-    the whole budget for MC and QMC, the evaluation set for a CF method."""
-    split, d = cell.split, cell.dim
-    if method == "MC":
-        return uniform_random(split.consumed, d, mc_seed)
-    if method == "QMC":
-        return cell.randomized(split.consumed, delta, dshift_seed)
-    if method == "QMC+CF":
-        return cell.randomized(split.n_eval, delta, dshift_seed)
-    if method == "MC+CF":
-        return uniform_random(split.n_eval, d, mc_seed)
-    if method == "QMC+CF-folded":
-        return baker_fold(random_shift(cell.base(split.n_eval), delta))
-    raise ValueError(f"unknown method {method!r}")
-
-
 def _run_method(method: str, integrands, spec: KernelSpec, cell: CellPoints, point_sets) -> np.ndarray:
     """One estimate per replicate integrand over its point set
-    (``_method_points``): a plain average each, or for a CF method one
+    (``CellPoints.points``): a plain average each, or for a CF method one
     ``cf_estimate`` on the cell's grid for all of them."""
     if method in CF_METHODS:
         return cf_estimate(integrands, cell.nodes, point_sets, spec)[0]
@@ -277,10 +271,11 @@ def run_campaign(cfg: CampaignConfig) -> ConvergenceTable:
     """Run every cell of the campaign; replicate failures are tagged per row
     and the campaign continues.
 
-    Every replicate's point sets are drawn first, then each method estimates
-    all replicates at once: a CF method fits them in one multi-column solve
-    on the cell's grid (``cf_estimate``). Each replicate still consumes and
-    is checked against its own budget, and fails on its own."""
+    Each method draws every replicate's points and estimates them at once: a
+    CF method fits them in one multi-column solve on the cell's grid
+    (``cf_estimate``). A replicate is checked against its own budget, and a
+    failing integrand tags its replicate alone; a failure to draw or
+    estimate tags every replicate of the method."""
     rows: list[Row] = []
     fraction = cfg.node_fraction
     cells: dict[tuple[int, int], CellPoints] = {}
@@ -303,43 +298,34 @@ def run_campaign(cfg: CampaignConfig) -> ConvergenceTable:
                             f"{split.discarded} evaluations (consumed budget {split.consumed})",
                             RuntimeWarning,
                         )
-                    if (d, n_nominal) not in cells:
-                        cells[d, n_nominal] = CellPoints(cfg.sequence, split, d)
-                    cell = cells[d, n_nominal]
-                    # per method: (replicate index, integrand function, points), and failures
-                    batches: dict[str, list] = {m: [] for m in cfg.methods}
-                    failures: dict[str, dict[int, str]] = {m: {} for m in cfg.methods}
-                    for r, inst in enumerate(insts):
+                    cell = cells.setdefault((d, n_nominal), CellPoints(cfg.sequence, split, d))
+                    # one randomization per replicate, shared by every method (paired)
+                    draws = []
+                    for r in range(cfg.replicates):
                         at = (family, d, k, n_nominal, r)
                         delta = rng_for(cfg.seed_base, "shift", *at).random(d)
                         dshift_seed = seed_for(cfg.seed_base, "dshift", *at) if uses_dshift else None
                         mc_seed = seed_for(cfg.seed_base, "mc", *at) if uses_mc else None
-                        for method in cfg.methods:
-                            try:
-                                pts = _method_points(method, cell, delta, dshift_seed, mc_seed)
-                            except Exception as exc:  # campaign must survive one bad replicate
-                                failures[method][r] = str(exc)
-                                continue
-                            batches[method].append((r, _Replicate(inst), pts))
+                        draws.append((delta, dshift_seed, mc_seed))
                     for method in cfg.methods:
-                        # popped, so a method's point sets go once it is estimated
-                        batch, errs, estimates = batches.pop(method), [], []
-                        integrands = [as_integrand(fn) for _, fn, _ in batch]
-                        if batch:
-                            try:
-                                estimates = _run_method(method, integrands, spec, cell, [p for *_, p in batch])
-                            except Exception as exc:  # a failure of the whole batch tags each replicate
-                                failures[method].update((r, str(exc)) for r, _, _ in batch)
-                        for (r, fn, _), integrand, est in zip(batch, integrands, estimates):
+                        fns = [_Replicate(inst) for inst in insts]
+                        integrands = [as_integrand(fn) for fn in fns]
+                        errs, estimates, failures = [], [], {}
+                        try:
+                            point_sets = [cell.points(method, *draw) for draw in draws]
+                            estimates = _run_method(method, integrands, spec, cell, point_sets)
+                        except Exception as exc:  # a failure of the whole method tags each replicate
+                            failures = dict.fromkeys(range(len(fns)), str(exc))
+                        for r, (fn, integrand, est) in enumerate(zip(fns, integrands, estimates)):
                             if fn.error is not None:
-                                failures[method][r] = str(fn.error)
+                                failures[r] = str(fn.error)
                             elif (consumed := integrand.eval_count) != split.consumed:
-                                failures[method][r] = f"budget mismatch ({consumed} != {split.consumed})"
+                                failures[r] = f"budget mismatch ({consumed} != {split.consumed})"
                             elif not math.isfinite(est):
-                                failures[method][r] = f"non-finite estimate {est}"
+                                failures[r] = f"non-finite estimate {est}"
                             else:
                                 errs.append(est - fn.inst.exact)
-                        rows.append(_cell_row(cfg, family, d, method, k, split, errs, failures[method]))
+                        rows.append(_cell_row(cfg, family, d, method, k, split, errs, failures))
     slopes = _fit_cell_slopes(rows)
     return ConvergenceTable(rows=rows, slopes=slopes, config=cfg)
 
@@ -379,9 +365,7 @@ def _fit_cell_slopes(rows: list[Row]) -> list[SlopeFit]:
         pts = [(r.n_total, r.rmse) for r in cell_rows if math.isfinite(r.rmse) and r.rmse > 0.0]
         if len(pts) < 4:  # slope summaries need a real grid behind them
             continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            slope, intercept, residual = fit_slope(pts)
+        slope, intercept, residual = fit_slope(pts)
         family, dim, method, k = key
         slopes.append(
             SlopeFit(

@@ -134,8 +134,12 @@ def _cmd_integrate(args) -> int:
     dshift_seed = seed_for(args.seed, "dshift")
     mc_seed = seed_for(args.seed, "mc")
     cell = bench_mod.CellPoints(args.sequence, split, args.dim)
-    pts = bench_mod._method_points(args.method, cell, delta, dshift_seed, mc_seed)
+    pts = cell.points(args.method, delta, dshift_seed, mc_seed)
     estimate = float(bench_mod._run_method(args.method, [integrand], spec, cell, [pts])[0])
+    if integrand.eval_count != split.consumed:
+        raise RuntimeError(
+            f"budget accounting violated: consumed {integrand.eval_count}, expected {split.consumed}"
+        )
     m_nodes = split.n_nodes if args.method in bench_mod.CF_METHODS else 0
     print(
         f"method={args.method} estimate={estimate:.17g} exact={inst.exact:.17g} "

@@ -40,8 +40,8 @@ class Integrand:
     """A counted black-box integrand f : [0,1]^d -> R.
 
     ``fn`` must map an (n, d) array to an (n,) array and be deterministic.
-    The evaluation counter increments by one per point and is safe to bump
-    from concurrent replicate threads.
+    The evaluation counter increments by one per point; a lock keeps the
+    count exact when threads share one integrand.
     """
 
     def __init__(self, dim: int, fn: Callable[[np.ndarray], np.ndarray]):

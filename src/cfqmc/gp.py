@@ -22,9 +22,10 @@ from typing import Sequence
 import numpy as np
 from scipy import linalg as sla
 
-from .estimators import Integrand, cf_estimate, qmc_estimate
+from .bench import CellPoints
+from .estimators import BudgetSplit, Integrand, cf_estimate, qmc_estimate
 from .kernels import KernelSpec
-from .points import halton, midpoint_grid, random_shift, uniform_random
+from .points import midpoint_grid
 from .seeding import rng_for, seed_for
 
 GP_METHODS = ("QMC", "QMC+CF", "MC", "MC+CF")
@@ -37,6 +38,7 @@ GP_NODE_GRID_M = 4
 
 _CDF_CLIP = 1e-15  # keeps inverse-CDF arguments off the unbounded endpoints
 _PRIOR_SCALE = 2.0  # Gamma scale of both priors; the shape 2 is gamma2_inverse_cdf's
+_SIGMA = 0.1  # observation noise scale of the GP model
 _SOR_JITTER = 1e-10
 # escalating diagonal boost (relative to trace/n') when a draw makes the
 # normal-equation system numerically semidefinite; deterministic ladder
@@ -67,10 +69,6 @@ class Dataset:
     def n(self) -> int:
         return self.covariates.shape[0]
 
-    @property
-    def p(self) -> int:
-        return self.covariates.shape[1]
-
 
 def standardize(raw_covariates, raw_responses) -> Dataset:
     """Build a Dataset: rescale columns to mean 0 / variance 1, center responses."""
@@ -85,18 +83,15 @@ def standardize(raw_covariates, raw_responses) -> Dataset:
 
 @dataclass(frozen=True)
 class GPConfig:
-    """Model constants: noise scale, SoR subset size, and the test inputs."""
+    """Model settings: the SoR subset size and the test inputs."""
 
     test_points: np.ndarray
-    sigma: float = 0.1
     n_subset: int = 100
 
     def __post_init__(self):
         tp = np.atleast_2d(np.asarray(self.test_points, dtype=np.float64))
         tp.setflags(write=False)
         object.__setattr__(self, "test_points", tp)
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
         if self.n_subset < 1:
             raise ValueError("n_subset must be >= 1")
 
@@ -165,7 +160,7 @@ class _SorSolver:
     runtime-error code and prints the message.
     """
 
-    def __init__(self, data: Dataset, cfg: GPConfig, z_star: np.ndarray, subset_indices):
+    def __init__(self, data: Dataset, z_star: np.ndarray, subset_indices):
         self.idx = np.asarray(subset_indices, dtype=np.int64)
         if self.idx.size != np.unique(self.idx).size:
             raise ValueError("subset indices must be distinct")
@@ -173,7 +168,6 @@ class _SorSolver:
         self.sq_sub_n = _sq_dists(z_sub, data.covariates)
         self.sq_star = _sq_dists(np.atleast_2d(z_star), z_sub)
         self.y = data.responses
-        self.sigma2 = cfg.sigma**2
         self.diag = np.diag_indices(self.idx.size)
 
     def predict(self, theta1: float, theta2: float) -> np.ndarray:
@@ -188,7 +182,7 @@ class _SorSolver:
         c_sub = np.take(c_sub_n, self.idx, axis=1)
         n_sub = self.idx.size
         c_sub[self.diag] += _SOR_JITTER * np.trace(c_sub) / n_sub
-        c_sub *= self.sigma2
+        c_sub *= _SIGMA**2
         system = c_sub_n @ c_sub_n.T
         system += c_sub
         rhs = c_sub_n @ self.y
@@ -224,7 +218,7 @@ def gp_predictive_mean_full(data: Dataset, cfg: GPConfig, theta, z_star) -> floa
         raise ValueError("hyper-parameters must be positive")
     z = np.atleast_2d(np.asarray(z_star, dtype=np.float64))
     c_n = _sq_exp_cross(data.covariates, data.covariates, theta1, theta2)
-    c_n[np.diag_indices_from(c_n)] += cfg.sigma**2
+    c_n[np.diag_indices_from(c_n)] += _SIGMA**2
     cho = sla.cho_factor(c_n, lower=True, check_finite=False)
     weights = sla.cho_solve(cho, data.responses, check_finite=False)
     c_star = _sq_exp_cross(z, data.covariates, theta1, theta2)
@@ -241,7 +235,7 @@ def gp_predictive_mean_sor(
 
     with a small trace-scaled jitter on C_{n'} for factorization stability.
     """
-    solver = _SorSolver(data, cfg, np.atleast_2d(np.asarray(z_star, dtype=np.float64)), subset_indices)
+    solver = _SorSolver(data, np.atleast_2d(np.asarray(z_star, dtype=np.float64)), subset_indices)
     out = solver.predict(float(theta[0]), float(theta[1]))
     return float(out[0]) if out.shape[0] == 1 else out
 
@@ -265,7 +259,7 @@ class PredictionTable:
 
     def __init__(self, data: Dataset, cfg: GPConfig, subset_indices):
         self.n_test = cfg.test_points.shape[0]
-        self.solver = _SorSolver(data, cfg, cfg.test_points, subset_indices)
+        self.solver = _SorSolver(data, cfg.test_points, subset_indices)
         self._rows: dict[bytes, np.ndarray] = {}
 
     def clear(self, keep) -> None:
@@ -309,10 +303,11 @@ def marginal_prediction(table: PredictionTable, method: str, budget: int, seed: 
     The seed fixes one Halton shift and one MC stream, the same for every
     method and every test point, so within a seed all test points and
     methods share one theta sample and ``table`` solves each theta once.
-    Surrogate-corrected methods fit the k = 1 kernel on the 16-node grid
-    (``GP_NODE_GRID_M``), every test point's surrogate in one multi-column
-    fit; each test point's integrand consumes the full budget exactly, so
-    equal-budget accounting holds across methods.
+    The points are the campaign's (``bench.CellPoints``) for a split of 16
+    grid nodes (``GP_NODE_GRID_M``) and ``budget - 16`` evaluation points;
+    CF methods fit the k = 1 kernel on that grid, every test point's
+    surrogate in one multi-column fit. Each test point's integrand consumes
+    the full budget exactly, so equal-budget accounting holds across methods.
     """
     if method not in GP_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {GP_METHODS}")
@@ -322,15 +317,11 @@ def marginal_prediction(table: PredictionTable, method: str, budget: int, seed: 
     delta = rng_for(seed, "gp-shift").random(2)
     mc_seed = seed_for(seed, "gp-mc")
     spec = KernelSpec(k=1, dim=2)
-    n_eval = budget if method in ("QMC", "MC") else budget - m_nodes_cf
-    if method.startswith("QMC"):
-        eval_pts = random_shift(halton(n_eval, 2, scramble=True), delta)
-    else:
-        eval_pts = uniform_random(n_eval, 2, mc_seed)
+    cell = CellPoints("halton-rr-shift", BudgetSplit(GP_NODE_GRID_M, m_nodes_cf, budget - m_nodes_cf, 0), 2)
+    eval_pts = cell.points(method, delta, None, mc_seed)
     integrands = [reparametrized_integrand(table, t_idx) for t_idx in range(table.n_test)]
     if method.endswith("+CF"):
-        nodes = midpoint_grid(GP_NODE_GRID_M, 2)
-        estimates, _ = cf_estimate(integrands, nodes, [eval_pts] * table.n_test, spec)
+        estimates, _ = cf_estimate(integrands, cell.nodes, [eval_pts] * table.n_test, spec)
     else:
         estimates = np.array([qmc_estimate(f, eval_pts) for f in integrands])
     for integrand in integrands:

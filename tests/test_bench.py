@@ -196,20 +196,23 @@ class TestRunCampaign:
         assert totals["QMC"] == 57  # 25 grid nodes + 32 eval points
 
     def test_paired_randomization_log(self, monkeypatch):
+        # Replicate r's QMC and QMC+CF points take the same shift, and two
+        # replicates different ones, whatever order the methods run in.
         original = bench.random_shift
-        shifts = []
+        shifts = {}  # points shifted -> shifts in replicate order
 
         def recording(ps, shift):
-            shifts.append(tuple(shift))
+            shifts.setdefault(len(ps), []).append(tuple(shift))
             return original(ps, shift)
 
         monkeypatch.setattr(bench, "random_shift", recording)
-        run_campaign(small_config(n_grid=(32,), replicates=2))
-        # methods run in config order (QMC, QMC+CF) within each replicate
-        assert len(shifts) == 4
-        assert shifts[0] == shifts[1]
-        assert shifts[2] == shifts[3]
-        assert shifts[0] != shifts[2]
+        cfg = small_config(n_grid=(32,), replicates=2)
+        run_campaign(cfg)
+        split = bench.split_budget(32, cfg.node_fraction)
+        qmc, cf = shifts.pop(split.consumed), shifts.pop(split.n_eval)
+        assert not shifts
+        assert qmc == cf
+        assert len(qmc) == 2 and qmc[0] != qmc[1]
 
     def test_replicate_pooling_consistency(self):
         # recompute pooled rmse from per-replicate errors derived via mean/rmse

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfqmc import cli, gp
+from cfqmc import bench, cli, gp
 from cfqmc.cli import main
 from cfqmc.points import read_points_csv
 
@@ -171,6 +171,23 @@ class TestIntegrateCommand:
         assert main(args) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    def test_budget_violation_exits_2(self, capsys, monkeypatch):
+        # one evaluation beyond the split breaks the budget accounting
+        run_method = bench._run_method
+
+        def overspending(method, integrands, *rest):
+            estimates = run_method(method, integrands, *rest)
+            integrands[0].eval_batch(np.full((1, integrands[0].dim), 0.5))
+            return estimates
+
+        monkeypatch.setattr(bench, "_run_method", overspending)
+        code, _, err = run_cli(
+            capsys, "integrate", "--family", "gaussian", "--dim", "1",
+            "--method", "QMC+CF", "--n", "64", "--seed", "1",
+        )
+        assert code == 2
+        assert "budget accounting violated: consumed 65, expected 64" in err
 
     def test_report_csv_written(self, tmp_path, capsys):
         out = tmp_path / "report.csv"

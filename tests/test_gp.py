@@ -23,7 +23,8 @@ from cfqmc.gp import (
     synthetic_dataset,
     write_prediction_csv,
 )
-from cfqmc.seeding import seed_for
+from cfqmc.points import halton, midpoint_grid, random_shift, uniform_random
+from cfqmc.seeding import rng_for, seed_for
 
 
 def gamma2_cdf(t, scale):
@@ -40,7 +41,7 @@ def sor_reference(solver, theta1, theta2):
     n_sub = solver.idx.size
     eye = np.eye(n_sub)
     jitter = gp._SOR_JITTER * np.trace(c_sub) / n_sub
-    system = c_sub_n @ c_sub_n.T + solver.sigma2 * (c_sub + jitter * eye)
+    system = c_sub_n @ c_sub_n.T + gp._SIGMA**2 * (c_sub + jitter * eye)
     scale = np.trace(system) / n_sub
     for rung, extra in enumerate(gp._SOR_LADDER):
         boosted = system + extra * scale * eye if extra else system
@@ -126,7 +127,7 @@ class TestPredictiveMeans:
             cfg, theta, data.covariates[0],
         )
         # at the training input the cross covariance is theta1 itself
-        expected = theta[0] / (theta[0] + cfg.sigma**2) * data.responses[0]
+        expected = theta[0] / (theta[0] + gp._SIGMA**2) * data.responses[0]
         assert got == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -143,7 +144,7 @@ class TestPredictiveMeans:
         # floats are those of the written-out system on every ladder rung
         data, test_z = synthetic_dataset(n=200, p=4, n_test=5, seed=0)
         cfg = GPConfig(test_points=test_z)
-        solver = gp._SorSolver(data, cfg, test_z, default_subset_indices(data, cfg.n_subset))
+        solver = gp._SorSolver(data, test_z, default_subset_indices(data, cfg.n_subset))
         rng = np.random.default_rng(1)
         draws = np.vstack([rng.gamma(2.0, 2.0, size=(100, 2)), rng.uniform(5.0, 60.0, size=(100, 2))])
         rungs = set()
@@ -195,6 +196,38 @@ class TestMarginalPrediction:
         # one integrand per (method, test point), each charged the full
         # budget even when its points were already solved for another
         assert [f.eval_count for f in built] == [128] * 4 * 3
+
+    def test_points_are_the_campaign_recipe(self, monkeypatch):
+        # Every test point of a method averages over one point set: the
+        # seed's shifted Halton set or MC draw, of the whole budget for a
+        # plain method and of budget - 16 points beside the 4 x 4 grid for a
+        # CF method.
+        budget, seed = 64, 5
+        seen = []  # (nodes or None, evaluation set) per test point
+        qmc, cf = gp.qmc_estimate, gp.cf_estimate
+
+        def recording_cf(integrands, nodes, eval_sets, spec):
+            seen.extend((nodes, ps) for ps in eval_sets)
+            return cf(integrands, nodes, eval_sets, spec)
+
+        monkeypatch.setattr(gp, "qmc_estimate", lambda f, ps: seen.append((None, ps)) or qmc(f, ps))
+        monkeypatch.setattr(gp, "cf_estimate", recording_cf)
+        for method in gp.GP_METHODS:
+            seen.clear()
+            marginal_prediction(self.table, method, budget, seed)
+            n = budget - 16 if method.endswith("+CF") else budget
+            if method.startswith("QMC"):
+                want = random_shift(halton(n, 2, scramble=True), rng_for(seed, "gp-shift").random(2))
+            else:
+                want = uniform_random(n, 2, seed_for(seed, "gp-mc"))
+            assert len(seen) == self.table.n_test
+            for nodes, ps in seen:
+                assert ps.points.shape == (n, 2)
+                assert ps.points.tobytes() == want.points.tobytes()
+                if method.endswith("+CF"):
+                    assert nodes.points.tobytes() == midpoint_grid(4, 2).points.tobytes()
+                else:
+                    assert nodes is None
 
     def test_zero_responses_estimate_zero(self):
         zero = Dataset(covariates=self.data.covariates, responses=np.zeros(self.data.n))
@@ -260,7 +293,7 @@ class TestLoadDataset:
         self._write(path, rows, header="a,b,c,y")
         data = load_dataset(path, n_train_cap=100, seed=1)
         assert data.n == 30
-        assert data.p == 3
+        assert data.covariates.shape[1] == 3
 
     def test_same_seed_same_subset(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -189,6 +189,21 @@ def test_sor_solves_shared_across_test_points_and_methods(monkeypatch):
     assert [f.eval_count for f in built] == [64] * len(built)
 
 
+def test_gp_point_generation_traced():
+    # The GP study draws its points through `bench.CellPoints`, where the
+    # tracer counts them: the node grid the study keeps, then per seed
+    # QMC's Halton set and shift (2 calls), QMC+CF's and its grid (3), MC's
+    # draw (1) and MC+CF's draw and grid (2).
+    tracing = load_tracing()
+    data, test_z = gp.synthetic_dataset(n=40, p=3, n_test=2, seed=0)
+    cfg = gp.GPConfig(test_points=test_z, n_subset=20)
+    seeds = [0, 1, 2]
+    tracer = tracing.Tracer()
+    with tracer.recording(0):
+        gp.run_prediction_study(data, cfg, gp.GP_METHODS, 64, seeds)
+    assert tracer.run_metrics(0)["points.calls"] == 1 + len(seeds) * (2 + 3 + 1 + 2)
+
+
 def test_wce_pair_sum_covers_half_the_kernel_matrix():
     # The kernel matrix is symmetric, so the pair sum computes its upper block
     # triangle only: the whole matrix would be N^2 entries.
