@@ -138,7 +138,6 @@ class SlopeFit:
 class ConvergenceTable:
     rows: list[Row]
     slopes: list[SlopeFit]
-    config: CampaignConfig
 
     def slope_for(self, family: str, dim: int, method: str, k: int) -> SlopeFit:
         for s in self.slopes:
@@ -327,7 +326,7 @@ def run_campaign(cfg: CampaignConfig) -> ConvergenceTable:
                                 errs.append(est - fn.inst.exact)
                         rows.append(_cell_row(cfg, family, d, method, k, split, errs, failures))
     slopes = _fit_cell_slopes(rows)
-    return ConvergenceTable(rows=rows, slopes=slopes, config=cfg)
+    return ConvergenceTable(rows=rows, slopes=slopes)
 
 
 def fit_slope(points) -> tuple[float, float, float]:

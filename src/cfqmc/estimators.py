@@ -89,14 +89,16 @@ def cf_estimate(
     on the same grid: all their node values are evaluated first and fitted
     in one multi-column ``fit``. Returns the (R,) estimates and that fit.
     Integrand r consumes len(nodes) + len(eval_sets[r]) evaluations; node
-    and evaluation roles may overlap, but overlapping wastes budget. Nodes
-    that ``fit`` would reject raise before any evaluation is counted.
+    and evaluation roles may overlap, but overlapping wastes budget. Bad
+    nodes and empty evaluation sets raise before any evaluation is counted.
     """
     if not integrands or len(integrands) != len(eval_sets):
         raise ValueError(f"{len(integrands)} integrands for {len(eval_sets)} evaluation sets")
     _check_nodes(spec, nodes)
     if any(f.dim != nodes.dim or ps.dim != nodes.dim for f, ps in zip(integrands, eval_sets)):
         raise ValueError("dimension mismatch between integrand and point sets")
+    if any(len(ps) == 0 for ps in eval_sets):
+        raise ValueError("cannot average over an empty point set")
     node_values = np.column_stack([f.eval_batch(nodes) for f in integrands])
     interp = fit(spec, nodes, node_values)
     estimates = np.empty(len(integrands))

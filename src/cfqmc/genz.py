@@ -189,6 +189,8 @@ def random_genz(family: str, dim: int, seed: int, difficulty_scale: float = 7.0)
     sum(a) equals ``difficulty_scale``. Deterministic given the seed."""
     if difficulty_scale <= 0.0:
         raise ValueError("difficulty_scale must be positive")
+    if dim < 1:  # before the draws: a = raw / raw.sum() divides by an empty sum
+        raise ValueError("dimension must be >= 1")
     rng = np.random.default_rng(seed)
     u = rng.random(dim)
     raw = rng.random(dim) + 1e-3  # bounded away from zero before rescaling

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 from scipy import linalg as sla
 
-from .bench import CellPoints
+from .bench import CF_METHODS, CellPoints
 from .estimators import BudgetSplit, Integrand, cf_estimate, qmc_estimate
 from .kernels import KernelSpec
 from .points import midpoint_grid
@@ -320,7 +320,7 @@ def marginal_prediction(table: PredictionTable, method: str, budget: int, seed: 
     cell = CellPoints("halton-rr-shift", BudgetSplit(GP_NODE_GRID_M, m_nodes_cf, budget - m_nodes_cf, 0), 2)
     eval_pts = cell.points(method, delta, None, mc_seed)
     integrands = [reparametrized_integrand(table, t_idx) for t_idx in range(table.n_test)]
-    if method.endswith("+CF"):
+    if method in CF_METHODS:
         estimates, _ = cf_estimate(integrands, cell.nodes, [eval_pts] * table.n_test, spec)
     else:
         estimates = np.array([qmc_estimate(f, eval_pts) for f in integrands])

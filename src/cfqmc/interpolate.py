@@ -30,7 +30,7 @@ the kernel pieces are polynomials in r on [0, 1], so the sum over the nodes
 within reach of x splits into a left and a right sum, each a Taylor sum
 sum_q D_q(X - C) sum_i beta_i (C - V_i)^q about a centre C (X, V_i in units
 of the support radius, D_q = phi^(q) / q!). Where long double is wider than
-double, every fit keeps prefix sums of those moments, and a point costs two
+double, a surrogate forms prefix sums of those moments, and a point costs two
 binary searches and O(deg^2) flops, not O(m). The nodes are always a
 ``points.MidpointGrid``, the only node set the Kronecker solve applies to.
 
@@ -56,8 +56,8 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
-from functools import partial, reduce
+from dataclasses import dataclass, replace
+from functools import cached_property, partial, reduce
 from math import ceil, comb
 from typing import ClassVar, Optional
 
@@ -216,9 +216,7 @@ class Interpolant:
     residual over the columns; ``column(r)`` is surrogate r alone, which is
     what ``evaluate`` takes. ``jitter`` is the nugget the solve added to the
     Gram's diagonal. Evaluation runs from ``moments`` at d = 1 where long
-    double is wider than double, per axis otherwise. ``moments`` is derived
-    from the nodes and ``beta`` unless given, as ``column`` gives it the
-    column's part of a multi-column fit's tables.
+    double is wider than double, per axis otherwise.
     """
 
     spec: KernelSpec
@@ -227,7 +225,6 @@ class Interpolant:
     exact_integral: float | np.ndarray
     jitter: float
     residual_norm: float
-    moments: Optional[_AxisMoments] = field(default=None, repr=False, compare=False)
     # always None; the benchmark's tracer counts a result with a note as a
     # solver fallback
     solver_note: ClassVar[Optional[str]] = None
@@ -239,23 +236,26 @@ class Interpolant:
             raise ValueError("coefficient vector length must equal the node count")
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
+
+    @cached_property
+    def moments(self) -> Optional[_AxisMoments]:
+        """The d = 1 moment tables of the nodes and ``beta``, formed on first
+        use, or None where the surrogate is evaluated per axis."""
         # 4 / rho centres: a support under 1/16 of the node spacing would
         # take over 64 m of them, so such a surrogate is evaluated per axis
-        side = self.nodes.side
-        tables = self.moments is None and self.spec.dim == 1
-        if _WIDE_LONG_DOUBLE and tables and 16 * side * self.spec.support_radius >= 1.0:
-            moments = _axis_moments(self.spec, self.nodes.points[:, 0], beta)
-            object.__setattr__(self, "moments", moments)
+        if _WIDE_LONG_DOUBLE and self.spec.dim == 1 and 16 * self.nodes.side * self.spec.support_radius >= 1.0:
+            return _axis_moments(self.spec, self.nodes.points[:, 0], self.beta)
+        return None
 
     def column(self, r: int) -> "Interpolant":
         """Surrogate r of a multi-column fit, with the fit's nugget and
-        largest residual."""
-        return replace(
-            self,
-            beta=np.ascontiguousarray(self.beta[:, r]),
-            exact_integral=float(self.exact_integral[r]),
-            moments=self.moments and replace(self.moments, prefix=self.moments.prefix[r]),
-        )
+        largest residual. Its moment tables are its part of the fit's, which
+        are formed once for all columns."""
+        beta = np.ascontiguousarray(self.beta[:, r])
+        col = replace(self, beta=beta, exact_integral=float(self.exact_integral[r]))
+        if self.moments is not None:
+            object.__setattr__(col, "moments", replace(self.moments, prefix=self.moments.prefix[r]))
+        return col
 
 
 def _check_nodes(spec: KernelSpec, nodes) -> None:
@@ -489,7 +489,7 @@ def _grid_values(interp: Interpolant, rows: np.ndarray, axis) -> np.ndarray:
     t = kernel_cross(axis_spec, rows[:, 0, None], nodes) @ interp.beta.reshape(m, -1)
     for i in range(1, d):
         w = kernel_cross(axis_spec, rows[:, i, None], nodes)
-        t = np.matmul(w[:, None, :], t.reshape(rows.shape[0], m, -1))[:, 0, :]
+        t = np.matmul(w[:, None, :], t.reshape(rows.shape[0], m, t.shape[1] // m))[:, 0, :]
     return t[:, 0]
 
 

@@ -1,16 +1,17 @@
 """Compactly supported piecewise-polynomial kernels on the unit cube.
 
-The univariate pieces are the smoothness-indexed polynomial bumps
+The univariate pieces are Wendland's bumps (1 - r)_+^(2k + 1) P_k(r),
 
     k = 0:  (1 - r)_+
     k = 1:  (1 - r)_+^3 (3r + 1)
     k = 2:  (1 - r)_+^5 (8r^2 + 5r + 1)
 
-normalized to 1 at r = 0, combined as a tensor product over axes with an
-optional per-axis support rescaling r -> r / support_radius. The product
-structure is what makes the cube integrals closed-form: each axis factor
-integrates to a polynomial expression, so interpolants built on this kernel
-have exactly computable integrals.
+with the tails P_k in ``_TAILS``, normalized to 1 at r = 0, combined as a
+tensor product over axes with an optional per-axis support rescaling
+r -> r / support_radius. The product structure is what makes the cube
+integrals closed-form: each axis factor integrates to a polynomial
+expression, so interpolants built on this kernel have exactly computable
+integrals.
 
 k = 0 is provided for every dimension even though its radial native-space
 characterization carries a d > 3 caveat in the literature; only the tensor
@@ -24,19 +25,18 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-SMOOTHNESS_LEVELS = (0, 1, 2)
+# The tails P_k(r) of the pieces (1 - r)_+^(2k + 1) P_k(r), ascending powers,
+# indexed by the smoothness k; every other form of a piece derives from them.
+_TAILS = ((1,), (1, 3), (1, 5, 8))
+SMOOTHNESS_LEVELS = tuple(range(len(_TAILS)))
 
 # Bound on the float64 rows a blocked kernel sum or surrogate evaluation
 # holds at once; keeps memory flat in N instead of growing as N x M.
 BLOCK_BYTES = 1 << 23
 
-# Expanded coefficients (ascending powers on [0, 1]) of the normalized
-# univariate pieces; frozen after hand derivation from the factored forms.
-_PHI_COEFFS = {
-    0: np.array([1.0, -1.0]),
-    1: np.array([1.0, 0.0, -6.0, 8.0, -3.0]),
-    2: np.array([1.0, 0.0, -7.0, 0.0, 35.0, -56.0, 35.0, -8.0]),
-}
+# Expanded coefficients (ascending powers on [0, 1]) of the pieces. They are
+# small integers, so the products of the factored forms are exact.
+_PHI_COEFFS = {k: npoly.polymul(npoly.polypow([1, -1], 2 * k + 1), tail) for k, tail in enumerate(_TAILS)}
 # A_k(u) = int_0^u phi_k(t) dt, valid on [0, 1]
 _A_COEFFS = {k: npoly.polyint(c) for k, c in _PHI_COEFFS.items()}
 # A_k(1) = int_0^1 phi_k and B_k(1) = int_0^1 A_k (enter the double integral)
@@ -82,32 +82,27 @@ def _wendland_inplace(k: int, r: np.ndarray, clip: bool = True) -> np.ndarray:
     result may be ``r`` itself. ``clip=False`` skips the cut-off (1 - r)_+,
     which leaves the floats unchanged when every r <= 1.
 
-    The powers of w = (1 - r)_+ are products, since ``np.power`` calls libm
-    ``pow`` per element at about three times the cost: the k = 1 piece is
-    w^2 (w (3r + 1)) and the k = 2 piece (w^2)^2 w (8r^2 + 5r + 1). Each
-    stays within 8 ulp of its exact value at the float r."""
+    The piece is formed by products alone, since ``np.power`` calls libm
+    ``pow`` per element at about three times the cost: P_k(r) by Horner, in
+    ``r`` itself when it is linear, then one factor w = (1 - r)_+ and k
+    factors w^2. So the k = 1 piece is ((3r + 1) w) w^2 and the k = 2 piece
+    ((((8r + 5) r + 1) w) w^2) w^2; each stays within 8 ulp of its exact
+    value at the float r."""
     w = np.subtract(1.0, r, out=r if k == 0 else None)
     if clip:
         np.maximum(w, 0.0, out=w)
     if k == 0:
         return w
-    if k == 1:
-        # w (3r + 1) in r, then w^2 in w: (w w) w would take a third array
-        r *= 3.0
-        r += 1.0
-        r *= w
-        w *= w
-        w *= r
-        return w
-    poly = np.square(r)
-    poly *= 8.0
-    r *= 5.0
-    r += poly
-    r += 1.0
-    np.multiply(w, w, out=poly)
-    poly *= poly
+    tail = _TAILS[k]
+    poly = np.multiply(r, tail[-1], out=r if len(tail) == 2 else None)
+    for c in tail[-2:0:-1]:
+        poly += c
+        poly *= r
+    poly += tail[0]
     poly *= w
-    poly *= r
+    w *= w
+    for _ in range(k):
+        poly *= w
     return poly
 
 

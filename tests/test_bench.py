@@ -424,7 +424,7 @@ class TestDeterminism:
 
 class TestCsvEmission:
     def test_header_only_for_empty_table(self, tmp_path):
-        table = ConvergenceTable(rows=[], slopes=[], config=small_config())
+        table = ConvergenceTable(rows=[], slopes=[])
         path = tmp_path / "empty.csv"
         emit_csv(table, path)
         lines = path.read_text().splitlines()
@@ -466,7 +466,7 @@ class TestCsvEmission:
             sequence="lattice", n_total=57, m_nodes=0, replicates=3, rmse=0.25,
             stderr=0.0625, mean_error=0.125, seed_base=3,
         )
-        table = ConvergenceTable(rows=[failed, ok], slopes=[], config=small_config())
+        table = ConvergenceTable(rows=[failed, ok], slopes=[])
         path = tmp_path / "failed.csv"
         emit_csv(table, path)
         rows, _ = read_csv(path)
@@ -485,7 +485,7 @@ class TestCsvEmission:
         )
         slope = SlopeFit(family="gaussian", dim=2, method="QMC", k=1, slope=-1.0, intercept=0.1, residual=0.0)
         path = tmp_path / "golden.csv"
-        emit_csv(ConvergenceTable(rows=[row], slopes=[slope], config=small_config()), path)
+        emit_csv(ConvergenceTable(rows=[row], slopes=[slope]), path)
         assert path.read_text() == (
             "family,dim,method,k,support_radius,sequence,N_total,M_nodes,"
             "replicates,rmse,stderr,mean_error,seed_base\n"
@@ -503,7 +503,7 @@ class TestCsvEmission:
             read_csv(path)
 
     def test_io_error_includes_path(self, tmp_path):
-        table = ConvergenceTable(rows=[], slopes=[], config=small_config())
+        table = ConvergenceTable(rows=[], slopes=[])
         with pytest.raises(OSError, match="no/such/dir"):
             emit_csv(table, tmp_path / "no/such/dir/x.csv")
 

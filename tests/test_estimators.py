@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from cfqmc import interpolate
 from cfqmc.estimators import (
     _PAIR_ROWS,
     Integrand,
@@ -130,6 +131,27 @@ class TestCorrectedEstimate:
         (est,), interp = cf_estimate([f], midpoint_grid(8, 1), [halton(16, 1)], KernelSpec(0, 1))
         assert len(interp.beta) == 8
         assert f.eval_count == 24
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_empty_evaluation_set_rejected_before_evaluation(self, d):
+        f = Integrand(d, lambda x: np.sin(x[:, 0]))
+        with pytest.raises(ValueError, match="empty point set"):
+            cf_estimate([f], midpoint_grid(3, d), [PointSet(np.empty((0, d)))], KernelSpec(1, d))
+        assert f.eval_count == 0
+
+    def test_columns_share_one_set_of_moment_tables(self, monkeypatch):
+        # a 10-column d = 1 fit forms its moment tables once, not per column
+        calls = []
+        build = interpolate._axis_moments
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(interpolate, "_axis_moments", counting)
+        integrands = [as_integrand(random_genz("gaussian", 1, seed)) for seed in range(10)]
+        cf_estimate(integrands, midpoint_grid(64, 1), [halton(64, 1)] * 10, KernelSpec(1, 1))
+        assert len(calls) == (1 if interpolate._WIDE_LONG_DOUBLE else 0)
 
     def test_non_grid_nodes_rejected_before_evaluation(self):
         # a shifted grid is a plain PointSet: rejected with nothing charged

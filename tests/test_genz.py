@@ -1,6 +1,7 @@
 """Test-integrand families: exact integrals vs quadrature, sanity properties."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,13 @@ class TestRandomInstances:
         pts = uniform_random(10, 2, seed=1)
         np.testing.assert_allclose(inst(pts), 3.0)
         assert inst.exact == 3.0
+
+    def test_dimension_checked_before_any_draw(self):
+        # a = raw / raw.sum() would divide by the sum of an empty draw
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="dimension must be >= 1"):
+                random_genz("gaussian", 0, seed=0)
 
 
 class TestIntegrandWrapper:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -536,6 +537,29 @@ class TestGridPath:
         interp = fit(KernelSpec(1, 2), midpoint_grid(3, 2), np.ones(9))
         with pytest.raises(ValueError, match="dimension mismatch"):
             evaluate(interp, np.ones((4, 3)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_empty_stack_evaluates_to_empty(self, d):
+        interp = fit(KernelSpec(1, d), midpoint_grid(3, d), np.ones(3**d))
+        out = evaluate(interp, np.empty((0, d)))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"beta": np.zeros(16)}, {"spec": KernelSpec(1, 1, 0.3)}, {"spec": KernelSpec(2, 1)}],
+        ids=["beta", "support", "k"],
+    )
+    def test_replace_evaluates_like_a_fresh_surrogate(self, change):
+        # the d = 1 moment tables follow the fields, not the surrogate copied
+        interp = fit(KernelSpec(1, 1), midpoint_grid(16, 1), np.sin(np.arange(16.0)))
+        changed = replace(interp, **change)
+        fresh = Interpolant(
+            changed.spec, changed.nodes, changed.beta.copy(), exact_integral=0.0, jitter=0.0, residual_norm=0.0
+        )
+        pts = np.linspace(0.0, 1.0, 33)[:, None]
+        np.testing.assert_array_equal(evaluate(changed, pts), evaluate(fresh, pts))
+        if "beta" in change:
+            assert np.all(evaluate(changed, pts) == 0.0)
 
 
 def bump_columns(nodes, r_count, seed):

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from numpy.polynomial import polynomial as npoly
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -36,11 +35,11 @@ def integral_operator(phi, r):
 
 class TestUnivariateClosedForms:
     def test_normalized_at_zero(self):
-        for k in (0, 1, 2):
+        for k in kernels.SMOOTHNESS_LEVELS:
             assert wendland_1d(k, 0.0) == 1.0
 
     def test_compact_support(self):
-        for k in (0, 1, 2):
+        for k in kernels.SMOOTHNESS_LEVELS:
             assert wendland_1d(k, 1.0) == 0.0
             assert wendland_1d(k, 1.7) == 0.0
 
@@ -57,14 +56,15 @@ class TestUnivariateClosedForms:
             wendland_1d(3, 0.5)
 
     def test_coefficients_expand_the_factored_pieces(self):
-        # surrogate values and integrals both read the expanded coefficients
-        one_minus_r = np.array([1.0, -1.0])
-        factored = {
-            0: one_minus_r,
-            1: npoly.polymul(npoly.polypow(one_minus_r, 3), [1.0, 3.0]),
-            2: npoly.polymul(npoly.polypow(one_minus_r, 5), [1.0, 5.0, 8.0]),
+        # surrogate values and integrals both read the expanded coefficients,
+        # hand-expanded from (1 - r)^(2k + 1) P_k(r) here
+        expanded = {
+            0: [1.0, -1.0],
+            1: [1.0, 0.0, -6.0, 8.0, -3.0],
+            2: [1.0, 0.0, -7.0, 0.0, 35.0, -56.0, 35.0, -8.0],
         }
-        for k, coeffs in factored.items():
+        for k, coeffs in expanded.items():
+            assert kernels._PHI_COEFFS[k].dtype == np.float64
             assert np.array_equal(kernels._PHI_COEFFS[k], coeffs)
 
     def test_k1_matches_recursion_oracle(self):
@@ -86,8 +86,8 @@ class TestUnivariateClosedForms:
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_inplace_core_matches_written_out_piece(self, k):
-        # the pieces as plain expressions, powers as the core's products: the
-        # in-place core must give the same floats. r > 1 occurs when the
+        # the pieces as plain expressions, in the core's order of products:
+        # the in-place core must give the same floats. r > 1 occurs when the
         # support radius is below 1.
         rng = np.random.default_rng(k)
         r = np.concatenate([np.linspace(0.0, 1.5, 15001), rng.uniform(0.0, 1.5, 15000), [1.0 - 1e-16, 5e-324]])
@@ -95,7 +95,7 @@ class TestUnivariateClosedForms:
         reference = (
             w,
             w * w * (w * (3.0 * r + 1.0)),
-            (w * w) * (w * w) * w * (8.0 * r * r + 5.0 * r + 1.0),
+            ((8.0 * r + 5.0) * r + 1.0) * w * (w * w) * (w * w),
         )[k]
         assert np.array_equal(_wendland_inplace(k, r.copy()), reference)
         assert np.array_equal(wendland_1d(k, r), reference)
@@ -154,7 +154,7 @@ class TestKernelEval:
         assert kernel_value(spec, [0.0, 0.0], [0.5, 0.5]) == pytest.approx(0.25)
 
     @given(
-        st.integers(min_value=0, max_value=2),
+        st.sampled_from(kernels.SMOOTHNESS_LEVELS),
         st.lists(st.floats(min_value=0, max_value=1), min_size=2, max_size=2),
         st.lists(st.floats(min_value=0, max_value=1), min_size=2, max_size=2),
     )
@@ -164,7 +164,7 @@ class TestKernelEval:
         assert v == kernel_value(spec, y, x)
         assert 0.0 <= v <= 1.0
 
-    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("k", kernels.SMOOTHNESS_LEVELS)
     @pytest.mark.parametrize("support", [1.0, 0.7])
     def test_matches_product_of_checked_pieces(self, k, support):
         spec = KernelSpec(k, 3, support)
@@ -176,7 +176,7 @@ class TestKernelEval:
             reference *= wendland_1d(k, r)
         assert np.array_equal(kernel_cross(spec, x, y), reference)
 
-    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("k", kernels.SMOOTHNESS_LEVELS)
     @pytest.mark.parametrize("support", [1.0, 0.7])
     def test_cutoff_skipped_only_where_it_is_a_no_op(self, monkeypatch, k, support):
         # An axis whose widest gap is within the support skips the cut-off
@@ -213,7 +213,7 @@ class TestSingleIntegral:
         assert kernel_integral_1d(0, 1.0, 0.5) == pytest.approx(0.75, abs=1e-15)
 
     def test_positive_and_bounded(self):
-        for k in (0, 1, 2):
+        for k in kernels.SMOOTHNESS_LEVELS:
             for rho in (0.25, 0.5, 1.0):
                 vals = kernel_integral_1d(k, rho, np.linspace(0, 1, 21))
                 assert np.all(vals > 0.0)
@@ -221,7 +221,7 @@ class TestSingleIntegral:
 
     def test_quadrature_grid(self):
         # closed form vs adaptive quadrature over the full (k, rho, y) grid
-        for k in (0, 1, 2):
+        for k in kernels.SMOOTHNESS_LEVELS:
             for rho in (0.5, 1.0):
                 for y in np.linspace(0.0, 1.0, 101):
                     closed = kernel_integral_1d(k, rho, y)
@@ -274,7 +274,7 @@ class TestDoubleIntegral:
         assert kernel_double_integral(KernelSpec(0, 1, 1.0)) == pytest.approx(2 / 3, abs=1e-15)
 
     def test_power_law_in_dimension(self):
-        for k in (0, 1, 2):
+        for k in kernels.SMOOTHNESS_LEVELS:
             axis = kernel_double_integral(KernelSpec(k, 1, 0.7))
             for d in (2, 3, 4):
                 assert kernel_double_integral(KernelSpec(k, d, 0.7)) == pytest.approx(
@@ -287,7 +287,7 @@ class TestDoubleIntegral:
         assert small < full
 
     def test_quadrature_of_closed_single_integral(self):
-        for k in (0, 1, 2):
+        for k in kernels.SMOOTHNESS_LEVELS:
             for rho in (0.5, 1.0):
                 closed = kernel_double_integral(KernelSpec(k, 1, rho))
                 oracle, _ = quad(
@@ -317,7 +317,7 @@ class TestGram:
         for trial in range(50):
             d = int(rng.integers(1, 4))
             m = int(rng.integers(2, 41))
-            k = int(rng.integers(0, 3))
+            k = int(rng.integers(0, len(kernels.SMOOTHNESS_LEVELS)))
             nodes = node_set(rng.random((m, d)))
             g = gram(KernelSpec(k, d), nodes)
             assert np.linalg.eigvalsh(g).min() >= -1e-10
