@@ -27,7 +27,8 @@ from typing import Optional, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .estimators import BudgetSplit, cf_estimate, optimal_split, qmc_estimate, split_budget
-from .genz import DEBUG_FAMILIES, FAMILIES, GenzInstance, as_integrand, random_genz
+from .directions import DEFAULT_DIRECTIONS
+from .genz import CORNER_PEAK_MAX_DIM, DEBUG_FAMILIES, FAMILIES, GenzInstance, as_integrand, random_genz
 from .kernels import SMOOTHNESS_LEVELS, KernelSpec
 from .points import (
     MidpointGrid,
@@ -80,6 +81,18 @@ class CampaignConfig:
                 raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
         if self.sequence not in SEQUENCES:
             raise ValueError(f"unknown sequence {self.sequence!r}; expected one of {SEQUENCES}")
+        # limits a cell would otherwise hit mid-campaign; MC methods draw no sequence points
+        d_max = max(self.dims, default=0)
+        if "corner_peak" in self.families and d_max > CORNER_PEAK_MAX_DIM:
+            raise ValueError(
+                f"family corner_peak has an exact integral for d <= {CORNER_PEAK_MAX_DIM} only, got d = {d_max}"
+            )
+        if self.sequence == "sobol-dshift" and set(self.methods) - {"MC", "MC+CF"}:
+            if d_max > DEFAULT_DIRECTIONS.max_dim:
+                raise ValueError(
+                    f"sequence sobol-dshift has direction numbers for d <= {DEFAULT_DIRECTIONS.max_dim} "
+                    f"only, got d = {d_max}"
+                )
         for k in self.k_values:
             if k not in SMOOTHNESS_LEVELS:
                 raise ValueError(f"k values must be within {SMOOTHNESS_LEVELS}")
@@ -148,8 +161,10 @@ class ConvergenceTable:
 
 class CellPoints:
     """The point sets every (family, k) cell at one (d, N) shares across its
-    replicates, and the one recipe (``points``) by which each method draws
-    its own, for the campaign, ``cfqmc integrate`` and the GP study alike.
+    replicates, the one recipe (``points``) by which each method draws its
+    own and the one step (``estimate``) that runs the method on them and
+    checks its budget, for the campaign, ``cfqmc integrate`` and the GP
+    study alike.
 
     The node grid and each unrandomized base set are built on first use and
     kept as long as the cell; a replicate only shifts or folds them. A set
@@ -199,6 +214,22 @@ class CellPoints:
             return sobol(n, self.dim, shift_seed=dshift_seed)
         return random_shift(self.base(n), delta)
 
+    def estimate(self, method: str, integrands, point_sets, spec: KernelSpec) -> np.ndarray:
+        """One estimate per integrand over its point set (``points``): one
+        ``cf_estimate`` on the cell's grid for all of them if ``method`` is a
+        CF method, a plain average each otherwise. An integrand that has not
+        then consumed exactly the cell's budget raises ``RuntimeError``."""
+        if method in CF_METHODS:
+            estimates = cf_estimate(integrands, self.nodes, point_sets, spec)[0]
+        else:
+            estimates = np.array([qmc_estimate(f, ps) for f, ps in zip(integrands, point_sets)])
+        for f in integrands:
+            if f.eval_count != self.split.consumed:
+                raise RuntimeError(
+                    f"budget accounting violated: consumed {f.eval_count}, expected {self.split.consumed}"
+                )
+        return estimates
+
 
 class _Replicate:
     """The function of one replicate's integrand: its Genz instance, with
@@ -219,15 +250,6 @@ class _Replicate:
             if self.error is None:
                 self.error = exc
             return np.full(len(x), np.nan)
-
-
-def _run_method(method: str, integrands, spec: KernelSpec, cell: CellPoints, point_sets) -> np.ndarray:
-    """One estimate per replicate integrand over its point set
-    (``CellPoints.points``): a plain average each, or for a CF method one
-    ``cf_estimate`` on the cell's grid for all of them."""
-    if method in CF_METHODS:
-        return cf_estimate(integrands, cell.nodes, point_sets, spec)[0]
-    return np.array([qmc_estimate(f, ps) for f, ps in zip(integrands, point_sets)])
 
 
 def _cell_row(
@@ -270,11 +292,11 @@ def run_campaign(cfg: CampaignConfig) -> ConvergenceTable:
     """Run every cell of the campaign; replicate failures are tagged per row
     and the campaign continues.
 
-    Each method draws every replicate's points and estimates them at once: a
-    CF method fits them in one multi-column solve on the cell's grid
-    (``cf_estimate``). A replicate is checked against its own budget, and a
-    failing integrand tags its replicate alone; a failure to draw or
-    estimate tags every replicate of the method."""
+    Each method draws every replicate's points and estimates them at once
+    (``CellPoints.estimate``): a CF method fits them in one multi-column
+    solve on the cell's grid. A failing integrand tags its replicate alone; a
+    failure to draw or estimate, a budget violation included, tags every
+    replicate of the method."""
     rows: list[Row] = []
     fraction = cfg.node_fraction
     cells: dict[tuple[int, int], CellPoints] = {}
@@ -312,14 +334,12 @@ def run_campaign(cfg: CampaignConfig) -> ConvergenceTable:
                         errs, estimates, failures = [], [], {}
                         try:
                             point_sets = [cell.points(method, *draw) for draw in draws]
-                            estimates = _run_method(method, integrands, spec, cell, point_sets)
+                            estimates = cell.estimate(method, integrands, point_sets, spec)
                         except Exception as exc:  # a failure of the whole method tags each replicate
                             failures = dict.fromkeys(range(len(fns)), str(exc))
-                        for r, (fn, integrand, est) in enumerate(zip(fns, integrands, estimates)):
+                        for r, (fn, est) in enumerate(zip(fns, estimates)):
                             if fn.error is not None:
                                 failures[r] = str(fn.error)
-                            elif (consumed := integrand.eval_count) != split.consumed:
-                                failures[r] = f"budget mismatch ({consumed} != {split.consumed})"
                             elif not math.isfinite(est):
                                 failures[r] = f"non-finite estimate {est}"
                             else:

@@ -106,6 +106,16 @@ def _cmd_points(args) -> int:
 def _cmd_wce(args) -> int:
     _print_config(args, "wce")
     if args.infile:
+        generating = {
+            "--n": args.n is not None,
+            "--dim": args.dim is not None,
+            "--scramble": args.scramble,
+            "--shift-seed": args.shift_seed is not None,
+            "--fold": args.fold,
+        }
+        if any(generating.values()):
+            flags = ", ".join(flag for flag, given in generating.items() if given)
+            raise _usage_error(f"--in reads points from {args.infile}, so {flags} cannot apply")
         try:
             ps = read_points_csv(args.infile)
         except (OSError, ValueError) as exc:
@@ -135,11 +145,7 @@ def _cmd_integrate(args) -> int:
     mc_seed = seed_for(args.seed, "mc")
     cell = bench_mod.CellPoints(args.sequence, split, args.dim)
     pts = cell.points(args.method, delta, dshift_seed, mc_seed)
-    estimate = float(bench_mod._run_method(args.method, [integrand], spec, cell, [pts])[0])
-    if integrand.eval_count != split.consumed:
-        raise RuntimeError(
-            f"budget accounting violated: consumed {integrand.eval_count}, expected {split.consumed}"
-        )
+    estimate = float(cell.estimate(args.method, [integrand], [pts], spec)[0])
     m_nodes = split.n_nodes if args.method in bench_mod.CF_METHODS else 0
     print(
         f"method={args.method} estimate={estimate:.17g} exact={inst.exact:.17g} "
@@ -200,6 +206,8 @@ def _cmd_gp(args) -> int:
         raise _usage_error(f"--n-test must be >= 1, got {args.n_test}")
     if args.n_subset < 1:
         raise _usage_error(f"--n-subset must be >= 1, got {args.n_subset}")
+    if args.n_train_cap < 2:  # standardization needs two rows
+        raise _usage_error(f"--n-train-cap must be >= 2, got {args.n_train_cap}")
     if args.data:
         data = gp_mod.load_dataset(args.data, args.n_train_cap, args.seed_base)
         rng = rng_for(args.seed_base, "gp-test-rows", data.n)

@@ -43,7 +43,7 @@ FAMILIES = (
 )
 DEBUG_FAMILIES = ("constant",)
 
-_CORNER_PEAK_MAX_DIM = 6
+CORNER_PEAK_MAX_DIM = 6
 
 
 @dataclass(frozen=True)
@@ -123,9 +123,9 @@ def _exact_product_peak(d, a, u):
 
 
 def _exact_corner_peak(d, a, u):
-    if d > _CORNER_PEAK_MAX_DIM:
+    if d > CORNER_PEAK_MAX_DIM:
         raise ValueError(
-            f"corner_peak exact integral uses a 2^d corner sum; d <= {_CORNER_PEAK_MAX_DIM} supported"
+            f"corner_peak exact integral uses a 2^d corner sum; d <= {CORNER_PEAK_MAX_DIM} supported"
         )
     total = 0.0
     for subset in itertools.product((0, 1), repeat=d):

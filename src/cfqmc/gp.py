@@ -22,8 +22,9 @@ from typing import Sequence
 import numpy as np
 from scipy import linalg as sla
 
-from .bench import CF_METHODS, CellPoints
-from .estimators import BudgetSplit, Integrand, cf_estimate, qmc_estimate
+from .bench import CellPoints
+from .estimators import BudgetSplit, Integrand
+from .estimators import cf_estimate, qmc_estimate  # noqa: F401  perfbench's tracer wraps gp's names
 from .kernels import KernelSpec
 from .points import midpoint_grid
 from .seeding import rng_for, seed_for
@@ -303,11 +304,12 @@ def marginal_prediction(table: PredictionTable, method: str, budget: int, seed: 
     The seed fixes one Halton shift and one MC stream, the same for every
     method and every test point, so within a seed all test points and
     methods share one theta sample and ``table`` solves each theta once.
-    The points are the campaign's (``bench.CellPoints``) for a split of 16
-    grid nodes (``GP_NODE_GRID_M``) and ``budget - 16`` evaluation points;
-    CF methods fit the k = 1 kernel on that grid, every test point's
-    surrogate in one multi-column fit. Each test point's integrand consumes
-    the full budget exactly, so equal-budget accounting holds across methods.
+    The points and the estimate step are the campaign's
+    (``bench.CellPoints``) for a split of 16 grid nodes (``GP_NODE_GRID_M``)
+    and ``budget - 16`` evaluation points; CF methods fit the k = 1 kernel on
+    that grid, every test point's surrogate in one multi-column fit. The step
+    checks that each test point's integrand consumes the full budget exactly,
+    so equal-budget accounting holds across methods.
     """
     if method not in GP_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {GP_METHODS}")
@@ -320,16 +322,7 @@ def marginal_prediction(table: PredictionTable, method: str, budget: int, seed: 
     cell = CellPoints("halton-rr-shift", BudgetSplit(GP_NODE_GRID_M, m_nodes_cf, budget - m_nodes_cf, 0), 2)
     eval_pts = cell.points(method, delta, None, mc_seed)
     integrands = [reparametrized_integrand(table, t_idx) for t_idx in range(table.n_test)]
-    if method in CF_METHODS:
-        estimates, _ = cf_estimate(integrands, cell.nodes, [eval_pts] * table.n_test, spec)
-    else:
-        estimates = np.array([qmc_estimate(f, eval_pts) for f in integrands])
-    for integrand in integrands:
-        if integrand.eval_count != budget:
-            raise RuntimeError(
-                f"budget accounting violated: consumed {integrand.eval_count}, expected {budget}"
-            )
-    return estimates
+    return cell.estimate(method, integrands, [eval_pts] * table.n_test, spec)
 
 
 def load_dataset(path, n_train_cap: int, seed: int) -> Dataset:

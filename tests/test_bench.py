@@ -162,6 +162,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="unknown sequence"):
             small_config(sequence="niederreiter")
 
+    def test_direction_table_limits_only_methods_that_draw_the_sequence(self):
+        # any method but MC draws sobol-dshift points, so a folded one is
+        # refused past the table; MC methods alone still run
+        with pytest.raises(ValueError, match="sequence sobol-dshift .* got d = 9$"):
+            small_config(sequence="sobol-dshift", dims=(2, 9), methods=("MC", "QMC+CF-folded"))
+        cfg = small_config(sequence="sobol-dshift", dims=(9,), methods=("MC", "MC+CF"), n_grid=(16,), replicates=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rows = run_campaign(cfg).rows
+        assert [(row.method, row.replicates, row.error) for row in rows] == [("MC", 2, ""), ("MC+CF", 2, "")]
+
     def test_node_fraction_from_assumed_alpha(self):
         assert small_config(assumed_alpha=2.0).node_fraction == 0.5
         assert small_config(assumed_alpha=3.0).node_fraction == pytest.approx(2 / 3)
@@ -293,12 +304,12 @@ class TestReplicateFailures:
     def run(self, monkeypatch, spoil=None):
         cfg = small_config(dims=(1, 2), methods=("QMC", "QMC+CF"), n_grid=(64,), replicates=4)
         bad = {seed_for(cfg.seed_base, "instance", "gaussian", d, 2) for d in cfg.dims}
-        build, run_method = random_genz, bench._run_method
+        build, estimate = random_genz, bench.CellPoints.estimate
         estimates = []
         monkeypatch.setattr(
             bench, "random_genz", lambda *a: spoil(build(*a)) if spoil and a[2] in bad else build(*a)
         )
-        monkeypatch.setattr(bench, "_run_method", lambda *a: estimates.append(run_method(*a)) or estimates[-1])
+        monkeypatch.setattr(bench.CellPoints, "estimate", lambda *a: estimates.append(estimate(*a)) or estimates[-1])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             table = run_campaign(cfg)
@@ -328,6 +339,68 @@ class TestReplicateFailures:
                 assert row.error == "r2: non-finite estimate nan"
         for got, want in zip(spoiled, clean):
             assert np.array_equal(np.delete(got, 2), np.delete(want, 2))
+
+
+class TestEstimateStep:
+    def test_campaign_runs_each_method_once_per_cell(self, monkeypatch):
+        # every replicate of a (cell, method) goes through one step
+        calls = []
+        estimate = bench.CellPoints.estimate
+
+        def recording(cell, method, integrands, point_sets, spec):
+            calls.append((spec.dim, spec.k, cell.split.consumed, method, len(integrands), len(point_sets)))
+            return estimate(cell, method, integrands, point_sets, spec)
+
+        monkeypatch.setattr(bench.CellPoints, "estimate", recording)
+        cfg = small_config(dims=(1, 2), methods=bench.METHODS, k_values=(0, 1), n_grid=(16, 32), replicates=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run_campaign(cfg)
+        want = [
+            (d, k, bench.split_budget(n, cfg.node_fraction, dim=d).consumed, method, 3, 3)
+            for d in cfg.dims
+            for k in cfg.k_values
+            for n in cfg.n_grid
+            for method in cfg.methods
+        ]
+        assert calls == want
+
+    @pytest.mark.parametrize("method", bench.METHODS)
+    def test_one_evaluation_too_many_raises(self, method):
+        split = bench.split_budget(64, 0.5, dim=2)
+        cell = bench.CellPoints("halton-rr-shift", split, 2)
+        inst = random_genz("gaussian", 2, 4)
+        integrands = [as_integrand(inst), as_integrand(inst)]
+        integrands[1].eval_batch(np.full((1, 2), 0.5))  # spent before the method runs
+        point_sets = [cell.points(method, np.full(2, 0.25), None, 5)] * 2
+        message = f"budget accounting violated: consumed {split.consumed + 1}, expected {split.consumed}"
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            cell.estimate(method, integrands, point_sets, KernelSpec(1, 2))
+        assert integrands[0].eval_count == split.consumed
+
+    @pytest.mark.parametrize("method", ["QMC", "QMC+CF"])
+    def test_campaign_violation_tags_every_replicate(self, monkeypatch, method):
+        # a violation raises inside the method's step, so each of its
+        # replicates carries the message and the other method is untouched
+        def overspend(integrands):
+            for f in integrands:
+                f.eval_batch(np.full((1, f.dim), 0.5))
+
+        if method in bench.CF_METHODS:
+            cf = bench.cf_estimate
+            monkeypatch.setattr(bench, "cf_estimate", lambda fs, *rest: (cf(fs, *rest), overspend(fs))[0])
+        else:
+            qmc = bench.qmc_estimate
+            monkeypatch.setattr(bench, "qmc_estimate", lambda f, ps: (qmc(f, ps), overspend([f]))[0])
+        cfg = small_config(methods=("QMC", "QMC+CF"), n_grid=(64,), replicates=3)
+        rows = run_campaign(cfg).rows
+        message = "budget accounting violated: consumed 65, expected 64"
+        for row in rows:
+            if row.method == method:
+                assert row.replicates == 0
+                assert row.error == "; ".join(f"r{r}: {message}" for r in range(3))
+            else:
+                assert row.replicates == 3 and not row.error
 
 
 def fresh_points(method, spec, split, sequence, delta, dshift_seed, mc_seed):
@@ -369,8 +442,8 @@ class TestCellPoints:
             support_radius=support, n_grid=(16, 64), replicates=2,
         )
         estimates, cf_results = [], []
-        run_method, cf_estimate = bench._run_method, bench.cf_estimate
-        monkeypatch.setattr(bench, "_run_method", lambda *a: estimates.append(run_method(*a)) or estimates[-1])
+        estimate, cf_estimate = bench.CellPoints.estimate, bench.cf_estimate
+        monkeypatch.setattr(bench.CellPoints, "estimate", lambda *a: estimates.append(estimate(*a)) or estimates[-1])
         monkeypatch.setattr(bench, "cf_estimate", lambda *a: cf_results.append(cf_estimate(*a)) or cf_results[-1])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)

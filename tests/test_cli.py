@@ -125,6 +125,20 @@ class TestWceCommand:
         assert code == 1
         assert "error: --n must be >= 1, got 0" in err.splitlines()
 
+    def test_generating_flags_rejected_beside_input_file(self, tmp_path, capsys):
+        # a file's points are taken as they are: a flag that only shapes
+        # generated points would be echoed as if it applied
+        path = tmp_path / "points.csv"
+        assert main(["points", "--seq", "halton", "--n", "64", "--dim", "2", "--out", str(path)]) == 0
+        capsys.readouterr()
+        code, stdout, err = run_cli(
+            capsys, "wce", "--in", str(path), "--fold", "--shift-seed", "3", "--scramble", "--n", "8", "--dim", "3"
+        )
+        assert code == 1
+        named = "--n, --dim, --scramble, --shift-seed, --fold"
+        assert f"error: --in reads points from {path}, so {named} cannot apply" in err.splitlines()
+        assert "worst_case_error" not in stdout
+
     @pytest.mark.parametrize(
         "text", ["1,1,0.5\n", "dim,index,x1\n1,1,0.5\n1,2,half\n"], ids=["no-header", "non-numeric"]
     )
@@ -172,16 +186,35 @@ class TestIntegrateCommand:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize("method", bench.METHODS)
+    def test_one_estimate_step(self, capsys, monkeypatch, method):
+        # the run's one integrand goes through the campaign's estimate step once
+        calls = []
+        estimate = bench.CellPoints.estimate
+
+        def recording(cell, method, integrands, point_sets, spec):
+            calls.append((method, len(integrands), len(point_sets)))
+            return estimate(cell, method, integrands, point_sets, spec)
+
+        monkeypatch.setattr(bench.CellPoints, "estimate", recording)
+        code, _, _ = run_cli(
+            capsys, "integrate", "--family", "gaussian", "--dim", "2",
+            "--method", method, "--n", "64", "--seed", "1",
+        )
+        assert code == 0
+        assert calls == [(method, 1, 1)]
+
     def test_budget_violation_exits_2(self, capsys, monkeypatch):
-        # one evaluation beyond the split breaks the budget accounting
-        run_method = bench._run_method
+        # one evaluation beyond the split, spent before the estimate step
+        # checks it, breaks the budget accounting
+        cf_estimate = bench.cf_estimate
 
-        def overspending(method, integrands, *rest):
-            estimates = run_method(method, integrands, *rest)
+        def overspending(integrands, *rest):
+            result = cf_estimate(integrands, *rest)
             integrands[0].eval_batch(np.full((1, integrands[0].dim), 0.5))
-            return estimates
+            return result
 
-        monkeypatch.setattr(bench, "_run_method", overspending)
+        monkeypatch.setattr(bench, "cf_estimate", overspending)
         code, _, err = run_cli(
             capsys, "integrate", "--family", "gaussian", "--dim", "1",
             "--method", "QMC+CF", "--n", "64", "--seed", "1",
@@ -238,6 +271,31 @@ class TestBenchCommand:
         assert code == 1
         assert "widget_count" in err
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ("families = gaussian, corner_peak\ndims = 2, 7\nmethods = QMC\n",
+             "family corner_peak has an exact integral for d <= 6 only, got d = 7"),
+            ("sequence = sobol-dshift\ndims = 9\nmethods = QMC, QMC+CF\n",
+             "sequence sobol-dshift has direction numbers for d <= 8 only, got d = 9"),
+        ],
+        ids=["corner-peak-d7", "sobol-dshift-d9"],
+    )
+    def test_config_beyond_a_limit_rejected_before_any_cell(self, tmp_path, capsys, monkeypatch, config, message):
+        # a cell past genz's corner-sum limit or the direction table's
+        # dimensions would fail mid-campaign; the config is refused first
+        built = []
+        build = bench.random_genz
+        monkeypatch.setattr(bench, "random_genz", lambda *a: built.append(a) or build(*a))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config + "n_grid = 16, 32\nreplicates = 2\n")
+        out_dir = tmp_path / "results"
+        code, _, err = run_cli(capsys, "bench", "--config", str(cfg), "--out-dir", str(out_dir))
+        assert code == 1
+        assert f"error: {message}" in err.splitlines()
+        assert built == []
+        assert not out_dir.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "bench", "--config", str(tmp_path / "nope.cfg"), "--out-dir", str(tmp_path)
@@ -286,6 +344,23 @@ class TestGpCommand:
         )
         assert code == 1
         assert message in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("cap", ["0", "-1", "1"])
+    def test_train_cap_below_two_usage_error(self, tmp_path, capsys, recwarn, cap):
+        # standardization needs two rows; the cap is refused before the file is read
+        rows = np.random.default_rng(0).normal(size=(50, 4))
+        path = tmp_path / "data.csv"
+        path.write_text("z1,z2,z3,y\n" + "".join(",".join(f"{v:.8f}" for v in row) + "\n" for row in rows))
+        out_dir = tmp_path / "gp"
+        code, _, err = run_cli(
+            capsys, "gp", "--data", str(path), "--n-test", "2", "--budget", "64", "--seeds", "2",
+            "--n-train-cap", cap, "--out-dir", str(out_dir),
+        )
+        assert code == 1
+        assert f"error: --n-train-cap must be >= 2, got {cap}" in err.splitlines()
+        assert "Warning" not in err
+        assert not recwarn.list
         assert not out_dir.exists()
 
     def test_unfactorizable_draw_stops_study_naming_theta(self, tmp_path, capsys, monkeypatch):
@@ -401,13 +476,19 @@ class TestExitCodeContract:
             ("wce --seq lattice --n 0 --dim 2", ""),
             ("gp --synthetic --n-test 2 --budget 64 --seeds 2 --n-subset 0 --out-dir {tmp}/gp", ""),
             ("gp --synthetic --n-test 2 --budget 64 --seeds 2 --n-subset -5 --out-dir {tmp}/gp", ""),
+            ("wce --in {tmp}/in.txt --fold", "dim,index,x1,x2\n2,0,0.1,0.2\n2,1,0.3,0.4\n"),
+            ("wce --in {tmp}/in.txt --shift-seed 3", "dim,index,x1,x2\n2,0,0.1,0.2\n2,1,0.3,0.4\n"),
+            ("wce --in {tmp}/in.txt --scramble", "dim,index,x1,x2\n2,0,0.1,0.2\n2,1,0.3,0.4\n"),
+            ("wce --in {tmp}/in.txt --n 8", "dim,index,x1,x2\n2,0,0.1,0.2\n2,1,0.3,0.4\n"),
+            ("wce --in {tmp}/in.txt --dim 3", "dim,index,x1,x2\n2,0,0.1,0.2\n2,1,0.3,0.4\n"),
         ],
         ids=["direction-gap", "direction-coefficient", "gp-no-seeds", "gp-one-seed",
              "gp-repeated-method", "wce-mixed-dim", "config-repeated-entries",
              "config-repeated-key", "gp-no-test-points", "halton-gen", "halton-directions",
              "sobol-gen", "lattice-directions", "lattice-no-points", "halton-no-points",
              "sobol-negative-points", "wce-lattice-no-points", "gp-no-subset",
-             "gp-negative-subset"],
+             "gp-negative-subset", "wce-in-fold", "wce-in-shift-seed",
+             "wce-in-scramble", "wce-in-n", "wce-in-dim"],
     )
     def test_malformed_input_reported_not_raised(self, tmp_path, capsys, argv, content):
         # parseable arguments whose content is wrong: a contract exit code

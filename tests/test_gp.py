@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import linalg as sla
 
-from cfqmc import gp
+from cfqmc import bench, gp
 from cfqmc.gp import (
     Dataset,
     GPConfig,
@@ -204,14 +204,14 @@ class TestMarginalPrediction:
         # CF method.
         budget, seed = 64, 5
         seen = []  # (nodes or None, evaluation set) per test point
-        qmc, cf = gp.qmc_estimate, gp.cf_estimate
+        qmc, cf = bench.qmc_estimate, bench.cf_estimate
 
         def recording_cf(integrands, nodes, eval_sets, spec):
             seen.extend((nodes, ps) for ps in eval_sets)
             return cf(integrands, nodes, eval_sets, spec)
 
-        monkeypatch.setattr(gp, "qmc_estimate", lambda f, ps: seen.append((None, ps)) or qmc(f, ps))
-        monkeypatch.setattr(gp, "cf_estimate", recording_cf)
+        monkeypatch.setattr(bench, "qmc_estimate", lambda f, ps: seen.append((None, ps)) or qmc(f, ps))
+        monkeypatch.setattr(bench, "cf_estimate", recording_cf)
         for method in gp.GP_METHODS:
             seen.clear()
             marginal_prediction(self.table, method, budget, seed)
@@ -360,6 +360,22 @@ class TestPredictionStudy:
         sd_lines = sd_path.read_text().splitlines()
         assert sd_lines[0] == "test_index,method,sd_over_seeds"
         assert len(sd_lines) == 1 + 2 * 2
+
+    def test_one_estimate_step_per_seed_and_method(self, monkeypatch):
+        # every test point of a (seed, method) goes through one step of the
+        # campaign's, which checks each one's budget
+        calls = []
+        estimate = bench.CellPoints.estimate
+
+        def recording(cell, method, integrands, point_sets, spec):
+            calls.append((method, cell.split.consumed, len(integrands), len(point_sets)))
+            return estimate(cell, method, integrands, point_sets, spec)
+
+        monkeypatch.setattr(bench.CellPoints, "estimate", recording)
+        data, test_z = synthetic_dataset(n=40, p=3, n_test=3, seed=6)
+        methods = ("QMC", "QMC+CF", "MC", "MC+CF")
+        run_prediction_study(data, GPConfig(test_points=test_z, n_subset=20), methods, 64, [0, 1])
+        assert calls == [(method, 64, 3, 3) for _ in range(2) for method in methods]
 
     def test_estimates_match_single_point_tables(self):
         # Each study estimate must equal the estimate for that test point

@@ -1,16 +1,18 @@
-"""The public namespace and the benchmark's tracing hooks stay in step with src."""
+"""The public namespace, the benchmark's tracing hooks and the README's CLI examples stay in step with src."""
 
 import importlib.util
+import shlex
 import sys
 from pathlib import Path
 
 import numpy as np
 
 import cfqmc
-from cfqmc import bench, estimators, gp, interpolate, kernels, points
+from cfqmc import bench, cli, estimators, gp, interpolate, kernels, points
 from cfqmc.points import halton
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+README = Path(__file__).resolve().parent.parent / "README.md"
 TRACING = PERFBENCH / "tracing.py"
 
 
@@ -33,6 +35,29 @@ def test_benchmark_workloads_prepare_and_check(tmp_path, monkeypatch):
     for workload in workloads.WORKLOADS.values():
         workload.prepare(0)
     assert workloads.GPSpread(0, tmp_path).reference_problems() == []
+
+
+def readme_cli_commands() -> list[list[str]]:
+    """The argument lists of the ``cfqmc ...`` lines in the README's CLI
+    block, continuation lines joined."""
+    block = README.read_text().split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("cfqmc ")]
+
+
+def test_readme_cli_examples_parse_and_run(tmp_path, monkeypatch, capsys):
+    # Every example parses, and those that need no config or data file run
+    # in order, so `wce --in points.csv` reads what the first example wrote.
+    commands = readme_cli_commands()
+    assert len(commands) == 8
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+    monkeypatch.chdir(tmp_path)
+    runnable = [argv for argv in commands if argv[0] in ("points", "wce", "integrate")]
+    assert [argv[0] for argv in runnable] == ["points", "points", "wce", "wce", "integrate"]
+    for argv in runnable:
+        assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
 
 
 def test_every_exported_name_resolves():
