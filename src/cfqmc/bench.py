@@ -63,10 +63,13 @@ class CampaignConfig:
     difficulty: float = 7.0
 
     def __post_init__(self):
-        # a repeated entry would run its cells twice and pool the copies into
-        # rows that claim twice the replicates
+        # an empty list would run no cell; a repeated entry would run its
+        # cells twice and pool the copies into rows that claim twice the
+        # replicates
         for name in ("families", "dims", "methods", "k_values", "n_grid"):
             values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name} is empty: a campaign needs at least one entry")
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} repeats an entry: {', '.join(map(str, values))}")
         known = FAMILIES + DEBUG_FAMILIES
@@ -82,7 +85,7 @@ class CampaignConfig:
         if self.sequence not in SEQUENCES:
             raise ValueError(f"unknown sequence {self.sequence!r}; expected one of {SEQUENCES}")
         # limits a cell would otherwise hit mid-campaign; MC methods draw no sequence points
-        d_max = max(self.dims, default=0)
+        d_max = max(self.dims)
         if "corner_peak" in self.families and d_max > CORNER_PEAK_MAX_DIM:
             raise ValueError(
                 f"family corner_peak has an exact integral for d <= {CORNER_PEAK_MAX_DIM} only, got d = {d_max}"

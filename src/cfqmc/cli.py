@@ -20,7 +20,7 @@ from . import bench as bench_mod
 from .directions import load_direction_file
 from .estimators import worst_case_error
 from .genz import DEBUG_FAMILIES, FAMILIES, as_integrand, random_genz
-from .kernels import KernelSpec
+from .kernels import SMOOTHNESS_LEVELS, KernelSpec
 from .plotting import emit_svg
 from .points import (
     baker_fold,
@@ -58,9 +58,21 @@ def _print_config(args: argparse.Namespace, command: str) -> None:
     print(f"config[{command}]: " + " ".join(f"{k}={v}" for k, v in shown.items()))
 
 
+def _usage_checked(flag: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, the call that defines the limits of
+    ``flag``'s value, with its ValueError raised as a usage error naming
+    the flag."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise _usage_error(f"{flag}: {exc}")
+
+
 def _generate_points(args) -> "PointSet":
     if args.n < 1:
         raise _usage_error(f"--n must be >= 1, got {args.n}")
+    if args.dim < 1:
+        raise _usage_error(f"--dim must be >= 1, got {args.dim}")
     if args.gen is not None and args.seq != "lattice":
         raise _usage_error(f"--gen applies to lattice points only, not {args.seq}")
     if args.directions is not None and args.seq != "sobol":
@@ -104,9 +116,12 @@ def _cmd_points(args) -> int:
 
 
 def _cmd_wce(args) -> int:
+    if args.infile is None and args.seq is None:
+        args.seq = "halton"
     _print_config(args, "wce")
     if args.infile:
         generating = {
+            "--seq": args.seq is not None,
             "--n": args.n is not None,
             "--dim": args.dim is not None,
             "--scramble": args.scramble,
@@ -128,7 +143,7 @@ def _cmd_wce(args) -> int:
             raise _usage_error("either --in or both --n and --dim are required")
         ps = _generate_points(args)
         dim = args.dim
-    spec = KernelSpec(k=args.kernel_k, dim=dim, support_radius=args.support)
+    spec = _usage_checked("--support", KernelSpec, k=args.kernel_k, dim=dim, support_radius=args.support)
     value = worst_case_error(spec, ps)
     print(f"worst_case_error = {value:.12f}")
     return 0
@@ -136,10 +151,14 @@ def _cmd_wce(args) -> int:
 
 def _cmd_integrate(args) -> int:
     _print_config(args, "integrate")
-    inst = random_genz(args.family, args.dim, seed_for(args.seed, "instance"), args.difficulty)
+    if args.dim < 1:
+        raise _usage_error(f"--dim must be >= 1, got {args.dim}")
+    spec = _usage_checked("--support", KernelSpec, k=args.k, dim=args.dim, support_radius=args.support)
+    split = _usage_checked("--n", bench_mod.split_budget, args.n, 0.5, dim=args.dim)
+    inst = _usage_checked(
+        "--difficulty", random_genz, args.family, args.dim, seed_for(args.seed, "instance"), args.difficulty
+    )
     integrand = as_integrand(inst)
-    spec = KernelSpec(k=args.k, dim=args.dim, support_radius=args.support)
-    split = bench_mod.split_budget(args.n, 0.5, dim=args.dim)
     delta = rng_for(args.seed, "shift").random(args.dim)
     dshift_seed = seed_for(args.seed, "dshift")
     mc_seed = seed_for(args.seed, "mc")
@@ -254,13 +273,13 @@ def build_parser() -> _Parser:
 
     p_wce = sub.add_parser("wce", help="closed-form worst-case integration error")
     p_wce.add_argument("--in", dest="infile", type=str, default=None)
-    p_wce.add_argument("--seq", choices=("halton", "sobol", "lattice"), default="halton")
+    p_wce.add_argument("--seq", choices=("halton", "sobol", "lattice"), default=None, help="halton if not given")
     p_wce.add_argument("--n", type=int, default=None)
     p_wce.add_argument("--dim", type=int, default=None)
     p_wce.add_argument("--scramble", action="store_true")
     p_wce.add_argument("--shift-seed", dest="shift_seed", type=int, default=None)
     p_wce.add_argument("--fold", action="store_true")
-    p_wce.add_argument("--kernel-k", dest="kernel_k", type=int, default=1)
+    p_wce.add_argument("--kernel-k", dest="kernel_k", type=int, choices=SMOOTHNESS_LEVELS, default=1)
     p_wce.add_argument("--support", type=float, default=1.0)
     p_wce.set_defaults(func=_cmd_wce, gen=None, directions=None)
 
@@ -269,7 +288,7 @@ def build_parser() -> _Parser:
     p_int.add_argument("--dim", type=int, required=True)
     p_int.add_argument("--method", choices=bench_mod.METHODS, required=True)
     p_int.add_argument("--n", type=int, required=True)
-    p_int.add_argument("--k", type=int, default=1)
+    p_int.add_argument("--k", type=int, choices=SMOOTHNESS_LEVELS, default=1)
     p_int.add_argument("--seed", type=int, required=True)
     p_int.add_argument("--sequence", choices=bench_mod.SEQUENCES, default="halton-rr-shift")
     p_int.add_argument("--support", type=float, default=1.0)

@@ -87,10 +87,11 @@ def cf_estimate(
 
     The integrands are the replicates of one estimate, or any R integrands
     on the same grid: all their node values are evaluated first and fitted
-    in one multi-column ``fit``. Returns the (R,) estimates and that fit.
-    Integrand r consumes len(nodes) + len(eval_sets[r]) evaluations; node
-    and evaluation roles may overlap, but overlapping wastes budget. Bad
-    nodes and empty evaluation sets raise before any evaluation is counted.
+    in one multi-column ``fit``, and one ``evaluate`` takes all R sets.
+    Returns the (R,) estimates and that fit. Integrand r consumes len(nodes)
+    + len(eval_sets[r]) evaluations; node and evaluation roles may overlap,
+    but overlapping wastes budget. Bad nodes and empty or unequal evaluation
+    sets raise before any evaluation is counted.
     """
     if not integrands or len(integrands) != len(eval_sets):
         raise ValueError(f"{len(integrands)} integrands for {len(eval_sets)} evaluation sets")
@@ -99,13 +100,12 @@ def cf_estimate(
         raise ValueError("dimension mismatch between integrand and point sets")
     if any(len(ps) == 0 for ps in eval_sets):
         raise ValueError("cannot average over an empty point set")
-    node_values = np.column_stack([f.eval_batch(nodes) for f in integrands])
-    interp = fit(spec, nodes, node_values)
-    estimates = np.empty(len(integrands))
-    for r, (f, ps) in enumerate(zip(integrands, eval_sets)):
-        residuals = f.eval_batch(ps) - evaluate(interp.column(r), ps.points)
-        estimates[r] = interp.exact_integral[r] + float(np.mean(residuals))
-    return estimates, interp
+    if len({len(ps) for ps in eval_sets}) > 1:
+        raise ValueError(f"evaluation sets of unequal lengths {[len(ps) for ps in eval_sets]}")
+    interp = fit(spec, nodes, np.column_stack([f.eval_batch(nodes) for f in integrands]))
+    residuals = np.stack([f.eval_batch(ps) for f, ps in zip(integrands, eval_sets)])
+    residuals -= evaluate(interp, np.stack([ps.points for ps in eval_sets]))
+    return interp.exact_integral + np.mean(residuals, axis=1), interp
 
 
 def worst_case_error(spec: KernelSpec, ps: PointSet) -> float:

@@ -38,7 +38,8 @@ binary searches and O(deg^2) flops, not O(m). The nodes are always a
 replicates of a campaign cell or the test points of the GP study, which
 share the grid: the spectrum, nugget, assembled U, node integrals and d = 1
 moment tables are then formed once, and each application of U or U^T is
-one matrix product over all R columns, not R vector products. A column's
+one matrix product over all R columns, not R vector products. One
+``evaluate`` takes every column, each at its own stack of points. A column's
 floats do not depend on the other columns' values, so a non-finite column
 stays in its own coefficients. At d >= 2 a batch only adds rows to each
 axis product, and each integral is its own column's dot product: with
@@ -56,14 +57,14 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from math import ceil, comb
 from typing import ClassVar, Optional
 
 import numpy as np
 
-from .kernels import _PHI_COEFFS, KernelSpec, gram, kernel_cross, kernel_integral, row_blocks
+from .kernels import _PHI_COEFFS, KernelSpec, gram, kernel_cross, kernel_integral
 from .points import MidpointGrid, midpoint_axis
 
 # Bound on the eigenvector bytes the grid factor cache keeps, counted as
@@ -76,8 +77,10 @@ _FACTOR_CACHE_BYTES = 64 << 20
 # row (the kernel values and kernel-core temporaries) or m^(d-1) partial
 # sums. Blocks that stay in cache run faster: with a 2 MiB L2 per
 # core, a 1024-row stack at d = 2, m = 32 took 0.42-0.66 ms in 1 MiB blocks
-# against 0.61-0.71 ms in 8 MiB ones. d = 1 evaluates from moment tables
-# and does not use this bound.
+# against 0.61-0.71 ms in 8 MiB ones. d = 1 moment-table evaluation, which
+# takes every column's points in one pass, keeps its temporaries (about
+# 10 (deg + 1) floats a point) within it too: in 8 MiB blocks the traced
+# peak of a `campaign-rates` iteration rose from 1.4 to 5.2 MiB.
 _GRID_BLOCK_BYTES = 1 << 20
 
 # Spacing of the d = 1 moment-table centres, in units of the support radius.
@@ -146,25 +149,26 @@ _FACTORS_LOCK = threading.Lock()
 
 @dataclass(frozen=True)
 class _AxisMoments:
-    """Prefix moments of a d = 1 grid surrogate, in units of the support
-    radius (V_i the nodes, C_j the centres).
+    """Prefix moments of the R columns of a d = 1 grid fit, in units of the
+    support radius (V_i the nodes, C_j the centres).
 
     Centre j's table holds the nodes with |V_i - C_j| <= _CENTRE_REACH, and
-    ``prefix[q, base[j] + i]`` is sum beta_l (C_j - V_l)^q over the table's
-    nodes l < i. ``bounds`` are the midpoints between centres. The tables of
-    R surrogates on one grid stack their ``prefix`` on a leading axis.
+    ``prefix[q, r * stride + base[j] + i]`` is sum beta_l (C_j - V_l)^q over
+    the table's nodes l < i for column r: one stacked layout for every R.
+    ``bounds`` are the midpoints between centres.
     """
 
     nodes: np.ndarray
     centres: np.ndarray
     bounds: np.ndarray
     base: np.ndarray
+    stride: int
     prefix: np.ndarray
 
 
 def _axis_moments(spec: KernelSpec, axis: np.ndarray, beta: np.ndarray) -> _AxisMoments:
-    """The moment tables of sum_i beta_i phi(|x - axis_i| / rho), for an
-    (m,) ``beta`` or for each column of an (m, R) one.
+    """The moment tables of sum_i beta_i phi(|x - axis_i| / rho) for each
+    column of ``beta``, (m,) or (m, R).
 
     At radius 1 the one centre 1/2 is within 1/2 of every point of the cube
     and its table holds every node. Below 1 the centres are the multiples of
@@ -192,17 +196,17 @@ def _axis_moments(spec: KernelSpec, axis: np.ndarray, beta: np.ndarray) -> _Axis
     gaps = np.where(held, centres[:, None] - nodes[index], 0.0)
     columns = beta.reshape(len(nodes), -1).T
     terms = np.where(held, columns[:, index], 0.0)
-    prefix = np.zeros((len(columns), len(_PHI_COEFFS[spec.k]), len(centres), width + 1))
-    for q in range(prefix.shape[1]):
-        prefix[:, q, :, 1:] = np.cumsum(terms, axis=2, dtype=np.longdouble)
+    prefix = np.zeros((len(_PHI_COEFFS[spec.k]), len(columns), len(centres), width + 1))
+    for q in range(len(prefix)):
+        prefix[q, :, :, 1:] = np.cumsum(terms, axis=2, dtype=np.longdouble)
         terms *= gaps
-    prefix = prefix.reshape(*prefix.shape[:2], -1)
     return _AxisMoments(
         nodes=nodes,
         centres=centres,
         bounds=(centres[1:] + centres[:-1]) / 2,
         base=np.arange(len(centres)) * (width + 1) - starts,
-        prefix=prefix if beta.ndim == 2 else prefix[0],
+        stride=len(centres) * (width + 1),
+        prefix=prefix.reshape(len(prefix), -1),
     )
 
 
@@ -213,10 +217,10 @@ class Interpolant:
 
     A multi-column fit holds R surrogates on one grid: ``beta`` is (M, R),
     ``exact_integral`` an (R,) array and ``residual_norm`` the largest node
-    residual over the columns; ``column(r)`` is surrogate r alone, which is
-    what ``evaluate`` takes. ``jitter`` is the nugget the solve added to the
-    Gram's diagonal. Evaluation runs from ``moments`` at d = 1 where long
-    double is wider than double, per axis otherwise.
+    residual over the columns; ``evaluate`` takes all R at once. ``jitter``
+    is the nugget the solve added to the Gram's diagonal. Evaluation runs
+    from ``moments``, one stacked set of tables for all columns, at d = 1
+    where long double is wider than double, per axis otherwise.
     """
 
     spec: KernelSpec
@@ -239,23 +243,13 @@ class Interpolant:
 
     @cached_property
     def moments(self) -> Optional[_AxisMoments]:
-        """The d = 1 moment tables of the nodes and ``beta``, formed on first
-        use, or None where the surrogate is evaluated per axis."""
+        """The d = 1 moment tables of the nodes and each column of ``beta``,
+        formed on first use, or None where evaluation runs per axis."""
         # 4 / rho centres: a support under 1/16 of the node spacing would
         # take over 64 m of them, so such a surrogate is evaluated per axis
         if _WIDE_LONG_DOUBLE and self.spec.dim == 1 and 16 * self.nodes.side * self.spec.support_radius >= 1.0:
             return _axis_moments(self.spec, self.nodes.points[:, 0], self.beta)
         return None
-
-    def column(self, r: int) -> "Interpolant":
-        """Surrogate r of a multi-column fit, with the fit's nugget and
-        largest residual. Its moment tables are its part of the fit's, which
-        are formed once for all columns."""
-        beta = np.ascontiguousarray(self.beta[:, r])
-        col = replace(self, beta=beta, exact_integral=float(self.exact_integral[r]))
-        if self.moments is not None:
-            object.__setattr__(col, "moments", replace(self.moments, prefix=self.moments.prefix[r]))
-        return col
 
 
 def _check_nodes(spec: KernelSpec, nodes) -> None:
@@ -444,8 +438,9 @@ def fit(spec: KernelSpec, nodes: MidpointGrid, values) -> Interpolant:
     )
 
 
-def _axis_values(interp: Interpolant, x: np.ndarray) -> np.ndarray:
-    """d = 1 grid surrogate at the points x from its moment tables.
+def _axis_values(interp: Interpolant, x: np.ndarray, col) -> np.ndarray:
+    """d = 1 grid surrogate at the points x from its moment tables, point i
+    from the tables of column ``col[i]``.
 
     A point X (in support units) takes its nearest centre C and sums
     D_q(X - C) times the left-window moments plus the psi analogue times the
@@ -459,7 +454,7 @@ def _axis_values(interp: Interpolant, x: np.ndarray) -> np.ndarray:
     centre = np.searchsorted(mom.bounds, scaled)
     offset = scaled - mom.centres[centre]
     rows = np.searchsorted(mom.nodes, scaled + _WINDOW, side="right")
-    rows += mom.base[centre]
+    rows += mom.base[centre] + np.multiply(col, mom.stride)
     moments = mom.prefix[:, rows]
     sides = np.subtract(moments[:, 1:], moments[:, :2])
     taylor = _TAYLOR[interp.spec.k]
@@ -472,28 +467,21 @@ def _axis_values(interp: Interpolant, x: np.ndarray) -> np.ndarray:
     return np.cumsum(weights.reshape(-1, len(x)), axis=0)[-1]
 
 
-def _axis_operands(interp: Interpolant):
-    """The one-axis kernel and the m axis midpoints as a column: the
-    operands every grid-evaluation block passes to ``kernel_cross``."""
-    spec = interp.spec
-    return KernelSpec(spec.k, 1, spec.support_radius), midpoint_axis(interp.nodes.side)[:, None]
-
-
-def _grid_values(interp: Interpolant, rows: np.ndarray, axis) -> np.ndarray:
-    """Grid surrogate at the rows: one ``kernel_cross`` block of axis kernel
-    values per axis, then a contraction with the (m,)*d coefficient tensor,
-    one axis at a time. ``axis`` is ``_axis_operands(interp)``, which
-    ``_grid_blocked`` builds once for all of its blocks."""
-    m, d = interp.nodes.side, interp.spec.dim
+def _grid_values(beta: np.ndarray, rows: np.ndarray, axis) -> np.ndarray:
+    """Grid surrogate of one column's contiguous coefficients at the rows:
+    one ``kernel_cross`` block of axis kernel values per axis against
+    ``axis`` (the one-axis kernel, the axis midpoints as a column), then a
+    contraction with the (m,)*d coefficient tensor, one axis at a time."""
     axis_spec, nodes = axis
-    t = kernel_cross(axis_spec, rows[:, 0, None], nodes) @ interp.beta.reshape(m, -1)
+    m, d = len(nodes), rows.shape[1]
+    t = kernel_cross(axis_spec, rows[:, 0, None], nodes) @ beta.reshape(m, -1)
     for i in range(1, d):
         w = kernel_cross(axis_spec, rows[:, i, None], nodes)
         t = np.matmul(w[:, None, :], t.reshape(rows.shape[0], m, t.shape[1] // m))[:, 0, :]
     return t[:, 0]
 
 
-def _grid_blocked(interp: Interpolant, rows: np.ndarray) -> np.ndarray:
+def _grid_blocked(beta: np.ndarray, rows: np.ndarray, axis) -> np.ndarray:
     """``_grid_values`` over a stack, in blocks of a multiple of 8 rows
     within ``_GRID_BLOCK_BYTES`` (and at least 8). A row holds at most 4 d m
     floats of kernel values and kernel-core temporaries, or m^(d-1) partial
@@ -504,43 +492,51 @@ def _grid_blocked(interp: Interpolant, rows: np.ndarray) -> np.ndarray:
     one row joins the block before it: the floats are those of one block
     over the stack.
     """
-    n, m, d = rows.shape[0], interp.nodes.side, interp.spec.dim
+    (n, d), m = rows.shape, len(axis[1])
     step = 8 * max(1, _GRID_BLOCK_BYTES // (64 * max(4 * d * m, m ** (d - 1))))
-    axis = _axis_operands(interp)
     if n <= step + 1:
-        return _grid_values(interp, rows, axis)
+        return _grid_values(beta, rows, axis)
     out = np.empty(n)
     bounds = [*range(0, n - 1, step), n]
     for start, stop in zip(bounds, bounds[1:]):
-        out[start:stop] = _grid_values(interp, rows[start:stop], axis)
+        out[start:stop] = _grid_values(beta, rows[start:stop], axis)
     return out
 
 
 def evaluate(interp: Interpolant, x):
-    """Surrogate value sum_n beta_n K(x, u^n) at a point (d,) or stack (n, d).
+    """Surrogate values sum_n beta_n K(x, u^n) of every column of a fit.
 
-    A single point is evaluated as a one-row stack. d = 1 surrogates
-    evaluate from their moment tables (``_axis_values``) where they have
-    them, the others per axis in cache-sized blocks (``_grid_blocked``).
-    Moment-table evaluation bounds its temporaries by
-    ``kernels.BLOCK_BYTES``; its floats do not depend on those blocks.
+    A one-column fit takes a point (d,), giving a float, or a stack (n, d)
+    (a point is a one-row stack); an R-column fit takes one stack per
+    column, (R, n, d), and gives (R, n). d = 1 surrogates evaluate from their
+    moment tables (``_axis_values``) where they have them, all columns in
+    one pass, the others per axis, one column at a time (``_grid_blocked``),
+    both in blocks within ``_GRID_BLOCK_BYTES``. Either way a column's
+    floats are those of a one-column fit, whatever the blocks.
     """
-    if interp.beta.ndim != 1:
-        raise ValueError("evaluate one column of a multi-column fit at a time (Interpolant.column)")
     x_arr = np.asarray(x, dtype=np.float64)
-    rows = np.atleast_2d(x_arr)
-    d = interp.spec.dim
-    if rows.shape[1] != d:
-        raise ValueError(f"dimension mismatch: spec.dim={d}, points are {rows.shape[1]}-d")
+    spec, beta = interp.spec, interp.beta
+    columns = beta.reshape(len(beta), -1).T
+    stacks = x_arr if beta.ndim == 2 else np.atleast_2d(x_arr)[None]
+    if stacks.ndim != 3 or len(stacks) != len(columns) or stacks.shape[2] != spec.dim:
+        raise ValueError(f"dimension mismatch: points {x_arr.shape} for {len(columns)} column(s) at d = {spec.dim}")
+    out = np.empty(stacks.shape[:2])
     if interp.moments is not None:
-        out = np.empty(rows.shape[0])
-        for block in row_blocks(rows.shape[0], 10 * len(interp.moments.prefix)):
-            out[block] = _axis_values(interp, rows[block, 0])
+        col = np.repeat(np.arange(len(columns)), out.shape[1])
+        step = max(1, _GRID_BLOCK_BYTES // (80 * len(interp.moments.prefix)))
+        for start in range(0, out.size, step):
+            block = slice(start, start + step)
+            out.flat[block] = _axis_values(interp, stacks.flat[block], col[block])
     else:
-        out = _grid_blocked(interp, rows)
-    return float(out[0]) if x_arr.ndim == 1 else out
+        axis = KernelSpec(spec.k, 1, spec.support_radius), midpoint_axis(interp.nodes.side)[:, None]
+        for r, rows in enumerate(stacks):
+            out[r] = _grid_blocked(np.ascontiguousarray(columns[r]), rows, axis)
+    if beta.ndim == 2:
+        return out
+    return float(out[0, 0]) if x_arr.ndim == 1 else out[0]
 
 
 def control_functional(interp: Interpolant, x):
-    """Zero-integral correction f_M(x) - I[f_M] built from the surrogate."""
-    return evaluate(interp, x) - interp.exact_integral
+    """Zero-integral correction f_M(x) - I[f_M] built from each surrogate."""
+    integral = interp.exact_integral
+    return evaluate(interp, x) - (integral[:, None] if interp.beta.ndim == 2 else integral)

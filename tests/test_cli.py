@@ -132,12 +132,24 @@ class TestWceCommand:
         assert main(["points", "--seq", "halton", "--n", "64", "--dim", "2", "--out", str(path)]) == 0
         capsys.readouterr()
         code, stdout, err = run_cli(
-            capsys, "wce", "--in", str(path), "--fold", "--shift-seed", "3", "--scramble", "--n", "8", "--dim", "3"
+            capsys, "wce", "--in", str(path), "--fold", "--shift-seed", "3", "--scramble", "--n", "8", "--dim", "3",
+            "--seq", "lattice",
         )
         assert code == 1
-        named = "--n, --dim, --scramble, --shift-seed, --fold"
+        named = "--seq, --n, --dim, --scramble, --shift-seed, --fold"
         assert f"error: --in reads points from {path}, so {named} cannot apply" in err.splitlines()
         assert "worst_case_error" not in stdout
+
+    def test_config_echo_names_a_sequence_only_for_generated_points(self, tmp_path, capsys):
+        path = tmp_path / "points.csv"
+        assert main(["points", "--seq", "lattice", "--n", "16", "--dim", "2", "--out", str(path)]) == 0
+        capsys.readouterr()
+        code, stdout, _ = run_cli(capsys, "wce", "--in", str(path))
+        assert code == 0
+        assert stdout.startswith("config[wce]: ") and "seq=" not in stdout.splitlines()[0]
+        code, stdout, _ = run_cli(capsys, "wce", "--n", "16", "--dim", "2")
+        assert code == 0
+        assert " seq=halton " in stdout.splitlines()[0]
 
     @pytest.mark.parametrize(
         "text", ["1,1,0.5\n", "dim,index,x1\n1,1,0.5\n1,2,half\n"], ids=["no-header", "non-numeric"]
@@ -294,6 +306,17 @@ class TestBenchCommand:
         assert code == 1
         assert f"error: {message}" in err.splitlines()
         assert built == []
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("key", ["families", "dims", "methods", "k_values", "n_grid"])
+    def test_empty_list_rejected_naming_key(self, tmp_path, capsys, key):
+        # an empty list would run no cell and write a header-only CSV
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} =\nreplicates = 2\n" + ("n_grid = 16\n" if key != "n_grid" else ""))
+        out_dir = tmp_path / "results"
+        code, _, err = run_cli(capsys, "bench", "--config", str(cfg), "--out-dir", str(out_dir))
+        assert code == 1
+        assert f"error: {key} is empty" in err
         assert not out_dir.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
@@ -481,6 +504,7 @@ class TestExitCodeContract:
             ("wce --in {tmp}/in.txt --scramble", "dim,index,x1,x2\n2,0,0.1,0.2\n2,1,0.3,0.4\n"),
             ("wce --in {tmp}/in.txt --n 8", "dim,index,x1,x2\n2,0,0.1,0.2\n2,1,0.3,0.4\n"),
             ("wce --in {tmp}/in.txt --dim 3", "dim,index,x1,x2\n2,0,0.1,0.2\n2,1,0.3,0.4\n"),
+            ("wce --in {tmp}/in.txt --seq lattice", "dim,index,x1,x2\n2,0,0.1,0.2\n2,1,0.3,0.4\n"),
         ],
         ids=["direction-gap", "direction-coefficient", "gp-no-seeds", "gp-one-seed",
              "gp-repeated-method", "wce-mixed-dim", "config-repeated-entries",
@@ -488,7 +512,7 @@ class TestExitCodeContract:
              "sobol-gen", "lattice-directions", "lattice-no-points", "halton-no-points",
              "sobol-negative-points", "wce-lattice-no-points", "gp-no-subset",
              "gp-negative-subset", "wce-in-fold", "wce-in-shift-seed",
-             "wce-in-scramble", "wce-in-n", "wce-in-dim"],
+             "wce-in-scramble", "wce-in-n", "wce-in-dim", "wce-in-seq"],
     )
     def test_malformed_input_reported_not_raised(self, tmp_path, capsys, argv, content):
         # parseable arguments whose content is wrong: a contract exit code
@@ -498,3 +522,27 @@ class TestExitCodeContract:
         assert code in (1, 2)
         assert any(line.startswith("error: ") for line in err.splitlines())
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            ("integrate --k 5", "--k"),
+            ("integrate --dim 0", "--dim"),
+            ("integrate --support 0", "--support"),
+            ("integrate --difficulty -1", "--difficulty"),
+            ("integrate --n 3", "--n"),
+            ("wce --n 16 --dim 2 --kernel-k 5", "--kernel-k"),
+            ("wce --n 16 --dim 2 --support 1.5", "--support"),
+            ("points --seq halton --n 8 --dim 0 --out {tmp}/p.csv", "--dim"),
+        ],
+    )
+    def test_out_of_range_value_usage_error_naming_flag(self, tmp_path, capsys, argv, flag):
+        # a value outside the limits of the code that reads it is a usage
+        # error, not a runtime one
+        if argv.startswith("integrate"):
+            defaults = {"--family": "gaussian", "--dim": "1", "--method": "QMC+CF", "--n": "64", "--seed": "0"}
+            argv += "".join(f" {name} {value}" for name, value in defaults.items() if name not in argv.split())
+        code, stdout, err = run_cli(capsys, *argv.format(tmp=tmp_path).split())
+        assert code == 1
+        assert flag in err.splitlines()[-1]
+        assert "estimate=" not in stdout and "worst_case_error" not in stdout

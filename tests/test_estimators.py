@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from cfqmc import interpolate
+from cfqmc import estimators, interpolate
 from cfqmc.estimators import (
     _PAIR_ROWS,
     Integrand,
@@ -152,6 +152,27 @@ class TestCorrectedEstimate:
         integrands = [as_integrand(random_genz("gaussian", 1, seed)) for seed in range(10)]
         cf_estimate(integrands, midpoint_grid(64, 1), [halton(64, 1)] * 10, KernelSpec(1, 1))
         assert len(calls) == (1 if interpolate._WIDE_LONG_DOUBLE else 0)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_one_surrogate_evaluation_for_all_integrands(self, monkeypatch, d):
+        calls = []
+        one_evaluation = estimators.evaluate
+
+        def counting(interp, x):
+            calls.append(np.shape(x))
+            return one_evaluation(interp, x)
+
+        monkeypatch.setattr(estimators, "evaluate", counting)
+        integrands = [as_integrand(random_genz("gaussian", d, seed)) for seed in range(10)]
+        sets = [random_shift(halton(32, d), rng_for(seed, "sets", d).random(d)) for seed in range(10)]
+        cf_estimate(integrands, midpoint_grid(4, d), sets, KernelSpec(1, d))
+        assert calls == [(10, 32, d)]
+
+    def test_unequal_evaluation_sets_rejected_before_evaluation(self):
+        integrands = [Integrand(1, lambda x: x[:, 0]) for _ in range(2)]
+        with pytest.raises(ValueError, match="unequal lengths"):
+            cf_estimate(integrands, midpoint_grid(4, 1), [halton(16, 1), halton(8, 1)], KernelSpec(1, 1))
+        assert [f.eval_count for f in integrands] == [0, 0]
 
     def test_non_grid_nodes_rejected_before_evaluation(self):
         # a shifted grid is a plain PointSet: rejected with nothing charged

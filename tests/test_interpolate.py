@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfqmc import interpolate, kernels
+from cfqmc import interpolate
 from cfqmc.interpolate import (
     Interpolant,
     control_functional,
@@ -37,7 +37,7 @@ import numpy as np
 from cfqmc import interpolate
 from cfqmc.interpolate import evaluate, fit
 from cfqmc.kernels import KernelSpec, row_blocks
-from cfqmc.points import midpoint_grid
+from cfqmc.points import midpoint_axis, midpoint_grid
 
 failed = []
 cache_sized = interpolate._GRID_BLOCK_BYTES
@@ -45,6 +45,7 @@ for k in (0, 1, 2):
     for support in (1.0, 0.7):
         for d, m in ((1, 1024), (1, 37), (2, 32), (2, 5), (3, 8)):
             case = (k, support, d, m)
+            interpolate._GRID_BLOCK_BYTES = cache_sized
             rng = np.random.default_rng(10 * k + d)
             interp = fit(KernelSpec(k, d, support), midpoint_grid(m, d), rng.normal(size=m**d))
             pts = rng.random((1001, d))
@@ -57,12 +58,11 @@ for k in (0, 1, 2):
                 if not np.array_equal([evaluate(interp, p) for p in pts], whole):
                     failed.append((case, "single points"))
                 continue
-            axis = interpolate._axis_operands(interp)
-            whole = interpolate._grid_values(interp, pts, axis)
+            axis = KernelSpec(k, 1, support), midpoint_axis(m)[:, None]
+            whole = interpolate._grid_values(interp.beta, pts, axis)
             old = np.empty(1000)
             for block in row_blocks(1000, max(4 * d * m, m ** (d - 1))):
-                old[block] = interpolate._grid_values(interp, pts[:1000][block], axis)
-            interpolate._GRID_BLOCK_BYTES = cache_sized
+                old[block] = interpolate._grid_values(interp.beta, pts[:1000][block], axis)
             blocked = {"cache-sized": evaluate(interp, pts), "8 MB": old}
             interpolate._GRID_BLOCK_BYTES = 8 * 8 * 4 * d * m
             blocked["8-row"] = evaluate(interp, pts)
@@ -104,6 +104,14 @@ for k in (0, 1, 2):
             out.append(evaluate(interp, pts) / np.sum(np.abs(interp.beta)))
 print(np.concatenate(out).tobytes().hex())
 """
+
+
+def per_axis_values(interp, pts):
+    """A one-column surrogate at the stack ``pts``, evaluated per axis in one
+    block."""
+    spec = interp.spec
+    axis = KernelSpec(spec.k, 1, spec.support_radius), midpoint_axis(interp.nodes.side)[:, None]
+    return interpolate._grid_values(interp.beta, pts, axis)
 
 
 def run_check(script, threads):
@@ -277,6 +285,18 @@ class TestControlFunctional:
         lhs = control_functional(interp, pts) + interp.exact_integral
         np.testing.assert_allclose(lhs, evaluate(interp, pts), atol=1e-14)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_columns_each_lose_their_own_integral(self, d):
+        nodes = midpoint_grid(6, d)
+        batch = fit(KernelSpec(1, d), nodes, bump_columns(nodes, 3, d))
+        stacks = np.random.default_rng(d).random((3, 30, d))
+        psi = control_functional(batch, stacks)
+        assert psi.shape == (3, 30)
+        for r in range(3):
+            integral = float(batch.exact_integral[r])
+            column = Interpolant(batch.spec, nodes, batch.beta[:, r].copy(), integral, jitter=0.0, residual_norm=0.0)
+            assert np.array_equal(psi[r], control_functional(column, stacks[r]))
+
     def test_monte_carlo_mean_near_zero(self):
         nodes = midpoint_grid(10, 1)
         values = np.sin(5.0 * nodes.points[:, 0]) + 0.3
@@ -343,17 +363,15 @@ class TestGridPath:
         interp = fit(KernelSpec(2, 1, support), midpoint_grid(37, 1), np.sin(np.arange(37.0)))
         assert interp.moments is None
         pts = np.random.default_rng(7).random((200, 1))
-        np.testing.assert_array_equal(
-            evaluate(interp, pts), interpolate._grid_values(interp, pts, interpolate._axis_operands(interp))
-        )
+        np.testing.assert_array_equal(evaluate(interp, pts), per_axis_values(interp, pts))
 
     @NEEDS_WIDE_LONG_DOUBLE
     def test_1d_evaluation_spans_memory_blocks(self, monkeypatch):
         interp = fit(KernelSpec(2, 1, 0.3), midpoint_grid(64, 1), np.sin(np.arange(64.0)))
         pts = np.random.default_rng(6).random((1000, 1))
-        whole = interpolate._axis_values(interp, pts[:, 0])
+        whole = interpolate._axis_values(interp, pts[:, 0], 0)
         # a point holds 10 (deg + 1) = 80 floats: seven points per block
-        monkeypatch.setattr(kernels, "BLOCK_BYTES", 7 * 80 * 8)
+        monkeypatch.setattr(interpolate, "_GRID_BLOCK_BYTES", 7 * 80 * 8)
         np.testing.assert_array_equal(evaluate(interp, pts), whole)
 
     def test_blocking_leaves_values_unchanged(self):
@@ -388,7 +406,7 @@ class TestGridPath:
             u = grid.points[:, 0]
             edges = np.clip(np.concatenate([u - support, u + support]), 0.0, 1.0)
             pts = np.concatenate([[0.0, 1.0], u, edges, rng.random(600)])[:, None]
-            direct = interpolate._grid_values(interp, pts, interpolate._axis_operands(interp))
+            direct = per_axis_values(interp, pts)
             err = np.max(np.abs(evaluate(interp, pts) - direct))
             assert err <= bound * np.sum(np.abs(interp.beta)), (m, err)
 
@@ -618,18 +636,34 @@ class TestMultiColumnFit:
         assert np.array_equal(batch.exact_integral, [s.exact_integral for s in singles])
         assert batch.residual_norm == max(s.residual_norm for s in singles)
 
-    def test_column_is_the_one_column_surrogate(self):
-        spec = KernelSpec(2, 2)
-        nodes = midpoint_grid(5, 2)
-        batch = fit(spec, nodes, bump_columns(nodes, 3, 0))
-        column = batch.column(1)
-        assert column.beta.shape == (25,) and column.exact_integral == batch.exact_integral[1]
-        pts = halton(40, 2)
-        np.testing.assert_array_equal(evaluate(column, pts.points), evaluate(Interpolant(
-            spec, nodes, batch.beta[:, 1].copy(), exact_integral=0.0, jitter=0.0, residual_norm=0.0
-        ), pts.points))
-        with pytest.raises(ValueError, match="one column"):
-            evaluate(batch, pts.points)
+    def test_column_is_the_one_column_surrogate(self, monkeypatch):
+        # evaluate(batch, stacks)[r] is the one-column surrogate of column r
+        # at stack r, bitwise: at d = 1 from the stacked moment tables and
+        # per axis, and per axis at d = 2, 3
+        native = interpolate._WIDE_LONG_DOUBLE
+        for d, m, wide in [(1, 64, native), (1, 64, False), (2, 5, native), (3, 4, native)]:
+            monkeypatch.setattr(interpolate, "_WIDE_LONG_DOUBLE", wide)
+            spec = KernelSpec(2, d, 0.7)
+            nodes = midpoint_grid(m, d)
+            batch = fit(spec, nodes, bump_columns(nodes, 3, d))
+            assert (batch.moments is not None) == (d == 1 and interpolate._WIDE_LONG_DOUBLE)
+            stacks = np.random.default_rng(d).random((3, 40, d))
+            values = evaluate(batch, stacks)
+            assert values.shape == (3, 40)
+            for r in range(3):
+                column = Interpolant(
+                    spec, nodes, batch.beta[:, r].copy(), exact_integral=0.0, jitter=0.0, residual_norm=0.0
+                )
+                assert np.array_equal(values[r], evaluate(column, stacks[r])), (d, wide, r)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_points_not_one_stack_per_column_rejected(self, d):
+        nodes = midpoint_grid(6, d)
+        batch = fit(KernelSpec(1, d), nodes, bump_columns(nodes, 3, d))
+        assert evaluate(batch, np.full((3, 40, d), 0.5)).shape == (3, 40)
+        for shape in ((40, d), (2, 40, d), (4, 40, d), (3, 40, d + 1), (d,)):
+            with pytest.raises(ValueError):
+                evaluate(batch, np.full(shape, 0.5))
 
     @pytest.mark.parametrize("d,m", [(1, 64), (2, 8)])
     def test_non_finite_column_leaves_the_others_alone(self, d, m):

@@ -1,7 +1,9 @@
 """The public namespace, the benchmark's tracing hooks and the README's CLI examples stay in step with src."""
 
 import importlib.util
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -58,6 +60,21 @@ def test_readme_cli_examples_parse_and_run(tmp_path, monkeypatch, capsys):
     assert [argv[0] for argv in runnable] == ["points", "points", "wce", "wce", "integrate"]
     for argv in runnable:
         assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
+
+
+def test_readme_library_quick_start_runs():
+    # The quick start unpacks `cf_estimate`'s return value and prints the
+    # integrand's evaluation count: the whole 512-evaluation budget. The
+    # integrand's integral is (sqrt(pi / 3) erf(sqrt(3) / 2))^2.
+    block = README.read_text().split("\n## Library quick start\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    src = str(Path(cfqmc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", block], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    estimate_line, wce_line = result.stdout.splitlines()
+    estimate, count = estimate_line.split()
+    assert abs(float(estimate) - 0.6360187064) < 1e-4 and count == "512"
+    assert float(wce_line) > 0.0
 
 
 def test_every_exported_name_resolves():
@@ -161,9 +178,9 @@ def test_grid_evaluation_blocks_fit_the_cache_bound(monkeypatch):
     grid_values = interpolate._grid_values
     rows = []
 
-    def recording(interp, block, *args):
+    def recording(beta, block, *args):
         rows.append(block.shape[0])
-        return grid_values(interp, block, *args)
+        return grid_values(beta, block, *args)
 
     monkeypatch.setattr(interpolate, "_grid_values", recording)
     interpolate.evaluate(interp, np.random.default_rng(0).random((n, d)))
