@@ -48,6 +48,19 @@ METHODS = ("MC", "QMC", "QMC+CF", "MC+CF", "QMC+CF-folded")
 CF_METHODS = ("QMC+CF", "MC+CF", "QMC+CF-folded")
 SEQUENCES = ("halton-rr-shift", "sobol-dshift", "lattice")
 
+
+def check_dim_limits(families, sequence: str, methods, dim: int) -> None:
+    """Raise ValueError where a cell at dimension ``dim`` would fail mid-run:
+    past genz's corner-peak integral, or past the Sobol direction table for
+    a method that draws sequence points (MC methods do not)."""
+    if "corner_peak" in families and dim > CORNER_PEAK_MAX_DIM:
+        raise ValueError(f"family corner_peak has an exact integral for d <= {CORNER_PEAK_MAX_DIM} only, got d = {dim}")
+    if sequence == "sobol-dshift" and set(methods) - {"MC", "MC+CF"} and dim > DEFAULT_DIRECTIONS.max_dim:
+        raise ValueError(
+            f"sequence sobol-dshift has direction numbers for d <= {DEFAULT_DIRECTIONS.max_dim} only, got d = {dim}"
+        )
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     families: tuple[str, ...] = ("gaussian",)
@@ -84,18 +97,7 @@ class CampaignConfig:
                 raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
         if self.sequence not in SEQUENCES:
             raise ValueError(f"unknown sequence {self.sequence!r}; expected one of {SEQUENCES}")
-        # limits a cell would otherwise hit mid-campaign; MC methods draw no sequence points
-        d_max = max(self.dims)
-        if "corner_peak" in self.families and d_max > CORNER_PEAK_MAX_DIM:
-            raise ValueError(
-                f"family corner_peak has an exact integral for d <= {CORNER_PEAK_MAX_DIM} only, got d = {d_max}"
-            )
-        if self.sequence == "sobol-dshift" and set(self.methods) - {"MC", "MC+CF"}:
-            if d_max > DEFAULT_DIRECTIONS.max_dim:
-                raise ValueError(
-                    f"sequence sobol-dshift has direction numbers for d <= {DEFAULT_DIRECTIONS.max_dim} "
-                    f"only, got d = {d_max}"
-                )
+        check_dim_limits(self.families, self.sequence, self.methods, max(self.dims))
         for k in self.k_values:
             if k not in SMOOTHNESS_LEVELS:
                 raise ValueError(f"k values must be within {SMOOTHNESS_LEVELS}")

@@ -83,7 +83,7 @@ def _generate_points(args) -> "PointSet":
         table = load_direction_file(args.directions) if args.directions else None
         if args.scramble and args.shift_seed is None:
             raise _usage_error("sobol --scramble needs --shift-seed for the digital shift")
-        ps = sobol(args.n, args.dim, table, args.shift_seed if args.scramble else None)
+        ps = _usage_checked("--dim", sobol, args.n, args.dim, table, args.shift_seed if args.scramble else None)
     elif args.seq == "lattice":
         if args.scramble:
             raise _usage_error("--scramble does not apply to lattice points")
@@ -97,8 +97,6 @@ def _generate_points(args) -> "PointSet":
     if args.fold:
         ps = baker_fold(ps)
     return ps
-
-
 
 
 def _cmd_points(args) -> int:
@@ -155,6 +153,7 @@ def _cmd_integrate(args) -> int:
         raise _usage_error(f"--dim must be >= 1, got {args.dim}")
     spec = _usage_checked("--support", KernelSpec, k=args.k, dim=args.dim, support_radius=args.support)
     split = _usage_checked("--n", bench_mod.split_budget, args.n, 0.5, dim=args.dim)
+    _usage_checked("--dim", bench_mod.check_dim_limits, [args.family], args.sequence, [args.method], args.dim)
     inst = _usage_checked(
         "--difficulty", random_genz, args.family, args.dim, seed_for(args.seed, "instance"), args.difficulty
     )

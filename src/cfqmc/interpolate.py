@@ -29,10 +29,11 @@ midpoints, contracted with the coefficient tensor. At d = 1
 the kernel pieces are polynomials in r on [0, 1], so the sum over the nodes
 within reach of x splits into a left and a right sum, each a Taylor sum
 sum_q D_q(X - C) sum_i beta_i (C - V_i)^q about a centre C (X, V_i in units
-of the support radius, D_q = phi^(q) / q!). Where long double is wider than
-double, a surrogate forms prefix sums of those moments, and a point costs two
-binary searches and O(deg^2) flops, not O(m). The nodes are always a
-``points.MidpointGrid``, the only node set the Kronecker solve applies to.
+of the support radius, D_q = phi^(q) / q!). A surrogate forms prefix sums of
+those moments in ``np.longdouble``, which is double on some platforms, and a
+point costs two binary searches and O(deg^2) flops, not O(m). The nodes are
+always a ``points.MidpointGrid``, the only node set the Kronecker solve
+applies to.
 
 ``fit`` takes one column of node values or R of them, (M, R), as for the
 replicates of a campaign cell or the test points of the GP study, which
@@ -90,11 +91,6 @@ _GRID_BLOCK_BYTES = 1 << 20
 # sums of far-node moments.
 _CENTRE_STEP = 0.25
 _CENTRE_REACH = 1.0 + _CENTRE_STEP / 2
-# The moment tables keep their accuracy because their prefix sums accumulate
-# in long double. Where long double is double (Windows and Apple silicon
-# builds, for example) those sums would round at every step, so d = 1 grids
-# are evaluated per axis there.
-_WIDE_LONG_DOUBLE = np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant
 # X - 1, X, X + 1: the left edge, the left/right split and the right edge of
 # a point's kernel window
 _WINDOW = np.array([-1.0, 0.0, 1.0])[:, None]
@@ -177,9 +173,11 @@ def _axis_moments(spec: KernelSpec, axis: np.ndarray, beta: np.ndarray) -> _Axis
     bound j has X - 1 >= C_j - _CENTRE_REACH and X + 1 <= C_j + _CENTRE_REACH
     after rounding too: its window edges fall inside centre j's table.
 
-    The prefix sums accumulate in long double and are rounded once, so on
-    hosts where long double is wider than double their error does not grow
-    with the table length. Each column's sums run as they would alone.
+    The prefix sums accumulate in ``np.longdouble`` and are rounded once.
+    Where it is wider than double their error does not grow with the table
+    length; where it is double (Windows and Apple silicon builds, for
+    example) they round at every step. Each column's sums run as they would
+    alone.
     """
     rho = spec.support_radius
     nodes = axis / rho
@@ -220,7 +218,7 @@ class Interpolant:
     residual over the columns; ``evaluate`` takes all R at once. ``jitter``
     is the nugget the solve added to the Gram's diagonal. Evaluation runs
     from ``moments``, one stacked set of tables for all columns, at d = 1
-    where long double is wider than double, per axis otherwise.
+    unless 16 m rho < 1, per axis otherwise.
     """
 
     spec: KernelSpec
@@ -247,7 +245,7 @@ class Interpolant:
         formed on first use, or None where evaluation runs per axis."""
         # 4 / rho centres: a support under 1/16 of the node spacing would
         # take over 64 m of them, so such a surrogate is evaluated per axis
-        if _WIDE_LONG_DOUBLE and self.spec.dim == 1 and 16 * self.nodes.side * self.spec.support_radius >= 1.0:
+        if self.spec.dim == 1 and 16 * self.nodes.side * self.spec.support_radius >= 1.0:
             return _axis_moments(self.spec, self.nodes.points[:, 0], self.beta)
         return None
 

@@ -36,7 +36,7 @@ CAMPAIGN_GRID = (
 )
 
 
-def runs(out: Path) -> list[str]:
+def runs(out: Path) -> list[list[str]]:
     """The command lines of the check, in run order; ``out`` is where they
     write. Writes the campaign configs they read."""
     argvs = []
@@ -45,23 +45,27 @@ def runs(out: Path) -> list[str]:
             name = out / f"campaign-{seq}-d{d}"
             name.mkdir(parents=True, exist_ok=True)
             (name / "campaign.cfg").write_text(f"{cells}dims = {d}\nsequence = {seq}\n{CAMPAIGN_GRID}")
-            argvs.append(f"bench --config {name}/campaign.cfg --out-dir {name}")
-    argvs.append(f"gp --synthetic --n-test 3 --methods QMC,QMC+CF,MC,MC+CF --budget 64 --seeds 3 --out-dir {out}/gp")
+            argvs.append(["bench", "--config", str(name / "campaign.cfg"), "--out-dir", str(name)])
+    gp = "gp --synthetic --n-test 3 --methods QMC,QMC+CF,MC,MC+CF --budget 64 --seeds 3 --out-dir"
+    argvs.append(gp.split() + [str(out / "gp")])
+    for seq, flags in (
+        ("halton", "--n 32 --dim 2 --scramble"),
+        ("sobol", "--n 32 --dim 3 --scramble --shift-seed 4"),
+        ("lattice", "--n 31 --dim 2 --shift-seed 1 --fold"),
+    ):
+        argvs.append(f"points --seq {seq} {flags} --metrics --out".split() + [str(out / f"points-{seq}.csv")])
     argvs += [
-        f"points --seq halton --n 32 --dim 2 --scramble --metrics --out {out}/points-halton.csv",
-        f"points --seq sobol --n 32 --dim 3 --scramble --shift-seed 4 --metrics --out {out}/points-sobol.csv",
-        f"points --seq lattice --n 31 --dim 2 --shift-seed 1 --fold --metrics --out {out}/points-lattice.csv",
-        "wce --seq halton --n 64 --dim 2 --kernel-k 0",
-        "wce --seq sobol --n 64 --dim 3 --kernel-k 2 --scramble --shift-seed 5 --support 0.6",
-        "wce --seq lattice --n 61 --dim 2 --shift-seed 2 --fold",
-        f"wce --in {out}/points-sobol.csv --kernel-k 1 --support 0.8",
+        "wce --seq halton --n 64 --dim 2 --kernel-k 0".split(),
+        "wce --seq sobol --n 64 --dim 3 --kernel-k 2 --scramble --shift-seed 5 --support 0.6".split(),
+        "wce --seq lattice --n 61 --dim 2 --shift-seed 2 --fold".split(),
+        ["wce", "--in", str(out / "points-sobol.csv"), "--kernel-k", "1", "--support", "0.8"],
     ]
     for seq, family, k in zip(SEQUENCES, ("gaussian", "continuous", "oscillatory"), (0, 1, 2)):
         for d in (1, 2):
             for method in METHODS:
                 argvs.append(
                     f"integrate --family {family} --dim {d} --method {method} --n 128 --k {k} "
-                    f"--seed {d} --sequence {seq} --support 0.8"
+                    f"--seed {d} --sequence {seq} --support 0.8".split()
                 )
     return argvs
 
@@ -84,12 +88,14 @@ def main() -> int:
     for argv in runs(out):
         printed = io.StringIO()
         with contextlib.redirect_stdout(printed):
-            code = cfqmc(argv.split())
+            code = cfqmc(argv)
         if code:
-            sys.stderr.write(f"cfqmc {argv} exited {code}\n")
+            sys.stderr.write(f"cfqmc {' '.join(argv)} exited {code}\n")
             return code
-        transcript += [f"$ cfqmc {argv}", printed.getvalue().rstrip("\n")]
-    (out / "transcript.txt").write_text("\n".join(transcript).replace(str(out), "<out>") + "\n")
+        transcript += [f"$ cfqmc {' '.join(argv)}", printed.getvalue().rstrip("\n")]
+    # paths as on a POSIX host, under <out>
+    text = "\n".join(transcript).replace(str(out), "<out>").replace(os.sep, "/")
+    (out / "transcript.txt").write_text(text + "\n")
     return 0
 
 

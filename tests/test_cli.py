@@ -11,6 +11,7 @@ import pytest
 
 from cfqmc import bench, cli, gp
 from cfqmc.cli import main
+from cfqmc.directions import DEFAULT_DIRECTIONS
 from cfqmc.points import read_points_csv
 
 
@@ -82,6 +83,23 @@ class TestPointsCommand:
         ]
         assert not out.exists()
 
+    def test_sobol_dim_beyond_direction_table_usage_error(self, tmp_path, capsys):
+        # the built-in table covers d <= 8; a --directions table that covers
+        # d = 9 serves it
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "points", "--seq", "sobol", "--n", "8", "--dim", "9", "--out", str(out))
+        assert code == 1
+        assert err.splitlines()[-1] == "error: --dim: direction table covers dimensions up to 8, requested dimension 9"
+        assert not out.exists()
+        table = tmp_path / "dirs.txt"
+        rows = [f"{d} {s} {a} {' '.join(map(str, m))}\n" for d, (s, a, m) in DEFAULT_DIRECTIONS.entries.items()]
+        table.write_text("".join(rows) + "9 5 4 1 1 5 5 5\n")
+        code, _, _ = run_cli(
+            capsys, "points", "--seq", "sobol", "--n", "8", "--dim", "9", "--directions", str(table), "--out", str(out)
+        )
+        assert code == 0
+        assert read_points_csv(out).dim == 9
+
     def test_lattice_scramble_rejected(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "points", "--seq", "lattice", "--n", "8", "--dim", "1",
@@ -124,6 +142,12 @@ class TestWceCommand:
         code, _, err = run_cli(capsys, "wce", "--seq", seq, "--n", "0", "--dim", "2")
         assert code == 1
         assert "error: --n must be >= 1, got 0" in err.splitlines()
+
+    def test_sobol_dim_beyond_direction_table_usage_error(self, capsys):
+        code, stdout, err = run_cli(capsys, "wce", "--seq", "sobol", "--n", "16", "--dim", "9")
+        assert code == 1
+        assert err.splitlines()[-1] == "error: --dim: direction table covers dimensions up to 8, requested dimension 9"
+        assert "worst_case_error" not in stdout
 
     def test_generating_flags_rejected_beside_input_file(self, tmp_path, capsys):
         # a file's points are taken as they are: a flag that only shapes
@@ -233,6 +257,29 @@ class TestIntegrateCommand:
         )
         assert code == 2
         assert "budget accounting violated: consumed 65, expected 64" in err
+
+    @pytest.mark.parametrize("method", bench.METHODS)
+    def test_sobol_dim_beyond_direction_table_usage_error(self, capsys, method):
+        # only methods that draw sobol-dshift points need the direction table
+        code, stdout, err = run_cli(
+            capsys, "integrate", "--family", "gaussian", "--dim", "9", "--method", method,
+            "--n", "64", "--seed", "1", "--sequence", "sobol-dshift",
+        )
+        if method in ("MC", "MC+CF"):
+            assert code == 0
+        else:
+            assert code == 1
+            assert err.splitlines()[-1] == (
+                "error: --dim: sequence sobol-dshift has direction numbers for d <= 8 only, got d = 9"
+            )
+            assert "estimate=" not in stdout
+
+    def test_corner_peak_beyond_its_dimension_names_dim(self, capsys):
+        code, _, err = run_cli(
+            capsys, "integrate", "--family", "corner_peak", "--dim", "7", "--method", "QMC", "--n", "64", "--seed", "1"
+        )
+        assert code == 1
+        assert err.splitlines()[-1] == "error: --dim: family corner_peak has an exact integral for d <= 6 only, got d = 7"
 
     def test_report_csv_written(self, tmp_path, capsys):
         out = tmp_path / "report.csv"

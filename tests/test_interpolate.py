@@ -19,19 +19,13 @@ from cfqmc.interpolate import (
 from cfqmc.kernels import KernelSpec, gram, kernel_cross, kernel_integral
 from cfqmc.points import PointSet, halton, midpoint_axis, midpoint_grid, random_shift, uniform_random
 
-# the d = 1 moment tables exist only where long double is wider than double
-NEEDS_WIDE_LONG_DOUBLE = pytest.mark.skipif(
-    not interpolate._WIDE_LONG_DOUBLE, reason="long double is double: no d = 1 moment tables"
-)
-
-
-# Per-axis evaluation (d >= 2, and d = 1 where long double is double): every
-# blocking of a stack gives the floats of one block over it: the cache-sized
-# blocks, blocks bounded by kernels.BLOCK_BYTES, and 8-row blocks with a
-# one-row tail. A lone row takes BLAS's vector path, so a point evaluated on
-# its own agrees to rounding, not bitwise. Moment-table evaluation (d = 1
-# where long double is wider): the whole stack, both parts of every split of
-# it and each point on its own give the same floats. Prints the failures.
+# Per-axis evaluation (d >= 2, and d = 1 with 16 m rho < 1): every blocking
+# of a stack gives the floats of one block over it: the cache-sized blocks,
+# blocks bounded by kernels.BLOCK_BYTES, and 8-row blocks with a one-row
+# tail. A lone row takes BLAS's vector path, so a point evaluated on its own
+# agrees to rounding, not bitwise. Moment-table evaluation (the other d = 1
+# fits): the whole stack, both parts of every split of it and each point on
+# its own give the same floats. Prints the failures.
 BLOCKING_CHECK = """
 import numpy as np
 from cfqmc import interpolate
@@ -41,37 +35,37 @@ from cfqmc.points import midpoint_axis, midpoint_grid
 
 failed = []
 cache_sized = interpolate._GRID_BLOCK_BYTES
+cases = [(s, d, m) for s in (1.0, 0.7) for d, m in ((1, 1024), (1, 37), (2, 32), (2, 5), (3, 8))]
 for k in (0, 1, 2):
-    for support in (1.0, 0.7):
-        for d, m in ((1, 1024), (1, 37), (2, 32), (2, 5), (3, 8)):
-            case = (k, support, d, m)
-            interpolate._GRID_BLOCK_BYTES = cache_sized
-            rng = np.random.default_rng(10 * k + d)
-            interp = fit(KernelSpec(k, d, support), midpoint_grid(m, d), rng.normal(size=m**d))
-            pts = rng.random((1001, d))
-            if d == 1 and interpolate._WIDE_LONG_DOUBLE:
-                whole = evaluate(interp, pts)
-                for split in range(1, len(pts)):
-                    parts = (evaluate(interp, pts[:split]), evaluate(interp, pts[split:]))
-                    if not np.array_equal(np.concatenate(parts), whole):
-                        failed.append((case, split))
-                if not np.array_equal([evaluate(interp, p) for p in pts], whole):
-                    failed.append((case, "single points"))
-                continue
-            axis = KernelSpec(k, 1, support), midpoint_axis(m)[:, None]
-            whole = interpolate._grid_values(interp.beta, pts, axis)
-            old = np.empty(1000)
-            for block in row_blocks(1000, max(4 * d * m, m ** (d - 1))):
-                old[block] = interpolate._grid_values(interp.beta, pts[:1000][block], axis)
-            blocked = {"cache-sized": evaluate(interp, pts), "8 MB": old}
-            interpolate._GRID_BLOCK_BYTES = 8 * 8 * 4 * d * m
-            blocked["8-row"] = evaluate(interp, pts)
-            for name, got in blocked.items():
-                if not np.array_equal(got, whole[: len(got)]):
-                    failed.append((case, name))
-            singles = np.array([evaluate(interp, p) for p in pts[::50]])
-            if np.max(np.abs(singles - whole[::50])) > 1e-14 * np.sum(np.abs(interp.beta)):
+    for support, d, m in cases + [(0.0015, 1, 37)]:  # 16 m rho < 1: per axis
+        case = (k, support, d, m)
+        interpolate._GRID_BLOCK_BYTES = cache_sized
+        rng = np.random.default_rng(10 * k + d)
+        interp = fit(KernelSpec(k, d, support), midpoint_grid(m, d), rng.normal(size=m**d))
+        pts = rng.random((1001, d))
+        if interp.moments is not None:
+            whole = evaluate(interp, pts)
+            for split in range(1, len(pts)):
+                parts = (evaluate(interp, pts[:split]), evaluate(interp, pts[split:]))
+                if not np.array_equal(np.concatenate(parts), whole):
+                    failed.append((case, split))
+            if not np.array_equal([evaluate(interp, p) for p in pts], whole):
                 failed.append((case, "single points"))
+            continue
+        axis = KernelSpec(k, 1, support), midpoint_axis(m)[:, None]
+        whole = interpolate._grid_values(interp.beta, pts, axis)
+        old = np.empty(1000)
+        for block in row_blocks(1000, max(4 * d * m, m ** (d - 1))):
+            old[block] = interpolate._grid_values(interp.beta, pts[:1000][block], axis)
+        blocked = {"cache-sized": evaluate(interp, pts), "8 MB": old}
+        interpolate._GRID_BLOCK_BYTES = 8 * 8 * 4 * d * m
+        blocked["8-row"] = evaluate(interp, pts)
+        for name, got in blocked.items():
+            if not np.array_equal(got, whole[: len(got)]):
+                failed.append((case, name))
+        singles = np.array([evaluate(interp, p) for p in pts[::50]])
+        if np.max(np.abs(singles - whole[::50])) > 1e-14 * np.sum(np.abs(interp.beta)):
+            failed.append((case, "single points"))
 print(failed)
 """
 
@@ -356,16 +350,6 @@ class TestGridPath:
         # each node's kernel reaches no other node
         np.testing.assert_array_equal(evaluate(interp, grid.points), interp.beta)
 
-    @pytest.mark.parametrize("support", [1.0, 0.3])
-    def test_1d_without_wide_long_double_evaluates_per_axis(self, monkeypatch, support):
-        # where long double is double the moment tables would lose accuracy
-        monkeypatch.setattr(interpolate, "_WIDE_LONG_DOUBLE", False)
-        interp = fit(KernelSpec(2, 1, support), midpoint_grid(37, 1), np.sin(np.arange(37.0)))
-        assert interp.moments is None
-        pts = np.random.default_rng(7).random((200, 1))
-        np.testing.assert_array_equal(evaluate(interp, pts), per_axis_values(interp, pts))
-
-    @NEEDS_WIDE_LONG_DOUBLE
     def test_1d_evaluation_spans_memory_blocks(self, monkeypatch):
         interp = fit(KernelSpec(2, 1, 0.3), midpoint_grid(64, 1), np.sin(np.arange(64.0)))
         pts = np.random.default_rng(6).random((1000, 1))
@@ -382,12 +366,8 @@ class TestGridPath:
 
     def test_1d_values_independent_of_blas_threads(self):
         one, two = (np.frombuffer(bytes.fromhex(run_check(THREAD_CHECK, t))) for t in "12")
-        if interpolate._WIDE_LONG_DOUBLE:
-            assert np.array_equal(one, two)
-        else:  # evaluated per axis, through BLAS: equal to rounding
-            np.testing.assert_allclose(one, two, rtol=0.0, atol=1e-14)
+        assert np.array_equal(one, two)
 
-    @NEEDS_WIDE_LONG_DOUBLE
     @pytest.mark.parametrize("support", [1.0, 0.7, 0.3, 0.1])
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_1d_moments_match_direct_sum(self, k, support):
@@ -409,6 +389,14 @@ class TestGridPath:
             direct = per_axis_values(interp, pts)
             err = np.max(np.abs(evaluate(interp, pts) - direct))
             assert err <= bound * np.sum(np.abs(interp.beta)), (m, err)
+
+    @pytest.mark.parametrize("support", [1.0, 0.7, 0.3, 0.1])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_1d_float64_moments_match_direct_sum(self, monkeypatch, k, support):
+        # the same bounds with the prefix sums in float64, as where long
+        # double is double
+        monkeypatch.setattr(np, "longdouble", np.float64)
+        self.test_1d_moments_match_direct_sum(k, support)
 
     @pytest.mark.parametrize("d,m", [(1, 1024), (2, 32), (3, 8), (4, 5)])
     def test_kron_apply_matches_tensordot(self, d, m):
@@ -636,17 +624,15 @@ class TestMultiColumnFit:
         assert np.array_equal(batch.exact_integral, [s.exact_integral for s in singles])
         assert batch.residual_norm == max(s.residual_norm for s in singles)
 
-    def test_column_is_the_one_column_surrogate(self, monkeypatch):
+    def test_column_is_the_one_column_surrogate(self):
         # evaluate(batch, stacks)[r] is the one-column surrogate of column r
-        # at stack r, bitwise: at d = 1 from the stacked moment tables and
-        # per axis, and per axis at d = 2, 3
-        native = interpolate._WIDE_LONG_DOUBLE
-        for d, m, wide in [(1, 64, native), (1, 64, False), (2, 5, native), (3, 4, native)]:
-            monkeypatch.setattr(interpolate, "_WIDE_LONG_DOUBLE", wide)
-            spec = KernelSpec(2, d, 0.7)
+        # at stack r, bitwise: at d = 1 from the stacked moment tables and,
+        # with 16 m rho < 1, per axis, and per axis at d = 2, 3
+        for d, m, support in [(1, 64, 0.7), (1, 64, 5e-4), (2, 5, 0.7), (3, 4, 0.7)]:
+            spec = KernelSpec(2, d, support)
             nodes = midpoint_grid(m, d)
             batch = fit(spec, nodes, bump_columns(nodes, 3, d))
-            assert (batch.moments is not None) == (d == 1 and interpolate._WIDE_LONG_DOUBLE)
+            assert (batch.moments is not None) == (d == 1 and support == 0.7)
             stacks = np.random.default_rng(d).random((3, 40, d))
             values = evaluate(batch, stacks)
             assert values.shape == (3, 40)
@@ -654,7 +640,7 @@ class TestMultiColumnFit:
                 column = Interpolant(
                     spec, nodes, batch.beta[:, r].copy(), exact_integral=0.0, jitter=0.0, residual_norm=0.0
                 )
-                assert np.array_equal(values[r], evaluate(column, stacks[r])), (d, wide, r)
+                assert np.array_equal(values[r], evaluate(column, stacks[r])), (d, support, r)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_points_not_one_stack_per_column_rejected(self, d):

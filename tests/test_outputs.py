@@ -10,6 +10,7 @@ accumulate in float64, so the d = 1 CF lines round another way there too:
 the test says that it did not compare them and does not pass.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -17,9 +18,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cfqmc.bench import CF_METHODS
+
 TESTS = Path(__file__).resolve().parent
 FIXTURES = TESTS / "output_fixtures"
-CF_METHODS = ("QMC+CF", "MC+CF", "QMC+CF-folded")
 WIDE_LONG_DOUBLE = np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant
 
 
@@ -59,7 +61,7 @@ def compare(out: Path, uncompared: set[str]) -> tuple[list[str], int]:
     ``thread_bound_lines`` of the kinds in ``uncompared``, and the count of
     fixture lines left out."""
     names = sorted(
-        {str(p.relative_to(root)) for root in (FIXTURES, out) for p in root.rglob("*") if p.is_file()}
+        {p.relative_to(root).as_posix() for root in (FIXTURES, out) for p in root.rglob("*") if p.is_file()}
     )
     found, held = [], 0
     for name in names:
@@ -81,11 +83,15 @@ def compare(out: Path, uncompared: set[str]) -> tuple[list[str], int]:
 
 
 def run_outputs(tmp_path: Path, threads: str) -> Path:
+    """The check's outputs with ``threads`` BLAS threads, from a fresh
+    interpreter; the environment sets the count too, in case numpy loads
+    before the script can."""
     out = tmp_path / f"threads-{threads}"
     run = subprocess.run(
         [sys.executable, str(TESTS / "output_check.py"), str(out), "--threads", threads],
         capture_output=True,
         text=True,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads),
         timeout=300,
     )
     assert run.returncode == 0, run.stderr
