@@ -23,6 +23,7 @@ from .genz import DEBUG_FAMILIES, FAMILIES, as_integrand, random_genz
 from .kernels import SMOOTHNESS_LEVELS, KernelSpec
 from .plotting import emit_svg
 from .points import (
+    SOBOL_BITS,
     baker_fold,
     geometry,
     halton,
@@ -83,11 +84,19 @@ def _generate_points(args) -> "PointSet":
         table = load_direction_file(args.directions) if args.directions else None
         if args.scramble and args.shift_seed is None:
             raise _usage_error("sobol --scramble needs --shift-seed for the digital shift")
+        if args.n.bit_length() > SOBOL_BITS:
+            raise _usage_error(f"--n must be below 2**{SOBOL_BITS} for sobol points, got {args.n}")
         ps = _usage_checked("--dim", sobol, args.n, args.dim, table, args.shift_seed if args.scramble else None)
     elif args.seq == "lattice":
         if args.scramble:
             raise _usage_error("--scramble does not apply to lattice points")
-        gen = tuple(int(c) for c in args.gen.split(",")) if args.gen else korobov_vector(args.n, args.dim)
+        gen = korobov_vector(args.n, args.dim) if args.gen is None else args.gen.split(",")
+        try:
+            gen = np.array(gen, dtype=np.int64)
+        except (ValueError, OverflowError):
+            gen = ()
+        if len(gen) != args.dim:
+            raise _usage_error(f"--gen must be {args.dim} comma-separated 64-bit integers, got {args.gen!r}")
         ps = lattice(args.n, args.dim, gen)
     else:  # pragma: no cover - argparse choices guard this
         raise _usage_error(f"unknown sequence {args.seq!r}")
@@ -226,6 +235,8 @@ def _cmd_gp(args) -> int:
         raise _usage_error(f"--n-subset must be >= 1, got {args.n_subset}")
     if args.n_train_cap < 2:  # standardization needs two rows
         raise _usage_error(f"--n-train-cap must be >= 2, got {args.n_train_cap}")
+    if args.budget < (least := 2 * gp_mod.GP_NODE_GRID_M**2):
+        raise _usage_error(f"--budget must be >= {least}, twice the surrogate's nodes, got {args.budget}")
     if args.data:
         data = gp_mod.load_dataset(args.data, args.n_train_cap, args.seed_base)
         rng = rng_for(args.seed_base, "gp-test-rows", data.n)

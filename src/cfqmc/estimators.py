@@ -26,13 +26,15 @@ from .kernels import BLOCK_BYTES, KernelSpec, kernel_cross, kernel_double_integr
 from .points import MidpointGrid, PointSet
 
 WCE_CLAMP = 1e-14
-# Rows per block of the WCE pair sum. The sum runs over the upper block
-# triangle, so it computes about N^2 / 2 + N * rows / 2 kernel entries, and
-# short blocks stay in cache: with a 4 MiB L2, 16 to 64 rows timed within 10%
-# of each other, 128 rows 1.25x and 256 rows 1.65x slower (N = 1024, 2048).
-# 32 rows ran the WCE sums 10-20% faster than 64, but the block sums then
-# add in another order, and the squared error D - 2S + P cancels to about
-# 1e-8 of its terms, so the printed 12-digit errors moved in their last digit.
+# Rows per block of the WCE pair sum up to N = 2048; past it the 1 MiB
+# ``kernels.BLOCK_BYTES`` holds 2^17 // N rows. The sum runs over the upper
+# block triangle, so it computes about N^2 / 2 + N * rows / 2 kernel
+# entries, and short blocks stay in cache: with a 4 MiB L2, 16 to 64 rows
+# timed within 10% of each other, 128 rows 1.25x and 256 rows 1.65x slower
+# (N = 1024, 2048). 32 rows ran the WCE sums 10-20% faster than 64, but the
+# block sums then add in another order, and the squared error D - 2S + P
+# cancels to about 1e-8 of its terms, so the printed 12-digit errors moved
+# in their last digit.
 _PAIR_ROWS = 64
 
 
@@ -126,9 +128,9 @@ def worst_case_error(spec: KernelSpec, ps: PointSet) -> float:
     term_single = float(np.mean(np.atleast_1d(kernel_integral(spec, ps.points))))
     pts = ps.points
     # the kernel matrix is symmetric: each row block adds its diagonal tile
-    # and twice the tiles right of it, at most _PAIR_ROWS and BLOCK_BYTES rows
+    # and twice the tiles right of it, at most _PAIR_ROWS rows of n floats
     term_pair = 0.0
-    for b in row_blocks(n, max(n, BLOCK_BYTES // (8 * _PAIR_ROWS))):
+    for b in row_blocks(n, max(8 * n, BLOCK_BYTES // _PAIR_ROWS)):
         block = kernel_cross(spec, pts[b], pts[b.start :])
         tile = block.shape[0]
         term_pair += float(np.sum(block[:, :tile])) + 2.0 * float(np.sum(block[:, tile:]))

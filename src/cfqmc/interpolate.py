@@ -65,7 +65,7 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .kernels import _PHI_COEFFS, KernelSpec, gram, kernel_cross, kernel_integral
+from .kernels import _PHI_COEFFS, KernelSpec, gram, kernel_cross, kernel_integral, row_blocks
 from .points import MidpointGrid, midpoint_axis
 
 # Bound on the eigenvector bytes the grid factor cache keeps, counted as
@@ -73,16 +73,6 @@ from .points import MidpointGrid, midpoint_axis
 # four such factors where it held two m x m eigenvector matrices (the newest
 # factor is always kept).
 _FACTOR_CACHE_BYTES = 64 << 20
-
-# Bound on one grid-evaluation block at d >= 2, counted as 4 d m floats per
-# row (the kernel values and kernel-core temporaries) or m^(d-1) partial
-# sums. Blocks that stay in cache run faster: with a 2 MiB L2 per
-# core, a 1024-row stack at d = 2, m = 32 took 0.42-0.66 ms in 1 MiB blocks
-# against 0.61-0.71 ms in 8 MiB ones. d = 1 moment-table evaluation, which
-# takes every column's points in one pass, keeps its temporaries (about
-# 10 (deg + 1) floats a point) within it too: in 8 MiB blocks the traced
-# peak of a `campaign-rates` iteration rose from 1.4 to 5.2 MiB.
-_GRID_BLOCK_BYTES = 1 << 20
 
 # Spacing of the d = 1 moment-table centres, in units of the support radius.
 # A point takes its nearest centre, so it lies within half a step of it and
@@ -479,28 +469,6 @@ def _grid_values(beta: np.ndarray, rows: np.ndarray, axis) -> np.ndarray:
     return t[:, 0]
 
 
-def _grid_blocked(beta: np.ndarray, rows: np.ndarray, axis) -> np.ndarray:
-    """``_grid_values`` over a stack, in blocks of a multiple of 8 rows
-    within ``_GRID_BLOCK_BYTES`` (and at least 8). A row holds at most 4 d m
-    floats of kernel values and kernel-core temporaries, or m^(d-1) partial
-    sums.
-
-    With one thread, OpenBLAS rounds a row alike in any block of whole 8-row
-    groups but takes its vector path on a one-row block, so a last block of
-    one row joins the block before it: the floats are those of one block
-    over the stack.
-    """
-    (n, d), m = rows.shape, len(axis[1])
-    step = 8 * max(1, _GRID_BLOCK_BYTES // (64 * max(4 * d * m, m ** (d - 1))))
-    if n <= step + 1:
-        return _grid_values(beta, rows, axis)
-    out = np.empty(n)
-    bounds = [*range(0, n - 1, step), n]
-    for start, stop in zip(bounds, bounds[1:]):
-        out[start:stop] = _grid_values(beta, rows[start:stop], axis)
-    return out
-
-
 def evaluate(interp: Interpolant, x):
     """Surrogate values sum_n beta_n K(x, u^n) of every column of a fit.
 
@@ -508,27 +476,29 @@ def evaluate(interp: Interpolant, x):
     (a point is a one-row stack); an R-column fit takes one stack per
     column, (R, n, d), and gives (R, n). d = 1 surrogates evaluate from their
     moment tables (``_axis_values``) where they have them, all columns in
-    one pass, the others per axis, one column at a time (``_grid_blocked``),
-    both in blocks within ``_GRID_BLOCK_BYTES``. Either way a column's
-    floats are those of a one-column fit, whatever the blocks.
+    one pass at about 10 (deg + 1) floats a point; the others per axis
+    (``_grid_values``), one column at a time at 4 d m floats (or m^(d-1)
+    partial sums) a row, in 8-row groups. Both run in ``kernels.row_blocks``,
+    and a column's floats are those of a one-column fit: with one BLAS thread
+    OpenBLAS rounds a row alike in any block of whole 8-row groups.
     """
     x_arr = np.asarray(x, dtype=np.float64)
     spec, beta = interp.spec, interp.beta
-    columns = beta.reshape(len(beta), -1).T
+    columns = np.ascontiguousarray(beta.reshape(len(beta), -1).T)
     stacks = x_arr if beta.ndim == 2 else np.atleast_2d(x_arr)[None]
     if stacks.ndim != 3 or len(stacks) != len(columns) or stacks.shape[2] != spec.dim:
         raise ValueError(f"dimension mismatch: points {x_arr.shape} for {len(columns)} column(s) at d = {spec.dim}")
     out = np.empty(stacks.shape[:2])
     if interp.moments is not None:
         col = np.repeat(np.arange(len(columns)), out.shape[1])
-        step = max(1, _GRID_BLOCK_BYTES // (80 * len(interp.moments.prefix)))
-        for start in range(0, out.size, step):
-            block = slice(start, start + step)
+        for block in row_blocks(out.size, 80 * len(interp.moments.prefix)):
             out.flat[block] = _axis_values(interp, stacks.flat[block], col[block])
     else:
-        axis = KernelSpec(spec.k, 1, spec.support_radius), midpoint_axis(interp.nodes.side)[:, None]
+        m, d = interp.nodes.side, spec.dim
+        axis = KernelSpec(spec.k, 1, spec.support_radius), midpoint_axis(m)[:, None]
         for r, rows in enumerate(stacks):
-            out[r] = _grid_blocked(np.ascontiguousarray(columns[r]), rows, axis)
+            for block in row_blocks(len(rows), 8 * max(4 * d * m, m ** (d - 1)), multiple=8):
+                out[r, block] = _grid_values(columns[r], rows[block], axis)
     if beta.ndim == 2:
         return out
     return float(out[0, 0]) if x_arr.ndim == 1 else out[0]

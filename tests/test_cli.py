@@ -100,6 +100,30 @@ class TestPointsCommand:
         assert code == 0
         assert read_points_csv(out).dim == 9
 
+    @pytest.mark.parametrize("command", ["points", "wce"])
+    def test_sobol_n_beyond_the_generator_names_n(self, tmp_path, capsys, command):
+        # 2**32 points need 33 bits of a 32-bit generator; the flag at fault
+        # is --n, not --dim
+        argv = ["--seq", "sobol", "--n", str(2**32), "--dim", "2"]
+        if command == "points":
+            argv += ["--out", str(tmp_path / "x.csv")]
+        code, stdout, err = run_cli(capsys, command, *argv)
+        assert code == 1
+        assert err.splitlines()[-1] == "error: --n must be below 2**32 for sobol points, got 4294967296"
+        assert "wrote" not in stdout and "worst_case_error" not in stdout
+
+    @pytest.mark.parametrize(
+        "gen, dim", [("1,x", "2"), ("1,3", "3"), ("1.5,3", "2"), ("99999999999999999999,3", "2"), ("", "1")]
+    )
+    def test_malformed_gen_usage_error_naming_gen(self, tmp_path, capsys, gen, dim):
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            capsys, "points", "--seq", "lattice", "--n", "16", "--dim", dim, "--gen", gen, "--out", str(out)
+        )
+        assert code == 1
+        assert err.splitlines()[-1] == f"error: --gen must be {dim} comma-separated 64-bit integers, got {gen!r}"
+        assert not out.exists()
+
     def test_lattice_scramble_rejected(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "points", "--seq", "lattice", "--n", "8", "--dim", "1",
@@ -414,6 +438,21 @@ class TestGpCommand:
         )
         assert code == 1
         assert message in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("budget", ["31", "0", "-5"])
+    @pytest.mark.parametrize("method", gp.GP_METHODS)
+    def test_budget_below_two_grids_usage_error(self, tmp_path, capsys, method, budget):
+        # every method takes the 16-node split, so a budget under 32 is
+        # refused before the study runs, whichever method is asked for
+        out_dir = tmp_path / "gp"
+        code, stdout, err = run_cli(
+            capsys, "gp", "--synthetic", "--n-test", "2", "--methods", method,
+            "--budget", budget, "--seeds", "2", "--out-dir", str(out_dir),
+        )
+        assert code == 1
+        assert err.splitlines()[-1] == f"error: --budget must be >= 32, twice the surrogate's nodes, got {budget}"
+        assert "sd test_index" not in stdout
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("cap", ["0", "-1", "1"])

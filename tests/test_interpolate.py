@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfqmc import interpolate
+from cfqmc import interpolate, kernels
 from cfqmc.interpolate import (
     Interpolant,
     control_functional,
@@ -21,25 +21,25 @@ from cfqmc.points import PointSet, halton, midpoint_axis, midpoint_grid, random_
 
 # Per-axis evaluation (d >= 2, and d = 1 with 16 m rho < 1): every blocking
 # of a stack gives the floats of one block over it: the cache-sized blocks,
-# blocks bounded by kernels.BLOCK_BYTES, and 8-row blocks with a one-row
-# tail. A lone row takes BLAS's vector path, so a point evaluated on its own
-# agrees to rounding, not bitwise. Moment-table evaluation (the other d = 1
-# fits): the whole stack, both parts of every split of it and each point on
-# its own give the same floats. Prints the failures.
+# 8 MiB blocks, and 8-row blocks with a one-row tail. A lone row takes BLAS's
+# vector path, so a point evaluated on its own agrees to rounding, not
+# bitwise. Moment-table evaluation (the other d = 1 fits): the whole stack,
+# both parts of every split of it and each point on its own give the same
+# floats. Prints the failures.
 BLOCKING_CHECK = """
 import numpy as np
-from cfqmc import interpolate
+from cfqmc import interpolate, kernels
 from cfqmc.interpolate import evaluate, fit
-from cfqmc.kernels import KernelSpec, row_blocks
+from cfqmc.kernels import KernelSpec
 from cfqmc.points import midpoint_axis, midpoint_grid
 
 failed = []
-cache_sized = interpolate._GRID_BLOCK_BYTES
+cache_sized = kernels.BLOCK_BYTES
 cases = [(s, d, m) for s in (1.0, 0.7) for d, m in ((1, 1024), (1, 37), (2, 32), (2, 5), (3, 8))]
 for k in (0, 1, 2):
     for support, d, m in cases + [(0.0015, 1, 37)]:  # 16 m rho < 1: per axis
         case = (k, support, d, m)
-        interpolate._GRID_BLOCK_BYTES = cache_sized
+        kernels.BLOCK_BYTES = cache_sized
         rng = np.random.default_rng(10 * k + d)
         interp = fit(KernelSpec(k, d, support), midpoint_grid(m, d), rng.normal(size=m**d))
         pts = rng.random((1001, d))
@@ -54,11 +54,10 @@ for k in (0, 1, 2):
             continue
         axis = KernelSpec(k, 1, support), midpoint_axis(m)[:, None]
         whole = interpolate._grid_values(interp.beta, pts, axis)
-        old = np.empty(1000)
-        for block in row_blocks(1000, max(4 * d * m, m ** (d - 1))):
-            old[block] = interpolate._grid_values(interp.beta, pts[:1000][block], axis)
-        blocked = {"cache-sized": evaluate(interp, pts), "8 MB": old}
-        interpolate._GRID_BLOCK_BYTES = 8 * 8 * 4 * d * m
+        blocked = {"cache-sized": evaluate(interp, pts)}
+        kernels.BLOCK_BYTES = 8 << 20
+        blocked["8 MiB"] = evaluate(interp, pts)
+        kernels.BLOCK_BYTES = 8 * 8 * 4 * d * m
         blocked["8-row"] = evaluate(interp, pts)
         for name, got in blocked.items():
             if not np.array_equal(got, whole[: len(got)]):
@@ -77,13 +76,13 @@ print(failed)
 # block. Prints the values in units of sum|beta|, as hex bytes.
 THREAD_CHECK = """
 import numpy as np
-from cfqmc import interpolate
+from cfqmc import kernels
 from cfqmc.interpolate import Interpolant, evaluate
 from cfqmc.kernels import KernelSpec
 from cfqmc.points import midpoint_grid
 
 out = []
-cache_sized = interpolate._GRID_BLOCK_BYTES
+cache_sized = kernels.BLOCK_BYTES
 for k in (0, 1, 2):
     for support in (1.0, 0.3):
         m = 1024
@@ -94,7 +93,7 @@ for k in (0, 1, 2):
         )
         pts = rng.random((1001, 1))
         for block_bytes in (cache_sized, 1 << 30):
-            interpolate._GRID_BLOCK_BYTES = block_bytes
+            kernels.BLOCK_BYTES = block_bytes
             out.append(evaluate(interp, pts) / np.sum(np.abs(interp.beta)))
 print(np.concatenate(out).tobytes().hex())
 """
@@ -338,7 +337,7 @@ class TestGridPath:
         pts = np.random.default_rng(3).random((1000, 2))
         whole = evaluate(fast, pts)
         # rows are 4 * d * m = 40 floats wide: eight rows per block
-        monkeypatch.setattr(interpolate, "_GRID_BLOCK_BYTES", 8 * 40 * 8)
+        monkeypatch.setattr(kernels, "BLOCK_BYTES", 8 * 40 * 8)
         np.testing.assert_array_equal(evaluate(fast, pts), whole)
         np.testing.assert_allclose(kernel_cross(spec, pts, grid.points) @ beta, whole, rtol=0.0, atol=1e-10)
 
@@ -355,7 +354,7 @@ class TestGridPath:
         pts = np.random.default_rng(6).random((1000, 1))
         whole = interpolate._axis_values(interp, pts[:, 0], 0)
         # a point holds 10 (deg + 1) = 80 floats: seven points per block
-        monkeypatch.setattr(interpolate, "_GRID_BLOCK_BYTES", 7 * 80 * 8)
+        monkeypatch.setattr(kernels, "BLOCK_BYTES", 7 * 80 * 8)
         np.testing.assert_array_equal(evaluate(interp, pts), whole)
 
     def test_blocking_leaves_values_unchanged(self):

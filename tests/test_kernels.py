@@ -323,6 +323,24 @@ class TestGram:
             assert np.linalg.eigvalsh(g).min() >= -1e-10
 
 
+@given(st.integers(0, 3000), st.integers(1, 1 << 21), st.sampled_from([1, 2, 8]))
+def test_row_blocks_cover_the_rows_within_the_bound(n, row_bytes, multiple):
+    blocks = kernels.row_blocks(n, row_bytes, multiple)
+    assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(n))
+    sizes = [b.stop - b.start for b in blocks]
+    *whole, last = sizes or [0]
+    # whole blocks: the most groups of `multiple` rows within the bound, or one group
+    for size in whole:
+        assert size == sizes[0] and size % multiple == 0
+        assert size * row_bytes <= kernels.BLOCK_BYTES or size == multiple
+        assert (size + multiple) * row_bytes > kernels.BLOCK_BYTES
+    # the last block: the rest, save that with groups a one-row tail joins it
+    assert multiple == 1 or last != 1 or n == 1
+    body = last - (multiple > 1 and last > 1 and (last - 1) % multiple == 0)
+    assert body * row_bytes <= kernels.BLOCK_BYTES or body <= multiple
+    assert not whole or body <= whole[0]
+
+
 class TestKernelSpecValidation:
     def test_bad_smoothness(self):
         with pytest.raises(ValueError):

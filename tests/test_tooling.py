@@ -185,7 +185,28 @@ def test_grid_evaluation_blocks_fit_the_cache_bound(monkeypatch):
     monkeypatch.setattr(interpolate, "_grid_values", recording)
     interpolate.evaluate(interp, np.random.default_rng(0).random((n, d)))
     assert sum(rows) == n and len(rows) > 1
-    assert all(r % 8 == 0 and r * 4 * d * m * 8 <= interpolate._GRID_BLOCK_BYTES for r in rows)
+    assert all(r % 8 == 0 and r * 4 * d * m * 8 <= kernels.BLOCK_BYTES for r in rows)
+
+
+def test_moment_evaluation_blocks_fit_the_bound(monkeypatch):
+    # A d = 1 fit at k = 2 evaluates from moment tables of degree 7, about
+    # 10 * 8 floats of temporaries a point: the 2 x 4096 points of a
+    # two-column fit are cut into blocks within the block bound.
+    m, n = 64, 4096
+    interp = interpolate.fit(
+        kernels.KernelSpec(2, 1, 0.3), points.midpoint_grid(m, 1), np.sin(np.outer(np.arange(m), [1.0, 2.0]))
+    )
+    axis_values = interpolate._axis_values
+    rows = []
+
+    def recording(interp, x, col):
+        rows.append(len(x))
+        return axis_values(interp, x, col)
+
+    monkeypatch.setattr(interpolate, "_axis_values", recording)
+    interpolate.evaluate(interp, np.random.default_rng(0).random((2, n, 1)))
+    assert sum(rows) == 2 * n and len(rows) > 1
+    assert all(r * 10 * 8 * 8 <= kernels.BLOCK_BYTES for r in rows)
 
 
 def test_grid_evaluation_counted_as_kernel_entries():
@@ -257,3 +278,14 @@ def test_wce_pair_sum_covers_half_the_kernel_matrix():
     counts = tracer.counters[0]
     assert 0 < counts["cross_entries"] <= 0.6 * n**2
     assert 0 < counts["max_block_bytes"] <= kernels.BLOCK_BYTES
+
+
+def test_wce_pair_blocks_fit_the_bound_past_2048_points():
+    # At N = 4096 a block of 64 rows of N floats would hold 2 MiB, so the
+    # pair sum takes 32-row blocks of 1 MiB.
+    tracing = load_tracing()
+    n = 4096
+    tracer = tracing.Tracer()
+    with tracer.recording(0):
+        estimators.worst_case_error(kernels.KernelSpec(1, 2), halton(n, 2))
+    assert tracer.counters[0]["max_block_bytes"] == kernels.BLOCK_BYTES == 32 * n * 8
