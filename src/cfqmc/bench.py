@@ -108,10 +108,10 @@ class CampaignConfig:
                 raise ValueError(f"n_grid entries must be powers of two >= 4, got {n}")
         if self.replicates < 2:
             raise ValueError("replicates must be >= 2 so standard errors are defined")
-        if self.assumed_alpha is not None and self.assumed_alpha <= 1.0:
-            raise ValueError("assumed_alpha must exceed the rule smoothness 1")
-        if self.difficulty <= 0.0:
-            raise ValueError("difficulty must be positive")
+        if self.assumed_alpha is not None and not (1.0 < self.assumed_alpha < math.inf):
+            raise ValueError(f"assumed_alpha must be finite and exceed the rule smoothness 1, got {self.assumed_alpha}")
+        if not 0.0 < self.difficulty < math.inf:
+            raise ValueError(f"difficulty must be positive and finite, got {self.difficulty}")
 
     @property
     def node_fraction(self) -> float:

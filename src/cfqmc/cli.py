@@ -26,6 +26,7 @@ from .points import (
     SOBOL_BITS,
     baker_fold,
     geometry,
+    geometry_max_dim,
     halton,
     korobov_vector,
     lattice,
@@ -110,6 +111,8 @@ def _generate_points(args) -> "PointSet":
 
 def _cmd_points(args) -> int:
     _print_config(args, "points")
+    if args.metrics and args.dim > (limit := geometry_max_dim()):
+        raise _usage_error(f"--metrics supports --dim up to {limit}, got {args.dim}")
     ps = _generate_points(args)
     write_points_csv(ps, args.out)
     print(f"wrote {len(ps)} points (dim={ps.dim}) to {args.out}")

@@ -187,8 +187,8 @@ def make_genz(family: str, dim: int, a, u) -> GenzInstance:
 def random_genz(family: str, dim: int, seed: int, difficulty_scale: float = 7.0) -> GenzInstance:
     """Random instance: u uniform in the cube, a positive and renormalized so
     sum(a) equals ``difficulty_scale``. Deterministic given the seed."""
-    if difficulty_scale <= 0.0:
-        raise ValueError("difficulty_scale must be positive")
+    if not 0.0 < difficulty_scale < math.inf:
+        raise ValueError(f"difficulty_scale must be positive and finite, got {difficulty_scale}")
     if dim < 1:  # before the draws: a = raw / raw.sum() divides by an empty sum
         raise ValueError("dimension must be >= 1")
     rng = np.random.default_rng(seed)

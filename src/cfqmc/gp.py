@@ -327,8 +327,9 @@ def marginal_prediction(table: PredictionTable, method: str, budget: int, seed: 
 
 def load_dataset(path, n_train_cap: int, seed: int) -> Dataset:
     """Load a covariates+response CSV (p feature columns then one response,
-    optional header) and keep a seed-deterministic random subset of at most
-    ``n_train_cap`` rows; standardization is computed on that subset."""
+    optional header; every cell a finite number) and keep a
+    seed-deterministic random subset of at most ``n_train_cap`` rows;
+    standardization is computed on that subset."""
     rows: list[list[float]] = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -342,6 +343,8 @@ def load_dataset(path, n_train_cap: int, seed: int) -> Dataset:
                 if lineno == 1:
                     continue  # header line
                 raise ValueError(f"{path}:{lineno}: non-numeric cell in row")
+            if not np.isfinite(values).all():
+                raise ValueError(f"{path}:{lineno}: non-finite cell in row")
             if rows and len(values) != len(rows[0]):
                 raise ValueError(
                     f"{path}:{lineno}: expected {len(rows[0])} columns, got {len(values)}"

@@ -29,26 +29,27 @@ midpoints, contracted with the coefficient tensor. At d = 1
 the kernel pieces are polynomials in r on [0, 1], so the sum over the nodes
 within reach of x splits into a left and a right sum, each a Taylor sum
 sum_q D_q(X - C) sum_i beta_i (C - V_i)^q about a centre C (X, V_i in units
-of the support radius, D_q = phi^(q) / q!). A surrogate forms prefix sums of
-those moments in ``np.longdouble``, which is double on some platforms, and a
-point costs two binary searches and O(deg^2) flops, not O(m). The nodes are
-always a ``points.MidpointGrid``, the only node set the Kronecker solve
-applies to.
+of the support radius, D_q = phi^(q) / q!). An evaluation forms prefix sums
+of those moments in ``np.longdouble``, which is double on some platforms,
+and a point costs two binary searches and O(deg^2) flops, not O(m). The
+nodes are always a ``points.MidpointGrid``, the only node set the Kronecker
+solve applies to.
 
-``fit`` takes one column of node values or R of them, (M, R), as for the
-replicates of a campaign cell or the test points of the GP study, which
-share the grid: the spectrum, nugget, assembled U, node integrals and d = 1
-moment tables are then formed once, and each application of U or U^T is
-one matrix product over all R columns, not R vector products. One
-``evaluate`` takes every column, each at its own stack of points. A column's
-floats do not depend on the other columns' values, so a non-finite column
-stays in its own coefficients. At d >= 2 a batch only adds rows to each
-axis product, and each integral is its own column's dot product: with
-OpenBLAS the floats were those of the column fits (d = 2..4, m up to 45,
-R up to 17, one and two threads). At d = 1 they depend on R: the BLAS
-blocks a product by its shape, so a column rounds differently in a batch
-of R than alone, as it does under another BLAS thread count. The integrals
-then differ by a few eps sum|beta_i a_i| (a the node integrals).
+``fit`` takes R columns of node values, (M, R), as for the replicates of a
+campaign cell or the test points of the GP study, which share the grid; one
+surrogate is R = 1. The spectrum, nugget, assembled U and node integrals
+are formed once, and each application of U or U^T is one matrix product
+over all R columns, not R vector products. One ``evaluate`` takes every
+column, each at its own stack of points, and forms the d = 1 moment tables
+of all columns for that call. A column's floats do not depend on the other
+columns' values, so a non-finite column stays in its own coefficients. At
+d >= 2 a batch only adds rows to each axis product, and each integral is
+its own column's dot product: with OpenBLAS the floats were those of the
+column fits (d = 2..4, m up to 45, R up to 17, one and two threads). At
+d = 1 they depend on R: the BLAS blocks a product by its shape, so a column
+rounds differently in a batch of R than alone, as it does under another
+BLAS thread count. The integrals then differ by a few eps sum|beta_i a_i|
+(a the node integrals).
 
 The kernel span does not contain exact constants, so flat targets are fitted
 approximately; the achieved node residual is recorded on the result.
@@ -59,7 +60,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import partial, reduce
 from math import ceil, comb
 from typing import ClassVar, Optional
 
@@ -154,7 +155,7 @@ class _AxisMoments:
 
 def _axis_moments(spec: KernelSpec, axis: np.ndarray, beta: np.ndarray) -> _AxisMoments:
     """The moment tables of sum_i beta_i phi(|x - axis_i| / rho) for each
-    column of ``beta``, (m,) or (m, R).
+    column of ``beta``, (m, R).
 
     At radius 1 the one centre 1/2 is within 1/2 of every point of the cube
     and its table holds every node. Below 1 the centres are the multiples of
@@ -182,7 +183,7 @@ def _axis_moments(spec: KernelSpec, axis: np.ndarray, beta: np.ndarray) -> _Axis
     held = index < stops[:, None]
     index = np.minimum(index, len(nodes) - 1)
     gaps = np.where(held, centres[:, None] - nodes[index], 0.0)
-    columns = beta.reshape(len(nodes), -1).T
+    columns = beta.T
     terms = np.where(held, columns[:, index], 0.0)
     prefix = np.zeros((len(_PHI_COEFFS[spec.k]), len(columns), len(centres), width + 1))
     for q in range(len(prefix)):
@@ -200,21 +201,18 @@ def _axis_moments(spec: KernelSpec, axis: np.ndarray, beta: np.ndarray) -> _Axis
 
 @dataclass(frozen=True)
 class Interpolant:
-    """A fitted surrogate: grid nodes, coefficients, and its exact cube
-    integral.
+    """R fitted surrogates on one grid: the grid nodes, the (M, R)
+    coefficients ``beta`` and the (R,) exact cube integrals.
 
-    A multi-column fit holds R surrogates on one grid: ``beta`` is (M, R),
-    ``exact_integral`` an (R,) array and ``residual_norm`` the largest node
-    residual over the columns; ``evaluate`` takes all R at once. ``jitter``
-    is the nugget the solve added to the Gram's diagonal. Evaluation runs
-    from ``moments``, one stacked set of tables for all columns, at d = 1
-    unless 16 m rho < 1, per axis otherwise.
+    ``residual_norm`` is the largest node residual over the columns and
+    ``jitter`` the nugget the solve added to the Gram's diagonal;
+    ``evaluate`` takes all R columns at once.
     """
 
     spec: KernelSpec
     nodes: MidpointGrid
     beta: np.ndarray
-    exact_integral: float | np.ndarray
+    exact_integral: np.ndarray
     jitter: float
     residual_norm: float
     # always None; the benchmark's tracer counts a result with a note as a
@@ -224,20 +222,10 @@ class Interpolant:
     def __post_init__(self):
         _check_nodes(self.spec, self.nodes)
         beta = np.asarray(self.beta, dtype=np.float64)
-        if beta.ndim not in (1, 2) or beta.shape[0] != len(self.nodes):
-            raise ValueError("coefficient vector length must equal the node count")
+        if beta.ndim != 2 or beta.shape[0] != len(self.nodes):
+            raise ValueError(f"coefficients of shape {beta.shape} for {len(self.nodes)} nodes; expected (M, R)")
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
-
-    @cached_property
-    def moments(self) -> Optional[_AxisMoments]:
-        """The d = 1 moment tables of the nodes and each column of ``beta``,
-        formed on first use, or None where evaluation runs per axis."""
-        # 4 / rho centres: a support under 1/16 of the node spacing would
-        # take over 64 m of them, so such a surrogate is evaluated per axis
-        if self.spec.dim == 1 and 16 * self.nodes.side * self.spec.support_radius >= 1.0:
-            return _axis_moments(self.spec, self.nodes.points[:, 0], self.beta)
-        return None
 
 
 def _check_nodes(spec: KernelSpec, nodes) -> None:
@@ -390,32 +378,29 @@ def _grid_solve(factor: _GridFactor, d: int, vals: np.ndarray):
 
 def fit(spec: KernelSpec, nodes: MidpointGrid, values) -> Interpolant:
     """Solve (G + nugget I) beta = values on a midpoint grid and attach the
-    closed-form integral.
+    closed-form integrals.
 
-    ``values`` holds one value per node, (M,), or R columns of them,
-    (M, R), which are solved together in one pass and give an R-column
-    ``Interpolant``. The system is solved through the cached eigenpairs of
-    the axis Gram, and the nugget is chosen from their spectrum
-    (``_grid_solve``); it is recorded as ``Interpolant.jitter``. Raises
-    TypeError for nodes that are not a ``MidpointGrid`` and ValueError when
-    their dimension is not ``spec.dim`` or the value count is not the node
-    count.
+    ``values`` holds R columns of one value per node, (M, R), solved
+    together in one pass into an R-column ``Interpolant``; one surrogate is
+    R = 1. The system is solved through the cached eigenpairs of the axis
+    Gram, and the nugget is chosen from their spectrum (``_grid_solve``); it
+    is recorded as ``Interpolant.jitter``. Raises TypeError for nodes that
+    are not a ``MidpointGrid`` and ValueError when their dimension is not
+    ``spec.dim`` or the values are not (M, R) with M the node count.
     """
     _check_nodes(spec, nodes)
     vals = np.asarray(values, dtype=np.float64)
-    if vals.ndim not in (1, 2) or vals.shape[0] != len(nodes):
-        raise ValueError(f"node values of shape {vals.shape} for {len(nodes)} nodes")
+    if vals.ndim != 2 or vals.shape[0] != len(nodes):
+        raise ValueError(f"node values of shape {vals.shape} for {len(nodes)} nodes; expected (M, R)")
 
     factor = _grid_factor(spec, nodes.side)
-    beta, nugget, residual = _grid_solve(factor, spec.dim, vals.reshape(len(nodes), -1))
+    beta, nugget, residual = _grid_solve(factor, spec.dim, vals)
     # the product a[i_1] * ... * a[i_d] in kernel_integral's order, so the
     # node integrals are bitwise the same
     node_integrals = reduce(np.multiply.outer, [factor.integrals] * spec.dim).reshape(-1)
     # one dot product per column, as a one-column fit takes it: a matrix
     # product over the columns would round each integral another way
     exact = np.array([np.dot(column, node_integrals) for column in beta.T])
-    if vals.ndim == 1:
-        beta, exact = beta[:, 0], float(exact[0])
     return Interpolant(
         spec=spec,
         nodes=nodes,
@@ -426,9 +411,9 @@ def fit(spec: KernelSpec, nodes: MidpointGrid, values) -> Interpolant:
     )
 
 
-def _axis_values(interp: Interpolant, x: np.ndarray, col) -> np.ndarray:
-    """d = 1 grid surrogate at the points x from its moment tables, point i
-    from the tables of column ``col[i]``.
+def _axis_values(spec: KernelSpec, mom: _AxisMoments, x: np.ndarray, col) -> np.ndarray:
+    """d = 1 grid surrogate at the points x from its moment tables ``mom``,
+    point i from the tables of column ``col[i]``.
 
     A point X (in support units) takes its nearest centre C and sums
     D_q(X - C) times the left-window moments plus the psi analogue times the
@@ -437,15 +422,14 @@ def _axis_values(interp: Interpolant, x: np.ndarray, col) -> np.ndarray:
     around it or on BLAS. A point holds about 10 (deg + 1) floats of
     temporaries.
     """
-    mom = interp.moments
-    scaled = x / interp.spec.support_radius
+    scaled = x / spec.support_radius
     centre = np.searchsorted(mom.bounds, scaled)
     offset = scaled - mom.centres[centre]
     rows = np.searchsorted(mom.nodes, scaled + _WINDOW, side="right")
     rows += mom.base[centre] + np.multiply(col, mom.stride)
     moments = mom.prefix[:, rows]
     sides = np.subtract(moments[:, 1:], moments[:, :2])
-    taylor = _TAYLOR[interp.spec.k]
+    taylor = _TAYLOR[spec.k]
     weights = taylor[-1] * offset
     for e in range(len(taylor) - 2, 0, -1):  # Horner in the offset
         weights += taylor[e]
@@ -469,42 +453,41 @@ def _grid_values(beta: np.ndarray, rows: np.ndarray, axis) -> np.ndarray:
     return t[:, 0]
 
 
-def evaluate(interp: Interpolant, x):
-    """Surrogate values sum_n beta_n K(x, u^n) of every column of a fit.
+def evaluate(interp: Interpolant, stacks) -> np.ndarray:
+    """Surrogate values sum_n beta_n K(x, u^n) of every column of a fit,
+    each at its own stack of points: (R, n, d) stacks give (R, n) values.
 
-    A one-column fit takes a point (d,), giving a float, or a stack (n, d)
-    (a point is a one-row stack); an R-column fit takes one stack per
-    column, (R, n, d), and gives (R, n). d = 1 surrogates evaluate from their
-    moment tables (``_axis_values``) where they have them, all columns in
-    one pass at about 10 (deg + 1) floats a point; the others per axis
-    (``_grid_values``), one column at a time at 4 d m floats (or m^(d-1)
-    partial sums) a row, in 8-row groups. Both run in ``kernels.row_blocks``,
-    and a column's floats are those of a one-column fit: with one BLAS thread
-    OpenBLAS rounds a row alike in any block of whole 8-row groups.
+    d = 1 surrogates evaluate from moment tables (``_axis_values``) formed
+    for the call, all columns in one pass at about 10 (deg + 1) floats a
+    point; the others per axis (``_grid_values``), one column at a time at
+    4 d m floats (or m^(d-1) partial sums) a row, in 8-row groups. Both run
+    in ``kernels.row_blocks``, and a column's floats are those of a
+    one-column fit: with one BLAS thread OpenBLAS rounds a row alike in any
+    block of whole 8-row groups.
     """
-    x_arr = np.asarray(x, dtype=np.float64)
+    stacks = np.asarray(stacks, dtype=np.float64)
     spec, beta = interp.spec, interp.beta
-    columns = np.ascontiguousarray(beta.reshape(len(beta), -1).T)
-    stacks = x_arr if beta.ndim == 2 else np.atleast_2d(x_arr)[None]
-    if stacks.ndim != 3 or len(stacks) != len(columns) or stacks.shape[2] != spec.dim:
-        raise ValueError(f"dimension mismatch: points {x_arr.shape} for {len(columns)} column(s) at d = {spec.dim}")
+    m, d = interp.nodes.side, spec.dim
+    if stacks.ndim != 3 or len(stacks) != beta.shape[1] or stacks.shape[2] != d:
+        raise ValueError(f"dimension mismatch: points {stacks.shape} for {beta.shape[1]} column(s) at d = {d}")
     out = np.empty(stacks.shape[:2])
-    if interp.moments is not None:
-        col = np.repeat(np.arange(len(columns)), out.shape[1])
-        for block in row_blocks(out.size, 80 * len(interp.moments.prefix)):
-            out.flat[block] = _axis_values(interp, stacks.flat[block], col[block])
-    else:
-        m, d = interp.nodes.side, spec.dim
-        axis = KernelSpec(spec.k, 1, spec.support_radius), midpoint_axis(m)[:, None]
-        for r, rows in enumerate(stacks):
-            for block in row_blocks(len(rows), 8 * max(4 * d * m, m ** (d - 1)), multiple=8):
-                out[r, block] = _grid_values(columns[r], rows[block], axis)
-    if beta.ndim == 2:
+    # 4 / rho centres: a support under 1/16 of the node spacing would take
+    # over 64 m of them, so such a surrogate is evaluated per axis
+    if d == 1 and 16 * m * spec.support_radius >= 1.0:
+        mom = _axis_moments(spec, interp.nodes.points[:, 0], beta)
+        col = np.repeat(np.arange(len(stacks)), out.shape[1])
+        for block in row_blocks(out.size, 80 * len(mom.prefix)):
+            out.flat[block] = _axis_values(spec, mom, stacks.flat[block], col[block])
         return out
-    return float(out[0, 0]) if x_arr.ndim == 1 else out[0]
+    columns = np.ascontiguousarray(beta.T)
+    axis = KernelSpec(spec.k, 1, spec.support_radius), midpoint_axis(m)[:, None]
+    for r, rows in enumerate(stacks):
+        for block in row_blocks(len(rows), 8 * max(4 * d * m, m ** (d - 1)), multiple=8):
+            out[r, block] = _grid_values(columns[r], rows[block], axis)
+    return out
 
 
-def control_functional(interp: Interpolant, x):
-    """Zero-integral correction f_M(x) - I[f_M] built from each surrogate."""
-    integral = interp.exact_integral
-    return evaluate(interp, x) - (integral[:, None] if interp.beta.ndim == 2 else integral)
+def control_functional(interp: Interpolant, stacks) -> np.ndarray:
+    """Zero-integral corrections f_M(x) - I[f_M] of every column, at (R, n, d)
+    stacks as ``evaluate`` takes them."""
+    return evaluate(interp, stacks) - interp.exact_integral[:, None]

@@ -281,6 +281,14 @@ def default_fill_resolution(d: int) -> int:
     return _FILL_RESOLUTION.get(d, _FILL_RESOLUTION_HIGH_D)
 
 
+def geometry_max_dim() -> int:
+    """The largest dimension whose default fill grid fits the size guard."""
+    d = 1
+    while (default_fill_resolution(d + 1) + 1) ** (d + 1) <= _GRID_GUARD:
+        d += 1
+    return d
+
+
 def _index_lattice(values: np.ndarray, d: int) -> np.ndarray:
     """Every d-tuple over ``values``, as an (len(values)^d, d) index array."""
     return np.stack(np.meshgrid(*([values] * d), indexing="ij"), axis=-1).reshape(-1, d)

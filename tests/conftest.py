@@ -7,8 +7,8 @@ from cfqmc.interpolate import evaluate
 
 
 def gauss_integral(interp) -> float:
-    """Cube integral of a fitted surrogate by a tensor composite Gauss-Legendre
-    rule, from ``evaluate`` alone.
+    """Cube integral of a one-column surrogate by a tensor composite
+    Gauss-Legendre rule, from ``evaluate`` alone.
 
     Per axis the surrogate is a polynomial of degree 3k+1 between the cuts 0,
     1, the node coordinates and node +- support (clipped to [0, 1]), and
@@ -24,7 +24,7 @@ def gauss_integral(interp) -> float:
     wx = (half * w).ravel()
     rows = np.stack(np.meshgrid(*[x] * spec.dim, indexing="ij"), axis=-1).reshape(-1, spec.dim)
     weights = np.prod(np.stack(np.meshgrid(*[wx] * spec.dim, indexing="ij"), axis=-1), axis=-1).ravel()
-    return float(weights @ evaluate(interp, rows))
+    return float(weights @ evaluate(interp, rows[None])[0])
 
 
 @pytest.fixture

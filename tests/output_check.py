@@ -16,7 +16,9 @@ and says in CHANGES.md which lines moved, and why.
 import argparse
 import contextlib
 import io
+import math
 import os
+import random
 import sys
 import warnings
 from pathlib import Path
@@ -36,9 +38,22 @@ CAMPAIGN_GRID = (
 )
 
 
+def write_gp_data(path: Path) -> None:
+    """A 60-row covariates+response CSV with a header, from a seeded
+    generator: three covariates in [-1, 1] and a Gaussian bump of them plus
+    noise, each cell to six decimals."""
+    rng = random.Random(29)
+    lines = ["x1,x2,x3,y"]
+    for _ in range(60):
+        x = [rng.uniform(-1.0, 1.0) for _ in range(3)]
+        y = math.exp(-sum(v * v for v in x)) + 0.1 * rng.gauss(0.0, 1.0)
+        lines.append(",".join(f"{v:.6f}" for v in x + [y]))
+    path.write_text("\n".join(lines) + "\n")
+
+
 def runs(out: Path) -> list[list[str]]:
     """The command lines of the check, in run order; ``out`` is where they
-    write. Writes the campaign configs they read."""
+    write. Writes the campaign configs and the GP data they read."""
     argvs = []
     for seq, cells in CAMPAIGN_CELLS.items():
         for d in (1, 2):
@@ -48,6 +63,9 @@ def runs(out: Path) -> list[list[str]]:
             argvs.append(["bench", "--config", str(name / "campaign.cfg"), "--out-dir", str(name)])
     gp = "gp --synthetic --n-test 3 --methods QMC,QMC+CF,MC,MC+CF --budget 64 --seeds 3 --out-dir"
     argvs.append(gp.split() + [str(out / "gp")])
+    write_gp_data(out / "gp-data.csv")
+    gp = "--n-test 3 --methods QMC,QMC+CF --budget 64 --seeds 3 --n-train-cap 50 --out-dir"
+    argvs.append(["gp", "--data", str(out / "gp-data.csv")] + gp.split() + [str(out / "gp-data")])
     for seq, flags in (
         ("halton", "--n 32 --dim 2 --scramble"),
         ("sobol", "--n 32 --dim 3 --scramble --shift-seed 4"),

@@ -102,21 +102,21 @@ def test_criterion_2_interpolation_exactness(surrogate_quadrature):
         rng = np.random.default_rng(d)
         freq = rng.uniform(1.0, 4.0, size=d)
         values = np.sin(nodes.points @ freq) + 0.5 * nodes.points[:, 0] ** 2
-        interp = fit(KernelSpec(1, d), nodes, values)
+        interp = fit(KernelSpec(1, d), nodes, values[:, None])
         rel = interp.residual_norm / (1.0 + np.max(np.abs(values)))
         worst_rel = max(worst_rel, rel)
     assert worst_rel <= 1e-8
 
     nodes1 = midpoint_grid(12, 1)
     vals1 = np.exp(-3.0 * (nodes1.points[:, 0] - 0.4) ** 2)
-    interp1 = fit(KernelSpec(1, 1), nodes1, vals1)
-    err1 = abs(interp1.exact_integral - surrogate_quadrature(interp1))
+    interp1 = fit(KernelSpec(1, 1), nodes1, vals1[:, None])
+    err1 = abs(interp1.exact_integral[0] - surrogate_quadrature(interp1))
     assert err1 <= 1e-8
 
     nodes2 = midpoint_grid(5, 2)
     vals2 = np.sin(2.0 * nodes2.points[:, 0]) * (1.0 + nodes2.points[:, 1])
-    interp2 = fit(KernelSpec(1, 2), nodes2, vals2)
-    err2 = abs(interp2.exact_integral - surrogate_quadrature(interp2))
+    interp2 = fit(KernelSpec(1, 2), nodes2, vals2[:, None])
+    err2 = abs(interp2.exact_integral[0] - surrogate_quadrature(interp2))
     assert err2 <= 1e-8
 
     elapsed = time.monotonic() - start
@@ -165,8 +165,8 @@ def test_criterion_4_zero_mean_control_functional():
         nodes = midpoint_grid(m, d)
         freq = rng.uniform(1.0, 5.0, size=d)
         values = np.sin(nodes.points @ freq) + rng.normal() * nodes.points[:, 0]
-        interp = fit(KernelSpec(trial % 3, d), nodes, values)
-        psi = control_functional(interp, pts[:, :d])
+        interp = fit(KernelSpec(trial % 3, d), nodes, values[:, None])
+        psi = control_functional(interp, pts[None, :, :d])[0]
         se = psi.std(ddof=1) / math.sqrt(len(psi))
         assert abs(psi.mean()) <= 3 * se
     report(4, "zero-mean control functional", "5 surrogates within 3 MC standard errors")

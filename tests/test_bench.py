@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfqmc import bench, estimators, points
+from cfqmc import bench, estimators, interpolate, points
 from cfqmc.bench import (
     CampaignConfig,
     ConvergenceTable,
@@ -268,6 +268,17 @@ class TestRunCampaign:
             warnings.simplefilter("ignore", RuntimeWarning)
             run_campaign(cfg)
         assert len(calls) == len(set(calls)) == 2 * 2 * 3
+
+    def test_moment_tables_built_once_per_cf_fit(self, monkeypatch):
+        # each fit is evaluated once, by the cf_estimate that made it, so
+        # forming the d = 1 tables per evaluate forms them once per fit
+        fits, tables = [], []
+        fit, build = estimators.fit, interpolate._axis_moments
+        monkeypatch.setattr(estimators, "fit", lambda *a: fits.append(a) or fit(*a))
+        monkeypatch.setattr(interpolate, "_axis_moments", lambda *a: tables.append(a) or build(*a))
+        run_campaign(small_config(methods=("QMC", "QMC+CF", "MC+CF"), k_values=(0, 2), support_radius=0.5))
+        assert len(fits) == 2 * 2 * 4  # CF methods x k values x N
+        assert len(tables) == len(fits)
 
     def test_mc_cf_method_runs(self):
         cfg = small_config(methods=("MC+CF",), n_grid=(32,), replicates=2)

@@ -61,6 +61,17 @@ class TestPointsCommand:
         assert "fill_distance=" in stdout
         assert "mesh_ratio=" in stdout
 
+    def test_metrics_beyond_the_fill_grid_usage_error(self, tmp_path, capsys):
+        # at d = 7 the default fill grid, 17^7 points, exceeds the size
+        # guard: refused before the points file is written
+        base = ["points", "--seq", "halton", "--n", "16", "--metrics", "--out"]
+        code, stdout, err = run_cli(capsys, *base, str(tmp_path / "d7.csv"), "--dim", "7")
+        assert code == 1
+        assert "error: --metrics supports --dim up to 6, got 7" in err.splitlines()
+        assert "wrote" not in stdout and not (tmp_path / "d7.csv").exists()
+        code, stdout, _ = run_cli(capsys, *base, str(tmp_path / "d6.csv"), "--dim", "6")
+        assert code == 0 and "fill_resolution=16" in stdout
+
     def test_deterministic_given_flags(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["points", "--seq", "sobol", "--n", "32", "--dim", "3",
@@ -361,12 +372,18 @@ class TestBenchCommand:
              "family corner_peak has an exact integral for d <= 6 only, got d = 7"),
             ("sequence = sobol-dshift\ndims = 9\nmethods = QMC, QMC+CF\n",
              "sequence sobol-dshift has direction numbers for d <= 8 only, got d = 9"),
+            ("difficulty = inf\n", "difficulty must be positive and finite, got inf"),
+            ("difficulty = nan\n", "difficulty must be positive and finite, got nan"),
+            ("assumed_alpha = nan\n", "assumed_alpha must be finite and exceed the rule smoothness 1, got nan"),
+            ("assumed_alpha = inf\n", "assumed_alpha must be finite and exceed the rule smoothness 1, got inf"),
         ],
-        ids=["corner-peak-d7", "sobol-dshift-d9"],
+        ids=["corner-peak-d7", "sobol-dshift-d9", "difficulty-inf", "difficulty-nan", "alpha-nan", "alpha-inf"],
     )
     def test_config_beyond_a_limit_rejected_before_any_cell(self, tmp_path, capsys, monkeypatch, config, message):
         # a cell past genz's corner-sum limit or the direction table's
-        # dimensions would fail mid-campaign; the config is refused first
+        # dimensions would fail mid-campaign, and a non-finite difficulty or
+        # alpha would fail there or run degenerate cells; the config is
+        # refused first
         built = []
         build = bench.random_genz
         monkeypatch.setattr(bench, "random_genz", lambda *a: built.append(a) or build(*a))
@@ -513,6 +530,25 @@ class TestGpCommand:
         assert code == 0
         assert (out_dir / "predictions.csv").exists()
 
+    @pytest.mark.parametrize("row, column, cell", [(11, 0, "nan"), (21, 3, "inf")], ids=["covariate-nan", "response-inf"])
+    def test_non_finite_data_cell_exit_2_naming_line(self, tmp_path, capsys, row, column, cell):
+        # a NaN or infinite cell would run the study to NaN estimates and
+        # spreads; it is refused by file and line, before any output
+        lines = ["x1,x2,x3,y"] + [",".join(f"{v:.8f}" for v in r) for r in np.random.default_rng(1).random((60, 4))]
+        fields = lines[row].split(",")
+        fields[column] = cell
+        lines[row] = ",".join(fields)
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(lines) + "\n")
+        out_dir = tmp_path / "res"
+        code, _, err = run_cli(
+            capsys, "gp", "--data", str(path), "--n-test", "2", "--methods", "QMC,QMC+CF",
+            "--budget", "64", "--seeds", "2", "--out-dir", str(out_dir),
+        )
+        assert code == 2
+        assert f"error: {path}:{row + 1}: non-finite cell in row" in err.splitlines()
+        assert not out_dir.exists()
+
 
 class TestImports:
     # only gp and geometry need scipy; they import it when called
@@ -616,6 +652,7 @@ class TestExitCodeContract:
             ("integrate --dim 0", "--dim"),
             ("integrate --support 0", "--support"),
             ("integrate --difficulty -1", "--difficulty"),
+            ("integrate --difficulty inf", "--difficulty"),
             ("integrate --n 3", "--n"),
             ("wce --n 16 --dim 2 --kernel-k 5", "--kernel-k"),
             ("wce --n 16 --dim 2 --support 1.5", "--support"),

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,8 +26,10 @@ from cfqmc.points import PointSet, halton, midpoint_axis, midpoint_grid, random_
 # vector path, so a point evaluated on its own agrees to rounding, not
 # bitwise. Moment-table evaluation (the other d = 1 fits): the whole stack,
 # both parts of every split of it and each point on its own give the same
-# floats. Prints the failures.
+# floats. Checks the smoothness indices given as arguments and prints the
+# failures.
 BLOCKING_CHECK = """
+import sys
 import numpy as np
 from cfqmc import interpolate, kernels
 from cfqmc.interpolate import evaluate, fit
@@ -36,33 +39,33 @@ from cfqmc.points import midpoint_axis, midpoint_grid
 failed = []
 cache_sized = kernels.BLOCK_BYTES
 cases = [(s, d, m) for s in (1.0, 0.7) for d, m in ((1, 1024), (1, 37), (2, 32), (2, 5), (3, 8))]
-for k in (0, 1, 2):
+for k in map(int, sys.argv[1:]):
     for support, d, m in cases + [(0.0015, 1, 37)]:  # 16 m rho < 1: per axis
         case = (k, support, d, m)
         kernels.BLOCK_BYTES = cache_sized
         rng = np.random.default_rng(10 * k + d)
-        interp = fit(KernelSpec(k, d, support), midpoint_grid(m, d), rng.normal(size=m**d))
+        interp = fit(KernelSpec(k, d, support), midpoint_grid(m, d), rng.normal(size=m**d)[:, None])
         pts = rng.random((1001, d))
-        if interp.moments is not None:
-            whole = evaluate(interp, pts)
+        if d == 1 and 16 * m * support >= 1.0:  # moment tables
+            whole = evaluate(interp, pts[None])[0]
             for split in range(1, len(pts)):
-                parts = (evaluate(interp, pts[:split]), evaluate(interp, pts[split:]))
+                parts = (evaluate(interp, pts[None, :split])[0], evaluate(interp, pts[None, split:])[0])
                 if not np.array_equal(np.concatenate(parts), whole):
                     failed.append((case, split))
-            if not np.array_equal([evaluate(interp, p) for p in pts], whole):
+            if not np.array_equal([evaluate(interp, p[None, None])[0, 0] for p in pts], whole):
                 failed.append((case, "single points"))
             continue
         axis = KernelSpec(k, 1, support), midpoint_axis(m)[:, None]
-        whole = interpolate._grid_values(interp.beta, pts, axis)
-        blocked = {"cache-sized": evaluate(interp, pts)}
+        whole = interpolate._grid_values(interp.beta[:, 0], pts, axis)
+        blocked = {"cache-sized": evaluate(interp, pts[None])[0]}
         kernels.BLOCK_BYTES = 8 << 20
-        blocked["8 MiB"] = evaluate(interp, pts)
+        blocked["8 MiB"] = evaluate(interp, pts[None])[0]
         kernels.BLOCK_BYTES = 8 * 8 * 4 * d * m
-        blocked["8-row"] = evaluate(interp, pts)
+        blocked["8-row"] = evaluate(interp, pts[None])[0]
         for name, got in blocked.items():
             if not np.array_equal(got, whole[: len(got)]):
                 failed.append((case, name))
-        singles = np.array([evaluate(interp, p) for p in pts[::50]])
+        singles = np.array([evaluate(interp, p[None, None])[0, 0] for p in pts[::50]])
         if np.max(np.abs(singles - whole[::50])) > 1e-14 * np.sum(np.abs(interp.beta)):
             failed.append((case, "single points"))
 print(failed)
@@ -88,13 +91,13 @@ for k in (0, 1, 2):
         m = 1024
         rng = np.random.default_rng(k)
         interp = Interpolant(
-            KernelSpec(k, 1, support), midpoint_grid(m, 1), rng.normal(size=m),
-            exact_integral=0.0, jitter=0.0, residual_norm=0.0,
+            KernelSpec(k, 1, support), midpoint_grid(m, 1), rng.normal(size=m)[:, None],
+            exact_integral=np.zeros(1), jitter=0.0, residual_norm=0.0,
         )
         pts = rng.random((1001, 1))
         for block_bytes in (cache_sized, 1 << 30):
             kernels.BLOCK_BYTES = block_bytes
-            out.append(evaluate(interp, pts) / np.sum(np.abs(interp.beta)))
+            out.append(evaluate(interp, pts[None])[0] / np.sum(np.abs(interp.beta)))
 print(np.concatenate(out).tobytes().hex())
 """
 
@@ -104,16 +107,25 @@ def per_axis_values(interp, pts):
     block."""
     spec = interp.spec
     axis = KernelSpec(spec.k, 1, spec.support_radius), midpoint_axis(interp.nodes.side)[:, None]
-    return interpolate._grid_values(interp.beta, pts, axis)
+    return interpolate._grid_values(interp.beta[:, 0], pts, axis)
 
 
-def run_check(script, threads):
-    """stdout of ``script`` in a fresh interpreter with that many BLAS threads."""
+def moment_builds(monkeypatch):
+    """A list that records every d = 1 moment-table build from now on."""
+    built = []
+    build = interpolate._axis_moments
+    monkeypatch.setattr(interpolate, "_axis_moments", lambda *args: built.append(args) or build(*args))
+    return built
+
+
+def run_check(script, threads, *args):
+    """stdout of ``script``, given the arguments ``args``, in a fresh
+    interpreter with that many BLAS threads."""
     src = str(Path(interpolate.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=600
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=600
     )
     assert result.returncode == 0, result.stderr
     return result.stdout
@@ -143,29 +155,53 @@ def dense_fit(spec, grid, values, nugget):
 class TestFitBasics:
     def test_single_node_constant_column(self):
         spec = KernelSpec(0, 1)
-        interp = fit(spec, midpoint_grid(1, 1), [2.5])
-        np.testing.assert_allclose(interp.beta, [2.5])
-        assert interp.exact_integral == pytest.approx(2.5 * 0.75)
-        assert evaluate(interp, np.array([0.75])) == pytest.approx(2.5 * 0.75)
+        interp = fit(spec, midpoint_grid(1, 1), [[2.5]])
+        np.testing.assert_allclose(interp.beta, [[2.5]])
+        assert interp.exact_integral[0] == pytest.approx(2.5 * 0.75)
+        assert evaluate(interp, np.array([[[0.75]]]))[0, 0] == pytest.approx(2.5 * 0.75)
 
     def test_zero_values_zero_surrogate(self):
         spec = KernelSpec(1, 2)
-        interp = fit(spec, midpoint_grid(3, 2), np.zeros(9))
+        interp = fit(spec, midpoint_grid(3, 2), np.zeros((9, 1)))
         np.testing.assert_allclose(interp.beta, 0.0, atol=1e-14)
-        assert interp.exact_integral == 0.0
+        assert interp.exact_integral[0] == 0.0
 
     def test_reproducing_column(self):
         spec = KernelSpec(1, 1)
         nodes = midpoint_grid(5, 1)
-        values = kernel_cross(spec, nodes.points, nodes.points[:1]).ravel()
+        values = kernel_cross(spec, nodes.points, nodes.points[:1])
         interp = fit(spec, nodes, values)
-        expected = np.zeros(5)
+        expected = np.zeros((5, 1))
         expected[0] = 1.0
         np.testing.assert_allclose(interp.beta, expected, atol=1e-10)
 
     def test_value_count_checked(self):
         with pytest.raises(ValueError):
-            fit(KernelSpec(0, 1), midpoint_grid(4, 1), [1.0, 2.0])
+            fit(KernelSpec(0, 1), midpoint_grid(4, 1), [[1.0], [2.0]])
+
+    def test_one_column_needs_its_column_axis(self):
+        nodes = midpoint_grid(4, 1)
+        with pytest.raises(ValueError, match=r"\(M, R\)"):
+            fit(KernelSpec(1, 1), nodes, np.ones(4))
+        with pytest.raises(ValueError, match=r"\(M, R\)"):
+            Interpolant(KernelSpec(1, 1), nodes, np.ones(4), np.zeros(1), jitter=0.0, residual_norm=0.0)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_evaluate_takes_one_stack_per_column(self, d):
+        # a one-column fit takes a (1, n, d) stack, not a bare (n, d) one or
+        # a point
+        interp = fit(KernelSpec(1, d), midpoint_grid(4, d), np.ones((4**d, 1)))
+        assert evaluate(interp, np.full((1, 5, d), 0.5)).shape == (1, 5)
+        for shape in ((5, d), (d,)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                evaluate(interp, np.full(shape, 0.5))
+
+    def test_no_cached_state(self):
+        # the d = 1 moment tables are formed per evaluation, not kept on the
+        # surrogate
+        interp = fit(KernelSpec(1, 1), midpoint_grid(8, 1), np.ones((8, 1)))
+        evaluate(interp, np.full((1, 3, 1), 0.5))
+        assert not hasattr(interp, "moments")
 
 
 class TestInterpolationExactness:
@@ -175,41 +211,41 @@ class TestInterpolationExactness:
         nodes = midpoint_grid(m, d)
         freq = rng.uniform(1.0, 4.0, size=d)
         values = np.sin(nodes.points @ freq) + nodes.points[:, 0] ** 2
-        interp = fit(KernelSpec(1, d), nodes, values)
+        interp = fit(KernelSpec(1, d), nodes, values[:, None])
         scale = 1.0 + np.max(np.abs(values))
         assert interp.residual_norm <= 1e-8 * scale
 
     def test_node_reproduction_via_evaluate(self):
         nodes = midpoint_grid(20, 1)
         values = np.cos(3.0 * nodes.points[:, 0])
-        interp = fit(KernelSpec(2, 1), nodes, values)
-        recovered = evaluate(interp, nodes.points)
+        interp = fit(KernelSpec(2, 1), nodes, values[:, None])
+        recovered = evaluate(interp, nodes.points[None])[0]
         np.testing.assert_allclose(recovered, values, atol=1e-8)
 
     def test_evaluate_far_from_nodes_is_zero(self):
         spec = KernelSpec(1, 1, 0.2)
-        interp = fit(spec, midpoint_grid(1, 1), [3.0])
-        assert evaluate(interp, np.array([0.9])) == 0.0
+        interp = fit(spec, midpoint_grid(1, 1), [[3.0]])
+        assert evaluate(interp, np.array([[[0.9]]]))[0, 0] == 0.0
 
     def test_evaluate_hand_value(self):
         interp = Interpolant(
             spec=KernelSpec(0, 1),
             nodes=midpoint_grid(1, 1),
-            beta=np.array([1.0]),
-            exact_integral=0.75,
+            beta=np.array([[1.0]]),
+            exact_integral=np.array([0.75]),
             jitter=0.0,
             residual_norm=0.0,
         )
-        assert evaluate(interp, np.array([0.75])) == pytest.approx(0.75)
+        assert evaluate(interp, np.array([[[0.75]]]))[0, 0] == pytest.approx(0.75)
 
     def test_batch_matches_scalar_path(self):
         spec = KernelSpec(1, 2, 0.6)
         nodes = midpoint_grid(4, 2)
         rng = np.random.default_rng(0)
-        interp = fit(spec, nodes, rng.normal(size=16))
+        interp = fit(spec, nodes, rng.normal(size=16)[:, None])
         pts = rng.random((50, 2))
-        batch = evaluate(interp, pts)
-        singles = [evaluate(interp, p) for p in pts]
+        batch = evaluate(interp, pts[None])[0]
+        singles = [evaluate(interp, p[None, None])[0, 0] for p in pts]
         np.testing.assert_allclose(batch, singles, atol=1e-14)
 
 
@@ -219,21 +255,21 @@ class TestExactIntegral:
     def test_matches_quadrature_1d(self, surrogate_quadrature):
         nodes = midpoint_grid(12, 1)
         values = np.exp(-3.0 * (nodes.points[:, 0] - 0.4) ** 2)
-        interp = fit(KernelSpec(1, 1), nodes, values)
-        assert interp.exact_integral == pytest.approx(surrogate_quadrature(interp), abs=1e-12)
+        interp = fit(KernelSpec(1, 1), nodes, values[:, None])
+        assert interp.exact_integral[0] == pytest.approx(surrogate_quadrature(interp), abs=1e-12)
 
     def test_matches_quadrature_2d(self, surrogate_quadrature):
         nodes = midpoint_grid(5, 2)
         values = np.sin(2.0 * nodes.points[:, 0]) * (1.0 + nodes.points[:, 1])
-        interp = fit(KernelSpec(1, 2), nodes, values)
-        assert interp.exact_integral == pytest.approx(surrogate_quadrature(interp), abs=1e-12)
+        interp = fit(KernelSpec(1, 2), nodes, values[:, None])
+        assert interp.exact_integral[0] == pytest.approx(surrogate_quadrature(interp), abs=1e-12)
 
     def test_recomputable_from_fields(self):
         nodes = midpoint_grid(6, 2)
         rng = np.random.default_rng(5)
-        interp = fit(KernelSpec(2, 2), nodes, rng.normal(size=36))
-        recomputed = float(interp.beta @ kernel_integral(interp.spec, nodes.points))
-        assert interp.exact_integral == pytest.approx(recomputed, rel=1e-14)
+        interp = fit(KernelSpec(2, 2), nodes, rng.normal(size=36)[:, None])
+        recomputed = float(interp.beta[:, 0] @ kernel_integral(interp.spec, nodes.points))
+        assert interp.exact_integral[0] == pytest.approx(recomputed, rel=1e-14)
 
 
 class TestNormMinimality:
@@ -246,11 +282,11 @@ class TestNormMinimality:
         spec = KernelSpec(2, 1)
         nodes = midpoint_grid(96, 1)
         values = np.sin(4.0 * nodes.points[:, 0])
-        interp = fit(spec, nodes, values)
+        beta = fit(spec, nodes, values[:, None]).beta[:, 0]
         g = gram(spec, nodes)
-        base_form = float(interp.beta @ g @ interp.beta)
+        base_form = float(beta @ g @ beta)
         eigvals, eigvecs = np.linalg.eigh(g)
-        beta_norm = np.linalg.norm(interp.beta)
+        beta_norm = np.linalg.norm(beta)
         rng = np.random.default_rng(7)
         for trial in range(20):
             direction = eigvecs[:, :3] @ rng.normal(size=3)
@@ -260,23 +296,23 @@ class TestNormMinimality:
             eps = direction * scale
             assert np.max(np.abs(g @ eps)) <= 1e-6  # node equations still hold
             assert np.linalg.norm(eps) > 0.0
-            perturbed = interp.beta + eps
+            perturbed = beta + eps
             form = float(perturbed @ g @ perturbed)
             assert base_form <= form + 1e-8
 
 
 class TestControlFunctional:
     def test_zero_fit_gives_zero_correction(self):
-        interp = fit(KernelSpec(1, 1), midpoint_grid(8, 1), np.zeros(8))
+        interp = fit(KernelSpec(1, 1), midpoint_grid(8, 1), np.zeros((8, 1)))
         pts = uniform_random(100, 1, seed=1).points
-        np.testing.assert_allclose(control_functional(interp, pts), 0.0, atol=1e-14)
+        np.testing.assert_allclose(control_functional(interp, pts[None]), 0.0, atol=1e-14)
 
     def test_correction_plus_integral_recovers_surrogate(self):
         rng = np.random.default_rng(2)
-        interp = fit(KernelSpec(1, 2), midpoint_grid(4, 2), rng.normal(size=16))
+        interp = fit(KernelSpec(1, 2), midpoint_grid(4, 2), rng.normal(size=16)[:, None])
         pts = rng.random((50, 2))
-        lhs = control_functional(interp, pts) + interp.exact_integral
-        np.testing.assert_allclose(lhs, evaluate(interp, pts), atol=1e-14)
+        lhs = control_functional(interp, pts[None])[0] + interp.exact_integral[0]
+        np.testing.assert_allclose(lhs, evaluate(interp, pts[None])[0], atol=1e-14)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_columns_each_lose_their_own_integral(self, d):
@@ -286,16 +322,16 @@ class TestControlFunctional:
         psi = control_functional(batch, stacks)
         assert psi.shape == (3, 30)
         for r in range(3):
-            integral = float(batch.exact_integral[r])
-            column = Interpolant(batch.spec, nodes, batch.beta[:, r].copy(), integral, jitter=0.0, residual_norm=0.0)
-            assert np.array_equal(psi[r], control_functional(column, stacks[r]))
+            integral = batch.exact_integral[r, None]
+            column = Interpolant(batch.spec, nodes, batch.beta[:, r, None].copy(), integral, jitter=0.0, residual_norm=0.0)
+            assert np.array_equal(psi[r], control_functional(column, stacks[r, None])[0])
 
     def test_monte_carlo_mean_near_zero(self):
         nodes = midpoint_grid(10, 1)
         values = np.sin(5.0 * nodes.points[:, 0]) + 0.3
-        interp = fit(KernelSpec(1, 1), nodes, values)
+        interp = fit(KernelSpec(1, 1), nodes, values[:, None])
         pts = uniform_random(200_000, 1, seed=8).points
-        psi = control_functional(interp, pts)
+        psi = control_functional(interp, pts[None])[0]
         se = psi.std(ddof=1) / np.sqrt(len(psi))
         assert abs(psi.mean()) <= 3 * se
 
@@ -317,51 +353,57 @@ class TestGridPath:
         grid = midpoint_grid(m, d)
         rng = np.random.default_rng(100 * k + 10 * d + m)
         values = np.sin(grid.points @ rng.uniform(1.0, 4.0, size=d)) + grid.points[:, 0] ** 2
-        fast = fit(spec, grid, values)
+        fast = fit(spec, grid, values[:, None])
         nugget = fast.jitter if oracle_nugget is None else oracle_nugget
         beta, integral, residual = dense_fit(spec, grid, values, nugget)
-        assert fast.exact_integral == pytest.approx(integral, abs=1e-10)
+        assert fast.exact_integral[0] == pytest.approx(integral, abs=1e-10)
         assert fast.residual_norm == pytest.approx(residual, abs=1e-10)
         stack = np.vstack([rng.random((200, d)), grid.points, np.zeros((1, d)), np.ones((1, d))])
         dense = kernel_cross(spec, stack, grid.points) @ beta
-        np.testing.assert_allclose(evaluate(fast, stack), dense, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(evaluate(fast, stack[None])[0], dense, rtol=0.0, atol=1e-10)
         for p, want in zip(stack[::37], dense[::37]):
-            assert evaluate(fast, p) == pytest.approx(want, abs=1e-10)
+            assert evaluate(fast, p[None, None])[0, 0] == pytest.approx(want, abs=1e-10)
 
     def test_grid_evaluation_spans_blocks(self, monkeypatch):
         spec = KernelSpec(1, 2)
         grid = midpoint_grid(5, 2)
         values = np.cos(3.0 * grid.points[:, 1]) * grid.points[:, 0]
-        fast = fit(spec, grid, values)
+        fast = fit(spec, grid, values[:, None])
         beta, _, _ = dense_fit(spec, grid, values, fast.jitter)
         pts = np.random.default_rng(3).random((1000, 2))
-        whole = evaluate(fast, pts)
+        whole = evaluate(fast, pts[None])[0]
         # rows are 4 * d * m = 40 floats wide: eight rows per block
         monkeypatch.setattr(kernels, "BLOCK_BYTES", 8 * 40 * 8)
-        np.testing.assert_array_equal(evaluate(fast, pts), whole)
+        np.testing.assert_array_equal(evaluate(fast, pts[None])[0], whole)
         np.testing.assert_allclose(kernel_cross(spec, pts, grid.points) @ beta, whole, rtol=0.0, atol=1e-10)
 
-    def test_1d_support_under_node_spacing_evaluates_per_axis(self):
+    def test_1d_support_under_node_spacing_evaluates_per_axis(self, monkeypatch):
         # 4 / rho centres would take 50 MB of tables for 16 nodes
         grid = midpoint_grid(16, 1)
-        interp = fit(KernelSpec(2, 1, 1e-5), grid, np.arange(16.0))
-        assert interp.moments is None
+        interp = fit(KernelSpec(2, 1, 1e-5), grid, np.arange(16.0)[:, None])
+        built = moment_builds(monkeypatch)
         # each node's kernel reaches no other node
-        np.testing.assert_array_equal(evaluate(interp, grid.points), interp.beta)
+        np.testing.assert_array_equal(evaluate(interp, grid.points[None]), interp.beta.T)
+        assert not built
 
     def test_1d_evaluation_spans_memory_blocks(self, monkeypatch):
-        interp = fit(KernelSpec(2, 1, 0.3), midpoint_grid(64, 1), np.sin(np.arange(64.0)))
+        interp = fit(KernelSpec(2, 1, 0.3), midpoint_grid(64, 1), np.sin(np.arange(64.0))[:, None])
         pts = np.random.default_rng(6).random((1000, 1))
-        whole = interpolate._axis_values(interp, pts[:, 0], 0)
+        tables = interpolate._axis_moments(interp.spec, interp.nodes.points[:, 0], interp.beta)
+        whole = interpolate._axis_values(interp.spec, tables, pts[:, 0], 0)
         # a point holds 10 (deg + 1) = 80 floats: seven points per block
         monkeypatch.setattr(kernels, "BLOCK_BYTES", 7 * 80 * 8)
-        np.testing.assert_array_equal(evaluate(interp, pts), whole)
+        np.testing.assert_array_equal(evaluate(interp, pts[None])[0], whole)
 
     def test_blocking_leaves_values_unchanged(self):
         # BLAS threads split a block's rows by count, so with more than one
         # thread the d >= 2 floats depend on the blocking; the check pins one
-        # thread
-        assert run_check(BLOCKING_CHECK, "1").split() == ["[]"]
+        # thread. Each evaluation forms its d = 1 tables, so the k = 2 cases,
+        # which take about as long as the k = 0 and 1 ones together, run in
+        # a second process beside them
+        with ThreadPoolExecutor(2) as pool:
+            found = list(pool.map(lambda ks: run_check(BLOCKING_CHECK, "1", *ks).split(), ["01", "2"]))
+        assert found == [["[]"], ["[]"]]
 
     def test_1d_values_independent_of_blas_threads(self):
         one, two = (np.frombuffer(bytes.fromhex(run_check(THREAD_CHECK, t))) for t in "12")
@@ -369,24 +411,26 @@ class TestGridPath:
 
     @pytest.mark.parametrize("support", [1.0, 0.7, 0.3, 0.1])
     @pytest.mark.parametrize("k", [0, 1, 2])
-    def test_1d_moments_match_direct_sum(self, k, support):
+    def test_1d_moments_match_direct_sum(self, monkeypatch, k, support):
         # the moment path against the per-axis kernel sum, at the cube's ends,
         # the nodes, the window edges u_i +- rho and random points
         eps = np.finfo(np.float64).eps
         bound = (32.0 if support == 1.0 else 512.0) * eps
         spec = KernelSpec(k, 1, support)
         rng = np.random.default_rng(10 * k + int(10 * support))
+        built = moment_builds(monkeypatch)
         for m in (1, 2, 37, 1024, 2048):
             grid = midpoint_grid(m, 1)
             interp = Interpolant(
-                spec, grid, rng.normal(size=m), exact_integral=0.0, jitter=0.0, residual_norm=0.0
+                spec, grid, rng.normal(size=m)[:, None], exact_integral=np.zeros(1), jitter=0.0, residual_norm=0.0
             )
-            assert interp.moments is not None
             u = grid.points[:, 0]
             edges = np.clip(np.concatenate([u - support, u + support]), 0.0, 1.0)
             pts = np.concatenate([[0.0, 1.0], u, edges, rng.random(600)])[:, None]
             direct = per_axis_values(interp, pts)
-            err = np.max(np.abs(evaluate(interp, pts) - direct))
+            err = np.max(np.abs(evaluate(interp, pts[None])[0] - direct))
+            assert len(built) == 1, m  # the moment path
+            built.clear()
             assert err <= bound * np.sum(np.abs(interp.beta)), (m, err)
 
     @pytest.mark.parametrize("support", [1.0, 0.7, 0.3, 0.1])
@@ -395,7 +439,7 @@ class TestGridPath:
         # the same bounds with the prefix sums in float64, as where long
         # double is double
         monkeypatch.setattr(np, "longdouble", np.float64)
-        self.test_1d_moments_match_direct_sum(k, support)
+        self.test_1d_moments_match_direct_sum(monkeypatch, k, support)
 
     @pytest.mark.parametrize("d,m", [(1, 1024), (2, 32), (3, 8), (4, 5)])
     def test_kron_apply_matches_tensordot(self, d, m):
@@ -414,9 +458,9 @@ class TestGridPath:
         monkeypatch.setattr(interpolate, "gram", lambda *a, **kw: calls.append(a) or gram(*a, **kw))
         rng = np.random.default_rng(4)
         for _ in range(3):
-            fit(KernelSpec(1, 2), midpoint_grid(7, 2), rng.normal(size=49))
-            fit(KernelSpec(1, 1), midpoint_grid(7, 1), rng.normal(size=7))
-        fit(KernelSpec(1, 1, 0.5), midpoint_grid(7, 1), rng.normal(size=7))
+            fit(KernelSpec(1, 2), midpoint_grid(7, 2), rng.normal(size=(49, 1)))
+            fit(KernelSpec(1, 1), midpoint_grid(7, 1), rng.normal(size=(7, 1)))
+        fit(KernelSpec(1, 1, 0.5), midpoint_grid(7, 1), rng.normal(size=(7, 1)))
         assert len(calls) == 2
 
     # 64^4 floats would take 128 MiB, so that shape is left out
@@ -503,21 +547,21 @@ class TestGridPath:
         # grid is a plain PointSet too
         spec = KernelSpec(1, 2)
         grid = midpoint_grid(4, 2)
-        values = np.arange(16.0)
+        values = np.arange(16.0)[:, None]
         swapped = PointSet(grid.points[:, ::-1])  # rows in another order
         for nodes in (random_shift(grid, [1e-3, 0.0]), random_shift(grid, [0.0, 0.0]), swapped, halton(16, 2)):
             with pytest.raises(TypeError, match="MidpointGrid"):
                 fit(spec, nodes, values)
             with pytest.raises(TypeError, match="MidpointGrid"):
-                Interpolant(spec, nodes, values, exact_integral=0.0, jitter=0.0, residual_norm=0.0)
+                Interpolant(spec, nodes, values, exact_integral=np.zeros(1), jitter=0.0, residual_norm=0.0)
 
     def test_node_dimension_checked(self):
         # a grid of another dimension would reshape into the wrong tensor
         for spec, grid in ((KernelSpec(1, 2), midpoint_grid(4, 1)), (KernelSpec(1, 1), midpoint_grid(4, 2))):
             with pytest.raises(ValueError, match="dimension mismatch"):
-                fit(spec, grid, np.ones(len(grid)))
+                fit(spec, grid, np.ones((len(grid), 1)))
             with pytest.raises(ValueError, match="dimension mismatch"):
-                Interpolant(spec, grid, np.ones(len(grid)), exact_integral=0.0, jitter=0.0, residual_norm=0.0)
+                Interpolant(spec, grid, np.ones((len(grid), 1)), exact_integral=np.zeros(1), jitter=0.0, residual_norm=0.0)
 
     @pytest.mark.parametrize("m", [1400, 2048])
     def test_nugget_keeps_grid_spectrum_positive(self, m):
@@ -530,7 +574,7 @@ class TestGridPath:
         spec = KernelSpec(2, 1)
         nodes = midpoint_grid(m, 1)
         values = np.sin(4.0 * nodes.points[:, 0])
-        interp = fit(spec, nodes, values)
+        interp = fit(spec, nodes, values[:, None])
         spectrum = interpolate._grid_factor(spec, m).values
         assert spectrum.min() < 0.0
         assert interp.jitter >= -spectrum.min()
@@ -539,29 +583,29 @@ class TestGridPath:
         assert interp.residual_norm <= 1e-7
 
     def test_dimension_mismatch_rejected(self):
-        interp = fit(KernelSpec(1, 2), midpoint_grid(3, 2), np.ones(9))
+        interp = fit(KernelSpec(1, 2), midpoint_grid(3, 2), np.ones((9, 1)))
         with pytest.raises(ValueError, match="dimension mismatch"):
-            evaluate(interp, np.ones((4, 3)))
+            evaluate(interp, np.ones((1, 4, 3)))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_empty_stack_evaluates_to_empty(self, d):
-        interp = fit(KernelSpec(1, d), midpoint_grid(3, d), np.ones(3**d))
-        out = evaluate(interp, np.empty((0, d)))
+        interp = fit(KernelSpec(1, d), midpoint_grid(3, d), np.ones((3**d, 1)))
+        out = evaluate(interp, np.empty((0, d))[None])[0]
         assert isinstance(out, np.ndarray) and out.shape == (0,)
 
     @pytest.mark.parametrize(
         "change",
-        [{"beta": np.zeros(16)}, {"spec": KernelSpec(1, 1, 0.3)}, {"spec": KernelSpec(2, 1)}],
+        [{"beta": np.zeros((16, 1))}, {"spec": KernelSpec(1, 1, 0.3)}, {"spec": KernelSpec(2, 1)}],
         ids=["beta", "support", "k"],
     )
     def test_replace_evaluates_like_a_fresh_surrogate(self, change):
         # the d = 1 moment tables follow the fields, not the surrogate copied
-        interp = fit(KernelSpec(1, 1), midpoint_grid(16, 1), np.sin(np.arange(16.0)))
+        interp = fit(KernelSpec(1, 1), midpoint_grid(16, 1), np.sin(np.arange(16.0))[:, None])
         changed = replace(interp, **change)
         fresh = Interpolant(
-            changed.spec, changed.nodes, changed.beta.copy(), exact_integral=0.0, jitter=0.0, residual_norm=0.0
+            changed.spec, changed.nodes, changed.beta.copy(), exact_integral=np.zeros(1), jitter=0.0, residual_norm=0.0
         )
-        pts = np.linspace(0.0, 1.0, 33)[:, None]
+        pts = np.linspace(0.0, 1.0, 33)[None, :, None]
         np.testing.assert_array_equal(evaluate(changed, pts), evaluate(fresh, pts))
         if "beta" in change:
             assert np.all(evaluate(changed, pts) == 0.0)
@@ -600,13 +644,13 @@ class TestMultiColumnFit:
         vals = bump_columns(nodes, 10, k)
         batch = fit(spec, nodes, vals)
         assert batch.beta.shape == vals.shape and batch.exact_integral.shape == (10,)
-        singles = [fit(spec, nodes, vals[:, r]) for r in range(vals.shape[1])]
-        floors = [eps * np.sum(np.abs(s.beta * a)) for s in singles]
+        singles = [fit(spec, nodes, vals[:, r, None]) for r in range(vals.shape[1])]
+        floors = [eps * np.sum(np.abs(s.beta[:, 0] * a)) for s in singles]
         for r, (single, floor) in enumerate(zip(singles, floors)):
             assert batch.jitter == single.jitter
-            assert abs(batch.exact_integral[r] - single.exact_integral) <= 16 * floor
+            assert abs(batch.exact_integral[r] - single.exact_integral[0]) <= 16 * floor
             beta_bound = eps * np.linalg.norm(vals[:, r]) / single.jitter
-            assert np.max(np.abs(batch.beta[:, r] - single.beta)) <= beta_bound
+            assert np.max(np.abs(batch.beta[:, r] - single.beta[:, 0])) <= beta_bound
         assert abs(batch.residual_norm - max(s.residual_norm for s in singles)) <= 16 * max(floors)
 
     @pytest.mark.parametrize("d,m", [(2, 16), (2, 7), (3, 6)])
@@ -618,28 +662,30 @@ class TestMultiColumnFit:
         nodes = midpoint_grid(m, d)
         vals = bump_columns(nodes, 5, d * m)
         batch = fit(spec, nodes, vals)
-        singles = [fit(spec, nodes, vals[:, r]) for r in range(vals.shape[1])]
-        assert np.array_equal(batch.beta, np.stack([s.beta for s in singles], axis=1))
-        assert np.array_equal(batch.exact_integral, [s.exact_integral for s in singles])
+        singles = [fit(spec, nodes, vals[:, r, None]) for r in range(vals.shape[1])]
+        assert np.array_equal(batch.beta, np.hstack([s.beta for s in singles]))
+        assert np.array_equal(batch.exact_integral, np.concatenate([s.exact_integral for s in singles]))
         assert batch.residual_norm == max(s.residual_norm for s in singles)
 
-    def test_column_is_the_one_column_surrogate(self):
+    def test_column_is_the_one_column_surrogate(self, monkeypatch):
         # evaluate(batch, stacks)[r] is the one-column surrogate of column r
         # at stack r, bitwise: at d = 1 from the stacked moment tables and,
         # with 16 m rho < 1, per axis, and per axis at d = 2, 3
+        built = moment_builds(monkeypatch)
         for d, m, support in [(1, 64, 0.7), (1, 64, 5e-4), (2, 5, 0.7), (3, 4, 0.7)]:
             spec = KernelSpec(2, d, support)
             nodes = midpoint_grid(m, d)
             batch = fit(spec, nodes, bump_columns(nodes, 3, d))
-            assert (batch.moments is not None) == (d == 1 and support == 0.7)
             stacks = np.random.default_rng(d).random((3, 40, d))
+            built.clear()
             values = evaluate(batch, stacks)
+            assert len(built) == (d == 1 and support == 0.7)
             assert values.shape == (3, 40)
             for r in range(3):
                 column = Interpolant(
-                    spec, nodes, batch.beta[:, r].copy(), exact_integral=0.0, jitter=0.0, residual_norm=0.0
+                    spec, nodes, batch.beta[:, r, None].copy(), exact_integral=np.zeros(1), jitter=0.0, residual_norm=0.0
                 )
-                assert np.array_equal(values[r], evaluate(column, stacks[r])), (d, support, r)
+                assert np.array_equal(values[r], evaluate(column, stacks[r, None])[0]), (d, support, r)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_points_not_one_stack_per_column_rejected(self, d):

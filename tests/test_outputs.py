@@ -33,7 +33,7 @@ def thread_bound_lines(name: str, lines: list[str]) -> dict[int, str]:
     """The lines of output ``name`` that round by the BLAS thread count, by
     index: "d1-cf" for those that d = 1 CF fits decide, "gp" for the GP
     study's values."""
-    if name.startswith("gp/"):
+    if name.startswith(("gp/", "gp-data/")):
         return dict.fromkeys(range(len(lines)), "gp")
     if name.endswith(".svg"):  # a panel's axes span every row of the panel
         return dict.fromkeys(range(len(lines)), "d1-cf") if name.endswith("-d1/campaign.svg") else {}

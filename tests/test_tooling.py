@@ -173,7 +173,7 @@ def test_grid_evaluation_blocks_fit_the_cache_bound(monkeypatch):
     # (d = 1 evaluates from moment tables, without blocks.)
     d, m, n = 2, 32, 2048
     interp = interpolate.fit(
-        kernels.KernelSpec(1, d), points.midpoint_grid(m, d), np.sin(np.arange(m**d))
+        kernels.KernelSpec(1, d), points.midpoint_grid(m, d), np.sin(np.arange(m**d))[:, None]
     )
     grid_values = interpolate._grid_values
     rows = []
@@ -183,7 +183,7 @@ def test_grid_evaluation_blocks_fit_the_cache_bound(monkeypatch):
         return grid_values(beta, block, *args)
 
     monkeypatch.setattr(interpolate, "_grid_values", recording)
-    interpolate.evaluate(interp, np.random.default_rng(0).random((n, d)))
+    interpolate.evaluate(interp, np.random.default_rng(0).random((n, d))[None])
     assert sum(rows) == n and len(rows) > 1
     assert all(r % 8 == 0 and r * 4 * d * m * 8 <= kernels.BLOCK_BYTES for r in rows)
 
@@ -199,9 +199,9 @@ def test_moment_evaluation_blocks_fit_the_bound(monkeypatch):
     axis_values = interpolate._axis_values
     rows = []
 
-    def recording(interp, x, col):
+    def recording(spec, tables, x, col):
         rows.append(len(x))
-        return axis_values(interp, x, col)
+        return axis_values(spec, tables, x, col)
 
     monkeypatch.setattr(interpolate, "_axis_values", recording)
     interpolate.evaluate(interp, np.random.default_rng(0).random((2, n, 1)))
@@ -215,12 +215,12 @@ def test_grid_evaluation_counted_as_kernel_entries():
     # more than one evaluation block.
     d, m, n = 2, 32, 600
     interp = interpolate.fit(
-        kernels.KernelSpec(1, d, 0.6), points.midpoint_grid(m, d), np.cos(np.arange(m**d))
+        kernels.KernelSpec(1, d, 0.6), points.midpoint_grid(m, d), np.cos(np.arange(m**d))[:, None]
     )
     tracing = load_tracing()
     tracer = tracing.Tracer()
     with tracer.recording(0):
-        interpolate.evaluate(interp, np.random.default_rng(1).random((n, d)))
+        interpolate.evaluate(interp, np.random.default_rng(1).random((n, d))[None])
     assert tracer.run_metrics(0)["kernels.cross_entries"] == d * n * m
 
 
