@@ -85,6 +85,8 @@ def _generate_points(args) -> "PointSet":
         table = load_direction_file(args.directions) if args.directions else None
         if args.scramble and args.shift_seed is None:
             raise _usage_error("sobol --scramble needs --shift-seed for the digital shift")
+        if args.scramble and args.shift_seed < 0:  # the digital shift's generator takes no negative seed
+            raise _usage_error(f"--shift-seed must be >= 0 for sobol --scramble, got {args.shift_seed}")
         if args.n.bit_length() > SOBOL_BITS:
             raise _usage_error(f"--n must be below 2**{SOBOL_BITS} for sobol points, got {args.n}")
         ps = _usage_checked("--dim", sobol, args.n, args.dim, table, args.shift_seed if args.scramble else None)

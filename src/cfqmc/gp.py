@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy import linalg as sla
+from scipy import special
 
 from .bench import CellPoints
 from .estimators import BudgetSplit, Integrand
@@ -98,45 +99,14 @@ class GPConfig:
 
 
 def gamma2_inverse_cdf(q, scale: float):
-    """Inverse CDF of the shape-2 Gamma with the given scale (scalar or array).
-
-    Shape 2 has the closed-form survival function (1 + t/scale) e^(-t/scale),
-    so the quantile solves log1p(x) - x = log(1 - q) for x = t/scale; Newton
-    with a bisection safeguard drives |CDF(result) - q| below 1e-12.
-    """
-    if scale <= 0.0:
+    """Inverse CDF of the shape-2 Gamma with the given scale (scalar or array),
+    ``scale * gammaincinv(2, q)``; NaN fails both input checks."""
+    if not scale > 0.0:
         raise ValueError("scale must be positive")
-    q_arr = np.asarray(q, dtype=np.float64)
-    if np.any(q_arr <= 0.0) or np.any(q_arr >= 1.0):
+    q = np.asarray(q, dtype=np.float64)
+    if not np.all((q > 0.0) & (q < 1.0)):
         raise ValueError("q must lie strictly inside (0, 1)")
-    target = np.log1p(-q_arr)  # log survival value to hit
-
-    def g(x):
-        return np.log1p(x) - x - target
-
-    lo = np.zeros_like(q_arr, dtype=np.float64)
-    hi = np.ones_like(q_arr, dtype=np.float64)
-    while np.any(g(hi) > 0.0):
-        hi = np.where(g(hi) > 0.0, hi * 2.0, hi)
-    x = hi / 2.0
-    for _ in range(200):
-        val = g(x)
-        lo = np.where(val > 0.0, x, lo)
-        hi = np.where(val <= 0.0, x, hi)
-        deriv = -x / (1.0 + x)
-        step = np.where(deriv != 0.0, val / deriv, 0.0)
-        x_new = x - step
-        outside = (x_new <= lo) | (x_new >= hi)
-        x_new = np.where(outside, 0.5 * (lo + hi), x_new)
-        if np.all(np.abs(x_new - x) <= 1e-15 * (1.0 + x_new)):
-            x = x_new
-            break
-        x = x_new
-    t = scale * x
-    sf = (1.0 + x) * np.exp(-x)
-    if np.any(np.abs((1.0 - sf) - q_arr) > 1e-12):
-        raise RuntimeError("quantile iteration failed to reach 1e-12 accuracy")
-    return float(t) if np.isscalar(q) or t.ndim == 0 else t
+    return scale * special.gammaincinv(2.0, q)
 
 
 def _sq_dists(za: np.ndarray, zb: np.ndarray) -> np.ndarray:
@@ -282,9 +252,7 @@ class PredictionTable:
                 misses.setdefault(key, i)
         if misses:
             q = np.clip(x[list(misses.values())], _CDF_CLIP, 1.0 - _CDF_CLIP)
-            theta1 = gamma2_inverse_cdf(q[:, 0], _PRIOR_SCALE)
-            theta2 = gamma2_inverse_cdf(q[:, 1], _PRIOR_SCALE)
-            for key, t1, t2 in zip(misses, theta1, theta2):
+            for key, (t1, t2) in zip(misses, gamma2_inverse_cdf(q, _PRIOR_SCALE)):
                 self._rows[key] = self.solver.predict(t1, t2)
         return np.array([self._rows[key] for key in keys])
 

@@ -38,7 +38,7 @@ class PointSet:
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
         if pts.ndim != 2 or pts.shape[1] < 1:
             raise ValueError(f"points must be a 2-d array of d >= 1 columns, got shape {pts.shape}")
-        if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
+        if pts.size and not (pts.min() >= 0.0 and pts.max() <= 1.0):  # NaN fails too
             raise ValueError("coordinates must lie in the closed unit cube")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -231,7 +231,7 @@ def random_shift(ps: PointSet, shift) -> PointSet:
     delta = np.asarray(shift, dtype=np.float64).reshape(-1)
     if delta.shape != (ps.dim,):
         raise ValueError(f"dimension mismatch: expected {ps.dim} coordinates, got {delta.shape[0]}")
-    if delta.min() < 0.0 or delta.max() > 1.0:
+    if not (delta.min() >= 0.0 and delta.max() <= 1.0):
         raise ValueError("shift must lie in the closed unit cube")
     return PointSet(np.mod(ps.points + delta, 1.0), ps.start)
 

@@ -34,7 +34,7 @@ CAMPAIGN_CELLS = {
     "lattice": "families = product_peak, corner_peak\nsupport_radius = 0.4\nassumed_alpha = 2.0\n",
 }
 CAMPAIGN_GRID = (
-    f"methods = {', '.join(METHODS)}\nk_values = 0, 1, 2\nn_grid = 16, 32, 128, 512\nreplicates = 3\n"
+    f"methods = {', '.join(METHODS)}\nk_values = 0, 1, 2\nn_grid = 16, 32, 64, 128, 512\nreplicates = 3\n"
 )
 
 

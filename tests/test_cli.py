@@ -220,6 +220,37 @@ class TestWceCommand:
         assert code == 1
         assert "cannot use input file" in err
 
+    def test_nan_in_input_file_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("dim,index,x1,x2\n2,0,0.1,nan\n2,1,0.3,0.4\n")
+        code, stdout, err = run_cli(capsys, "wce", "--in", str(path))
+        assert code == 1
+        assert err.splitlines()[-1] == (
+            f"error: cannot use input file {path}: coordinates must lie in the closed unit cube"
+        )
+        assert "worst_case_error" not in stdout
+
+    @pytest.mark.parametrize("command", ["points", "wce"])
+    def test_negative_sobol_shift_seed_usage_error(self, tmp_path, capsys, command):
+        # the digital shift's generator takes no negative seed: the error
+        # names --shift-seed, and no file is written
+        out = tmp_path / "p.csv"
+        argv = [command, "--seq", "sobol", "--n", "4", "--dim", "2", "--scramble", "--shift-seed", "-1"]
+        code, stdout, err = run_cli(capsys, *argv, *(["--out", str(out)] if command == "points" else []))
+        assert code == 1
+        assert err.splitlines()[-1] == "error: --shift-seed must be >= 0 for sobol --scramble, got -1"
+        assert "wrote" not in stdout and "worst_case_error" not in stdout and not out.exists()
+
+    @pytest.mark.parametrize("seq", ["halton", "lattice"])
+    def test_negative_shift_seed_seeds_a_random_shift(self, tmp_path, capsys, seq):
+        # a random shift's stream masks the seed, so any integer seeds it
+        out = tmp_path / "p.csv"
+        code, _, _ = run_cli(capsys, "points", "--seq", seq, "--n", "4", "--dim", "2", "--shift-seed", "-1",
+                             "--out", str(out))
+        assert code == 0 and len(read_points_csv(out)) == 4
+        code, stdout, _ = run_cli(capsys, "wce", "--seq", seq, "--n", "4", "--dim", "2", "--shift-seed", "-1")
+        assert code == 0 and "worst_case_error = " in stdout
+
 
 class TestIntegrateCommand:
     def test_constant_family_exact_for_qmc(self, capsys):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import linalg as sla
@@ -71,6 +72,12 @@ class TestGamma2InverseCdf:
             with pytest.raises(ValueError):
                 gamma2_inverse_cdf(bad, 2.0)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="strictly inside"):
+            gamma2_inverse_cdf(np.array([0.5, np.nan]), 2.0)
+        with pytest.raises(ValueError, match="scale must be positive"):
+            gamma2_inverse_cdf(0.5, np.nan)
+
     def test_scale_parameter(self):
         t1 = gamma2_inverse_cdf(0.7, 1.0)
         t3 = gamma2_inverse_cdf(0.7, 3.0)
@@ -84,6 +91,32 @@ class TestGamma2InverseCdf:
         theta = gamma2_inverse_cdf(q, 2.0)
         se = theta.std(ddof=1) / math.sqrt(len(theta))
         assert abs(theta.mean() - 4.0) <= 3 * se
+
+    def test_matches_50_digit_roots(self):
+        # across the tails the prediction table clips to, the quantile is the
+        # root of 1 - (1 + x) e^-x = q to 1e-13 relative; the reference solves
+        # the equivalent log1p(x) - x = log1p(-q) by Newton at 50 digits from
+        # the right, where the concave left side makes every step land
+        # between the root and the last iterate
+        q = np.concatenate(
+            [np.logspace(-15, -1, 200), np.linspace(0.1, 0.9, 200), 1.0 - np.logspace(-1, -15, 200), [1e-15, 1 - 1e-15]]
+        )
+        with mpmath.workdps(50):
+            roots = []
+            for qi in q:
+                target = mpmath.log1p(-mpmath.mpf(qi))
+                x = 4 - 2 * target  # log1p(x) - x <= -x / 2 < target here
+                for _ in range(100):
+                    step = (mpmath.log1p(x) - x - target) * (1 + x) / x
+                    x += step
+                    if abs(step) <= x * mpmath.mpf(10) ** -40:
+                        break
+                assert -mpmath.expm1(-x) - x * mpmath.exp(-x) == pytest.approx(mpmath.mpf(qi), rel=1e-35)
+                roots.append(x)
+            for scale in (1.0, 2.0):
+                t = gamma2_inverse_cdf(q, scale)
+                worst = max(abs(mpmath.mpf(ti) / (scale * x) - 1) for ti, x in zip(t, roots))
+                assert worst <= 1e-13, f"scale {scale}: worst relative error {float(worst):.3g}"
 
 
 class TestStandardization:

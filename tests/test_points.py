@@ -246,6 +246,10 @@ class TestRandomShift:
         with pytest.raises(ValueError):
             random_shift(halton(4, 2), [0.5])
 
+    def test_nan_shift_rejected(self):
+        with pytest.raises(ValueError, match="shift must lie in the closed unit cube"):
+            random_shift(halton(4, 2), [0.5, np.nan])
+
     def test_output_in_half_open_interval(self):
         ps = lattice(64, 2, (1, 19))
         shifted = random_shift(ps, [0.731, 0.291])
@@ -409,6 +413,12 @@ class TestPointSetValidation:
     def test_out_of_cube_rejected(self):
         with pytest.raises(ValueError):
             make_set([[1.2]])
+
+    @pytest.mark.parametrize("coords", [[[np.nan]], [[0.5, np.nan], [0.2, 0.3]], [[np.nan, 1.5]]])
+    def test_nan_coordinate_rejected(self, coords):
+        # a NaN fails every comparison, so an in-cube test must fail on it
+        with pytest.raises(ValueError, match="closed unit cube"):
+            make_set(coords)
 
     def test_points_frozen(self):
         ps = halton(4, 1)
