@@ -284,7 +284,9 @@ def marginal_prediction(table: PredictionTable, method: str, budget: int, seed: 
     m_nodes_cf = GP_NODE_GRID_M**2
     if budget < 2 * m_nodes_cf:
         raise ValueError(f"budget {budget} too small for the {m_nodes_cf}-node surrogate")
-    delta = rng_for(seed, "gp-shift").random(2)
+    # ``study`` passes 64-bit derived seeds: the shift stream is rooted at
+    # their low 32 bits, the draws the GP study's outputs were made with
+    delta = rng_for(seed & 0xFFFFFFFF, "gp-shift").random(2)
     mc_seed = seed_for(seed, "gp-mc")
     spec = KernelSpec(k=1, dim=2)
     cell = CellPoints("halton-rr-shift", BudgetSplit(GP_NODE_GRID_M, m_nodes_cf, budget - m_nodes_cf, 0), 2)

@@ -30,8 +30,8 @@ the kernel pieces are polynomials in r on [0, 1], so the sum over the nodes
 within reach of x splits into a left and a right sum, each a Taylor sum
 sum_q D_q(X - C) sum_i beta_i (C - V_i)^q about a centre C (X, V_i in units
 of the support radius, D_q = phi^(q) / q!). An evaluation forms prefix sums
-of those moments in ``np.longdouble``, which is double on some platforms,
-and a point costs two binary searches and O(deg^2) flops, not O(m). The
+of those moments in float64, split so that they round about once on every
+host, and a point costs two binary searches and O(deg^2) flops, not O(m). The
 nodes are always a ``points.MidpointGrid``, the only node set the Kronecker
 solve applies to.
 
@@ -153,6 +153,26 @@ class _AxisMoments:
     prefix: np.ndarray
 
 
+def _exact_part(terms: np.ndarray) -> np.ndarray:
+    """hi = (t + sigma) - sigma for each row of w terms t along the last axis,
+    sigma the row's power of two above 2 w max|t|: every prefix sum of a
+    row's hi, and t - hi, is a float.
+
+    Proof (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 2008): |t| <= sigma / 2,
+    so t + sigma lies in [sigma / 2, 3 sigma / 2] and rounds to a multiple
+    of u = eps sigma / 2. Subtracting sigma from it is exact (Sterbenz), and
+    t - hi is the rounding error of that addition, a float (Fast2Sum). So
+    every hi is a multiple of u with |hi| <= |t| + u, and any sum of a row's
+    hi is a multiple of u of magnitude at most w (sigma / (2 w) + u) <=
+    sigma = 2^53 u: a float, whatever the order of the additions. An
+    all-zero row takes sigma = 1 and gives zeros; a row with a NaN or inf
+    takes sigma = 1 and keeps its non-finite values to itself.
+    """
+    _, e = np.frexp(2.0 * terms.shape[-1] * np.max(np.abs(terms), axis=-1, keepdims=True))
+    sigma = np.ldexp(1.0, e)
+    return (terms + sigma) - sigma
+
+
 def _axis_moments(spec: KernelSpec, axis: np.ndarray, beta: np.ndarray) -> _AxisMoments:
     """The moment tables of sum_i beta_i phi(|x - axis_i| / rho) for each
     column of ``beta``, (m, R).
@@ -164,11 +184,11 @@ def _axis_moments(spec: KernelSpec, axis: np.ndarray, beta: np.ndarray) -> _Axis
     bound j has X - 1 >= C_j - _CENTRE_REACH and X + 1 <= C_j + _CENTRE_REACH
     after rounding too: its window edges fall inside centre j's table.
 
-    The prefix sums accumulate in ``np.longdouble`` and are rounded once.
-    Where it is wider than double their error does not grow with the table
-    length; where it is double (Windows and Apple silicon builds, for
-    example) they round at every step. Each column's sums run as they would
-    alone.
+    Each (moment, column, centre) row of terms t splits exactly as hi + lo,
+    hi = ``_exact_part(t)``, and stores cumsum(hi) + cumsum(lo): cumsum(hi)
+    is exact, so a prefix sum rounds about once, in float64 on every host,
+    and its error does not grow with the table length. Each row takes its
+    own scale, so a column's sums run as they would alone.
     """
     rho = spec.support_radius
     nodes = axis / rho
@@ -187,7 +207,8 @@ def _axis_moments(spec: KernelSpec, axis: np.ndarray, beta: np.ndarray) -> _Axis
     terms = np.where(held, columns[:, index], 0.0)
     prefix = np.zeros((len(_PHI_COEFFS[spec.k]), len(columns), len(centres), width + 1))
     for q in range(len(prefix)):
-        prefix[q, :, :, 1:] = np.cumsum(terms, axis=2, dtype=np.longdouble)
+        hi = _exact_part(terms)
+        prefix[q, :, :, 1:] = np.cumsum(hi, axis=2) + np.cumsum(terms - hi, axis=2)
         terms *= gaps
     return _AxisMoments(
         nodes=nodes,

@@ -24,8 +24,15 @@ def stream_key(*tags: object) -> int:
 
 
 def rng_for(seed_base: int, *tags: object) -> np.random.Generator:
-    """A generator for the stream named by ``tags``, rooted at ``seed_base``."""
-    return np.random.default_rng(np.random.SeedSequence([seed_base & 0xFFFFFFFF, stream_key(*tags)]))
+    """A generator for the stream named by ``tags``, rooted at ``seed_base``.
+
+    A seed base outside [0, 2^32) adds a word of its own key to the entropy,
+    so seeds that agree in their low 32 bits draw different streams.
+    """
+    entropy = [seed_base & 0xFFFFFFFF, stream_key(*tags)]
+    if not 0 <= seed_base < 1 << 32:
+        entropy.append(stream_key(seed_base))
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 def seed_for(seed_base: int, *tags: object) -> int:

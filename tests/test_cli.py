@@ -243,7 +243,7 @@ class TestWceCommand:
 
     @pytest.mark.parametrize("seq", ["halton", "lattice"])
     def test_negative_shift_seed_seeds_a_random_shift(self, tmp_path, capsys, seq):
-        # a random shift's stream masks the seed, so any integer seeds it
+        # a random shift's stream takes any integer seed
         out = tmp_path / "p.csv"
         code, _, _ = run_cli(capsys, "points", "--seq", seq, "--n", "4", "--dim", "2", "--shift-seed", "-1",
                              "--out", str(out))

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +28,8 @@ from cfqmc.points import PointSet, halton, midpoint_axis, midpoint_grid, random_
 # vector path, so a point evaluated on its own agrees to rounding, not
 # bitwise. Moment-table evaluation (the other d = 1 fits): the whole stack,
 # both parts of every split of it and each point on its own give the same
-# floats. Checks the smoothness indices given as arguments and prints the
-# failures.
+# floats; each case builds its tables once, for all of those evaluations.
+# Checks the smoothness indices given as arguments and prints the failures.
 BLOCKING_CHECK = """
 import sys
 import numpy as np
@@ -46,7 +48,9 @@ for k in map(int, sys.argv[1:]):
         rng = np.random.default_rng(10 * k + d)
         interp = fit(KernelSpec(k, d, support), midpoint_grid(m, d), rng.normal(size=m**d)[:, None])
         pts = rng.random((1001, d))
-        if d == 1 and 16 * m * support >= 1.0:  # moment tables
+        if d == 1 and 16 * m * support >= 1.0:  # moment tables, built once
+            tables = interpolate._axis_moments(interp.spec, interp.nodes.points[:, 0], interp.beta)
+            build, interpolate._axis_moments = interpolate._axis_moments, lambda *args: tables
             whole = evaluate(interp, pts[None])[0]
             for split in range(1, len(pts)):
                 parts = (evaluate(interp, pts[None, :split])[0], evaluate(interp, pts[None, split:])[0])
@@ -54,6 +58,7 @@ for k in map(int, sys.argv[1:]):
                     failed.append((case, split))
             if not np.array_equal([evaluate(interp, p[None, None])[0, 0] for p in pts], whole):
                 failed.append((case, "single points"))
+            interpolate._axis_moments = build
             continue
         axis = KernelSpec(k, 1, support), midpoint_axis(m)[:, None]
         whole = interpolate._grid_values(interp.beta[:, 0], pts, axis)
@@ -398,9 +403,8 @@ class TestGridPath:
     def test_blocking_leaves_values_unchanged(self):
         # BLAS threads split a block's rows by count, so with more than one
         # thread the d >= 2 floats depend on the blocking; the check pins one
-        # thread. Each evaluation forms its d = 1 tables, so the k = 2 cases,
-        # which take about as long as the k = 0 and 1 ones together, run in
-        # a second process beside them
+        # thread. The k = 2 cases, which take about as long as the k = 0 and
+        # 1 ones together, run in a second process beside them
         with ThreadPoolExecutor(2) as pool:
             found = list(pool.map(lambda ks: run_check(BLOCKING_CHECK, "1", *ks).split(), ["01", "2"]))
         assert found == [["[]"], ["[]"]]
@@ -413,20 +417,23 @@ class TestGridPath:
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_1d_moments_match_direct_sum(self, monkeypatch, k, support):
         # the moment path against the per-axis kernel sum, at the cube's ends,
-        # the nodes, the window edges u_i +- rho and random points
+        # the nodes, the window edges u_i +- rho and random points; past
+        # m = 2048 (k = 2 only) at every 32nd node and edge and fewer random
+        # points
         eps = np.finfo(np.float64).eps
         bound = (32.0 if support == 1.0 else 512.0) * eps
         spec = KernelSpec(k, 1, support)
         rng = np.random.default_rng(10 * k + int(10 * support))
         built = moment_builds(monkeypatch)
-        for m in (1, 2, 37, 1024, 2048):
+        for m in (1, 2, 37, 1024, 2048) + ((4096, 8192) if k == 2 else ()):
             grid = midpoint_grid(m, 1)
             interp = Interpolant(
                 spec, grid, rng.normal(size=m)[:, None], exact_integral=np.zeros(1), jitter=0.0, residual_norm=0.0
             )
-            u = grid.points[:, 0]
+            step, draws = (1, 600) if m <= 2048 else (32, 300)
+            u = grid.points[::step, 0]
             edges = np.clip(np.concatenate([u - support, u + support]), 0.0, 1.0)
-            pts = np.concatenate([[0.0, 1.0], u, edges, rng.random(600)])[:, None]
+            pts = np.concatenate([[0.0, 1.0], u, edges, rng.random(draws)])[:, None]
             direct = per_axis_values(interp, pts)
             err = np.max(np.abs(evaluate(interp, pts[None])[0] - direct))
             assert len(built) == 1, m  # the moment path
@@ -436,10 +443,40 @@ class TestGridPath:
     @pytest.mark.parametrize("support", [1.0, 0.7, 0.3, 0.1])
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_1d_float64_moments_match_direct_sum(self, monkeypatch, k, support):
-        # the same bounds with the prefix sums in float64, as where long
-        # double is double
+        # the same bounds where long double is double: the prefix sums take
+        # no long double, so a narrow host keeps them
         monkeypatch.setattr(np, "longdouble", np.float64)
         self.test_1d_moments_match_direct_sum(monkeypatch, k, support)
+
+    def test_1d_values_equal_where_long_double_is_double(self, monkeypatch):
+        # the moment tables take no long double, so a host where it is
+        # double evaluates the same bytes
+        rng = np.random.default_rng(12)
+        interp = fit(KernelSpec(2, 1, 0.3), midpoint_grid(2048, 1), rng.normal(size=(2048, 3)))
+        pts = rng.random((3, 1000, 1))
+        here = evaluate(interp, pts)
+        monkeypatch.setattr(np, "longdouble", np.float64)
+        assert evaluate(interp, pts).tobytes() == here.tobytes()
+
+    def test_exact_part_prefix_sums_are_exact(self):
+        # against a Fraction oracle, on rows of terms over 2^-60..2^60, a row
+        # of pairs that cancel, a row of one sign whose sums grow to w max|t|,
+        # a zero row and a row with a NaN: every prefix sum of hi and every
+        # t - hi is exact, and a row's NaN stays in it
+        rng = np.random.default_rng(19)
+        w = 256
+        rows = rng.normal(size=(2, 3, w)) * np.ldexp(1.0, rng.integers(-60, 61, size=(2, 3, w)))
+        rows[0, 1, w // 2 :] = -rows[0, 1, : w // 2][::-1] * (1.0 + np.ldexp(1.0, -40))
+        rows[0, 2] = rng.uniform(0.5, 1.0, size=w)
+        rows[1, 0] = 0.0
+        rows[1, 2, 7] = np.nan
+        hi = interpolate._exact_part(rows)
+        finite = rows.reshape(-1, w)[:-1], hi.reshape(-1, w)[:-1]
+        for t, h in zip(*finite):
+            assert [Fraction(s) for s in np.cumsum(h)] == list(accumulate(map(Fraction, h)))
+            assert [Fraction(x) for x in t - h] == [Fraction(a) - Fraction(b) for a, b in zip(t, h)]
+        assert not np.any(hi[1, 0]) and np.isnan(hi[1, 2, 7])
+        assert np.array_equal(interpolate._exact_part(rows[:, :2]), hi[:, :2])
 
     @pytest.mark.parametrize("d,m", [(1, 1024), (2, 32), (3, 8), (4, 5)])
     def test_kron_apply_matches_tensordot(self, d, m):

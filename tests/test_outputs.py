@@ -5,9 +5,7 @@ Two kinds of lines round by the BLAS thread count, so a 2-thread run
 compares every line but them: those that d = 1 CF fits decide (a d = 1
 campaign's CF rows and slopes and its SVG, and the estimates of d = 1 CF
 integrate runs), whose solve rounds by it, and the GP study's values, whose
-SoR solves do. Where long double is double the d = 1 moment tables
-accumulate in float64, so the d = 1 CF lines round another way there too:
-the test says that it did not compare them and does not pass.
+SoR solves do. A 1-thread run compares every line.
 """
 
 import os
@@ -15,14 +13,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
-import pytest
-
 from cfqmc.bench import CF_METHODS
 
 TESTS = Path(__file__).resolve().parent
 FIXTURES = TESTS / "output_fixtures"
-WIDE_LONG_DOUBLE = np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant
 
 
 def d1_cf(dim: str, method: str) -> bool:
@@ -55,15 +49,14 @@ def thread_bound_lines(name: str, lines: list[str]) -> dict[int, str]:
     return kinds
 
 
-def compare(out: Path, uncompared: set[str]) -> tuple[list[str], int]:
-    """(differences, lines not compared): the first differing line of each
-    output in ``out`` against its fixture, as messages, leaving out the
-    ``thread_bound_lines`` of the kinds in ``uncompared``, and the count of
-    fixture lines left out."""
+def compare(out: Path, uncompared: set[str]) -> list[str]:
+    """The first differing line of each output in ``out`` against its
+    fixture, as messages, leaving out the ``thread_bound_lines`` of the
+    kinds in ``uncompared``."""
     names = sorted(
         {p.relative_to(root).as_posix() for root in (FIXTURES, out) for p in root.rglob("*") if p.is_file()}
     )
-    found, held = [], 0
+    found = []
     for name in names:
         want_path, got_path = FIXTURES / name, out / name
         if not (want_path.exists() and got_path.exists()):
@@ -72,14 +65,13 @@ def compare(out: Path, uncompared: set[str]) -> tuple[list[str], int]:
         want, got = want_path.read_text().splitlines(), got_path.read_text().splitlines()
         kinds = thread_bound_lines(name, want)
         skipped = {i for i, kind in kinds.items() if kind in uncompared}
-        held += len(skipped)
         if len(want) != len(got):
             found.append(f"{name}: {len(got)} lines, the fixture {len(want)}")
         differ = [i for i, (w, g) in enumerate(zip(want, got)) if w != g and i not in skipped]
         if differ:
             i = differ[0]
             found.append(f"{name}:{i + 1} ({len(differ)} lines differ):\n  fixture: {want[i]}\n  output:  {got[i]}")
-    return found, held
+    return found
 
 
 def run_outputs(tmp_path: Path, threads: str) -> Path:
@@ -99,12 +91,10 @@ def run_outputs(tmp_path: Path, threads: str) -> Path:
 
 
 def test_outputs_match_fixtures_at_one_thread(tmp_path):
-    found, held = compare(run_outputs(tmp_path, "1"), set() if WIDE_LONG_DOUBLE else {"d1-cf"})
+    found = compare(run_outputs(tmp_path, "1"), set())
     assert not found, "\n".join(found)
-    if held:
-        pytest.xfail(f"long double is double here: {held} d = 1 CF lines not compared")
 
 
 def test_outputs_match_fixtures_at_two_threads(tmp_path):
-    found, _ = compare(run_outputs(tmp_path, "2"), {"d1-cf", "gp"})
+    found = compare(run_outputs(tmp_path, "2"), {"d1-cf", "gp"})
     assert not found, "\n".join(found)
