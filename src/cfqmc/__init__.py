@@ -35,6 +35,7 @@ from .points import (
     MidpointGrid,
     PointSet,
     baker_fold,
+    digital_shift,
     geometry,
     halton,
     lattice,
@@ -59,6 +60,7 @@ __all__ = [
     "baker_fold",
     "cf_estimate",
     "control_functional",
+    "digital_shift",
     "emit_csv",
     "emit_svg",
     "evaluate",

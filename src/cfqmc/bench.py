@@ -22,7 +22,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Optional, get_args, get_origin, get_type_hints
+from typing import Callable, Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .points import (
     MidpointGrid,
     PointSet,
     baker_fold,
+    digital_shift,
     halton,
     korobov_vector,
     lattice,
@@ -46,19 +47,35 @@ from .seeding import rng_for, seed_for
 
 METHODS = ("MC", "QMC", "QMC+CF", "MC+CF", "QMC+CF-folded")
 CF_METHODS = ("QMC+CF", "MC+CF", "QMC+CF-folded")
-SEQUENCES = ("halton-rr-shift", "sobol-dshift", "lattice")
+
+
+@dataclass(frozen=True)
+class SequenceRule:
+    """A randomized rule: ``base(n, d)``, its first n points; ``randomize(ps, delta, dshift_seed)``,
+    one replicate of them (``delta``'s uniform shift by default); ``max_dim``, its largest d."""
+
+    base: Callable[[int, int], PointSet]
+    randomize: Callable[..., PointSet] = lambda ps, delta, dshift_seed: random_shift(ps, delta)
+    max_dim: float = math.inf
+
+
+SEQUENCES = {
+    "halton-rr-shift": SequenceRule(lambda n, d: halton(n, d, scramble=True)),
+    "sobol-dshift": SequenceRule(
+        lambda n, d: sobol(n, d), lambda ps, delta, seed: digital_shift(ps, seed), DEFAULT_DIRECTIONS.max_dim
+    ),
+    "lattice": SequenceRule(lambda n, d: lattice(n, d, korobov_vector(n, d))),
+}
 
 
 def check_dim_limits(families, sequence: str, methods, dim: int) -> None:
     """Raise ValueError where a cell at dimension ``dim`` would fail mid-run:
-    past genz's corner-peak integral, or past the Sobol direction table for
+    past genz's corner-peak integral, or past the sequence's ``max_dim`` for
     a method that draws sequence points (MC methods do not)."""
     if "corner_peak" in families and dim > CORNER_PEAK_MAX_DIM:
         raise ValueError(f"family corner_peak has an exact integral for d <= {CORNER_PEAK_MAX_DIM} only, got d = {dim}")
-    if sequence == "sobol-dshift" and set(methods) - {"MC", "MC+CF"} and dim > DEFAULT_DIRECTIONS.max_dim:
-        raise ValueError(
-            f"sequence sobol-dshift has direction numbers for d <= {DEFAULT_DIRECTIONS.max_dim} only, got d = {dim}"
-        )
+    if set(methods) - {"MC", "MC+CF"} and dim > (max_dim := SEQUENCES[sequence].max_dim):
+        raise ValueError(f"sequence {sequence} has direction numbers for d <= {max_dim} only, got d = {dim}")
 
 
 @dataclass(frozen=True)
@@ -96,7 +113,7 @@ class CampaignConfig:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
         if self.sequence not in SEQUENCES:
-            raise ValueError(f"unknown sequence {self.sequence!r}; expected one of {SEQUENCES}")
+            raise ValueError(f"unknown sequence {self.sequence!r}; expected one of {tuple(SEQUENCES)}")
         check_dim_limits(self.families, self.sequence, self.methods, max(self.dims))
         for k in self.k_values:
             if k not in SMOOTHNESS_LEVELS:
@@ -178,7 +195,9 @@ class CellPoints:
     """
 
     def __init__(self, sequence: str, split: BudgetSplit, dim: int):
-        self.sequence = sequence
+        if sequence not in SEQUENCES:
+            raise ValueError(f"unknown sequence {sequence!r}; expected one of {tuple(SEQUENCES)}")
+        self.rule = SEQUENCES[sequence]
         self.split = split
         self.dim = dim
         self._bases: dict[int, PointSet] = {}
@@ -190,24 +209,14 @@ class CellPoints:
     def base(self, n: int) -> PointSet:
         """The first n points of the sequence, unrandomized."""
         if n not in self._bases:
-            if self.sequence == "halton-rr-shift":
-                ps = halton(n, self.dim, scramble=True)
-            elif self.sequence == "sobol-dshift":
-                ps = sobol(n, self.dim)
-            else:
-                ps = lattice(n, self.dim, korobov_vector(n, self.dim))
-            self._bases[n] = ps
+            self._bases[n] = self.rule.base(n, self.dim)
         return self._bases[n]
 
-    def points(
-        self, method: str, delta: np.ndarray, dshift_seed: Optional[int], mc_seed: Optional[int]
-    ) -> PointSet:
+    def points(self, method: str, delta: np.ndarray, dshift_seed: Optional[int], mc_seed: Optional[int]) -> PointSet:
         """The points one replicate of ``method`` averages its integrand over:
         the evaluation set for a CF method, the whole budget otherwise. MC
-        methods draw them from ``mc_seed`` and QMC+CF-folded tent-folds the
-        base set shifted by ``delta``. QMC and QMC+CF shift the base set by
-        ``delta`` too, but sobol-dshift digitally shifts a fresh net with
-        ``dshift_seed`` instead, as that shift acts on the integer net."""
+        methods draw them from ``mc_seed``, QMC+CF-folded tent-folds the base
+        set shifted by ``delta``, and QMC and QMC+CF randomize it by the rule."""
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
         n = self.split.n_eval if method in CF_METHODS else self.split.consumed
@@ -215,9 +224,7 @@ class CellPoints:
             return uniform_random(n, self.dim, mc_seed)
         if method == "QMC+CF-folded":
             return baker_fold(random_shift(self.base(n), delta))
-        if self.sequence == "sobol-dshift":
-            return sobol(n, self.dim, shift_seed=dshift_seed)
-        return random_shift(self.base(n), delta)
+        return self.rule.randomize(self.base(n), delta, dshift_seed)
 
     def estimate(self, method: str, integrands, point_sets, spec: KernelSpec) -> np.ndarray:
         """One estimate per integrand over its point set (``points``): one
@@ -305,7 +312,6 @@ def run_campaign(cfg: CampaignConfig) -> ConvergenceTable:
     rows: list[Row] = []
     fraction = cfg.node_fraction
     cells: dict[tuple[int, int], CellPoints] = {}
-    uses_dshift = cfg.sequence == "sobol-dshift"
     uses_mc = any(m in ("MC", "MC+CF") for m in cfg.methods)
     for family in cfg.families:
         for d in cfg.dims:
@@ -330,7 +336,7 @@ def run_campaign(cfg: CampaignConfig) -> ConvergenceTable:
                     for r in range(cfg.replicates):
                         at = (family, d, k, n_nominal, r)
                         delta = rng_for(cfg.seed_base, "shift", *at).random(d)
-                        dshift_seed = seed_for(cfg.seed_base, "dshift", *at) if uses_dshift else None
+                        dshift_seed = seed_for(cfg.seed_base, "dshift", *at)
                         mc_seed = seed_for(cfg.seed_base, "mc", *at) if uses_mc else None
                         draws.append((delta, dshift_seed, mc_seed))
                     for method in cfg.methods:

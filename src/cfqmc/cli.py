@@ -25,6 +25,7 @@ from .plotting import emit_svg
 from .points import (
     SOBOL_BITS,
     baker_fold,
+    digital_shift,
     geometry,
     geometry_max_dim,
     halton,
@@ -89,7 +90,8 @@ def _generate_points(args) -> "PointSet":
             raise _usage_error(f"--shift-seed must be >= 0 for sobol --scramble, got {args.shift_seed}")
         if args.n.bit_length() > SOBOL_BITS:
             raise _usage_error(f"--n must be below 2**{SOBOL_BITS} for sobol points, got {args.n}")
-        ps = _usage_checked("--dim", sobol, args.n, args.dim, table, args.shift_seed if args.scramble else None)
+        ps = _usage_checked("--dim", sobol, args.n, args.dim, table)
+        ps = digital_shift(ps, args.shift_seed) if args.scramble else ps
     elif args.seq == "lattice":
         if args.scramble:
             raise _usage_error("--scramble does not apply to lattice points")
@@ -176,7 +178,7 @@ def _cmd_integrate(args) -> int:
     dshift_seed = seed_for(args.seed, "dshift")
     mc_seed = seed_for(args.seed, "mc")
     cell = bench_mod.CellPoints(args.sequence, split, args.dim)
-    pts = cell.points(args.method, delta, dshift_seed, mc_seed)
+    pts = _usage_checked("--n", cell.points, args.method, delta, dshift_seed, mc_seed)
     estimate = float(cell.estimate(args.method, [integrand], [pts], spec)[0])
     m_nodes = split.n_nodes if args.method in bench_mod.CF_METHODS else 0
     print(

@@ -164,27 +164,26 @@ def _sobol_integers(N: int, d: int, table: DirectionTable) -> np.ndarray:
     return x
 
 
-def sobol(
-    N: int,
-    d: int,
-    directions: Optional[DirectionTable] = None,
-    shift_seed: Optional[int] = None,
-) -> PointSet:
+def sobol(N: int, d: int, directions: Optional[DirectionTable] = None) -> PointSet:
     """First N points of the binary digital net (indices 1..N, origin skipped).
 
     ``directions`` defaults to the built-in table (dimensions <= 8); larger
     tables can be loaded with :func:`cfqmc.directions.load_direction_file`.
-    Given ``shift_seed``, each dimension's bits are XORed with a random bit
-    vector drawn from that seed (a digital shift), which preserves the net
-    structure and gives marginally uniform points.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
     table = directions if directions is not None else DEFAULT_DIRECTIONS
     x = _sobol_integers(N, d, table)
-    if shift_seed is not None:
-        x ^= np.random.default_rng(shift_seed).integers(0, 1 << SOBOL_BITS, size=d, dtype=np.uint64)
     return PointSet(x.astype(np.float64) * (0.5**SOBOL_BITS), start=1)
+
+
+def digital_shift(ps: PointSet, seed: int) -> PointSet:
+    """XOR the first SOBOL_BITS binary digits of each dimension's coordinates
+    with a random bit vector drawn from ``seed`` (a digital shift): a digital
+    net stays a net, with marginally uniform points. Later digits are dropped;
+    the points of ``sobol`` have none."""
+    bits = np.random.default_rng(seed).integers(0, 1 << SOBOL_BITS, size=ps.dim, dtype=np.uint64)
+    return PointSet(((ps.points * 2.0**SOBOL_BITS).astype(np.uint64) ^ bits) * 0.5**SOBOL_BITS, ps.start)
 
 
 def lattice(N: int, d: int, generator: Sequence[int]) -> PointSet:

@@ -1,6 +1,14 @@
 """Shared test oracles."""
 
-import numpy as np
+import os
+
+# One BLAS thread for in-process tests, set before numpy loads: a threaded
+# eigh or Cholesky slows down many times over when another process holds a
+# core. Tests that start a subprocess set their own counts.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from cfqmc.interpolate import evaluate

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfqmc import bench, estimators, interpolate, points
+from cfqmc import bench, cli, estimators, interpolate, points
 from cfqmc.bench import (
     CampaignConfig,
     ConvergenceTable,
@@ -22,6 +22,7 @@ from cfqmc.bench import (
     read_csv,
     run_campaign,
 )
+from cfqmc.directions import DEFAULT_DIRECTIONS
 from cfqmc.genz import as_integrand, random_genz
 from cfqmc.kernels import KernelSpec, kernel_integral
 from cfqmc.plotting import emit_svg
@@ -426,8 +427,10 @@ def fresh_points(method, spec, split, sequence, delta, dshift_seed, mc_seed):
         return points.lattice(n, d, points.korobov_vector(n, d))
 
     def randomized(n):
-        if sequence == "sobol-dshift":
-            return points.sobol(n, d, shift_seed=dshift_seed)
+        if sequence == "sobol-dshift":  # the digital shift, XORed into the integer net here
+            x = points._sobol_integers(n, d, DEFAULT_DIRECTIONS)
+            x ^= np.random.default_rng(dshift_seed).integers(0, 1 << points.SOBOL_BITS, size=d, dtype=np.uint64)
+            return points.PointSet(x.astype(np.float64) * 0.5**points.SOBOL_BITS, start=1)
         return points.random_shift(plain(n), delta)
 
     if method == "MC":
@@ -495,6 +498,36 @@ class TestCellPoints:
             integrals = kernel_integral(interp.spec, interp.nodes.points)
             columns = interp.beta.T
             assert np.array_equal(interp.exact_integral, [np.dot(column, integrals) for column in columns])
+
+
+class TestSequenceTable:
+    def test_unknown_sequence_names_the_known_ones(self):
+        split = bench.split_budget(16, 0.5, dim=2)
+        message = "unknown sequence 'sobol'; expected one of ('halton-rr-shift', 'sobol-dshift', 'lattice')"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bench.CellPoints("sobol", split, 2)
+
+    def test_a_new_rule_is_one_entry(self, monkeypatch, capsys):
+        # unscrambled Halton points with the default uniform shift
+        rule = bench.SequenceRule(lambda n, d: points.halton(n, d))
+        monkeypatch.setitem(bench.SEQUENCES, "halton-shift", rule)
+        split = bench.split_budget(64, 0.5, dim=2)
+        delta = np.array([0.3, 0.6])
+        want = points.random_shift(points.halton(split.consumed, 2), delta)
+        got = bench.CellPoints("halton-shift", split, 2).points("QMC", delta, 1, None)
+        assert np.array_equal(got.points, want.points) and got.start == want.start == 1
+
+        cfg = small_config(dims=(2,), methods=bench.METHODS, sequence="halton-shift", n_grid=(16, 64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rows = run_campaign(cfg).rows
+        assert len(rows) == 2 * len(bench.METHODS)
+        assert not any(row.error for row in rows) and {row.sequence for row in rows} == {"halton-shift"}
+
+        argv = ["integrate", "--family", "gaussian", "--dim", "2", "--method", "QMC+CF",
+                "--n", "64", "--seed", "1", "--sequence", "halton-shift"]
+        assert cli.main(argv) == 0
+        assert "sequence=halton-shift" in capsys.readouterr().out
 
 
 class TestDeterminism:

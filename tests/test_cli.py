@@ -347,6 +347,16 @@ class TestIntegrateCommand:
         assert code == 1
         assert err.splitlines()[-1] == "error: --dim: family corner_peak has an exact integral for d <= 6 only, got d = 7"
 
+    def test_sobol_n_beyond_generator_bits_usage_error(self, capsys):
+        # QMC only: at this n the CF and MC methods allocate gigabytes first
+        code, stdout, err = run_cli(
+            capsys, "integrate", "--family", "gaussian", "--dim", "1", "--method", "QMC",
+            "--n", str(2**32), "--seed", "1", "--sequence", "sobol-dshift",
+        )
+        assert code == 1
+        assert err.splitlines()[-1] == "error: --n: requested N=4294967296 needs 33 bits but the generator provides 32"
+        assert "estimate=" not in stdout
+
     def test_report_csv_written(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
         code, _, _ = run_cli(

@@ -18,6 +18,7 @@ from cfqmc.points import (
     MidpointGrid,
     PointSet,
     baker_fold,
+    digital_shift,
     geometry,
     halton,
     korobov_vector,
@@ -145,21 +146,22 @@ class TestSobol:
         np.testing.assert_allclose(ps.points.ravel(), expected)
 
     def test_outputs_in_half_open_interval(self):
-        ps = sobol(256, 8, shift_seed=7)
+        ps = digital_shift(sobol(256, 8), 7)
         assert ps.points.min() >= 0.0
         assert ps.points.max() < 1.0
 
     def test_digital_shift_is_xor_of_unshifted_net(self):
         # one seed-drawn bit vector per dimension, XORed into every point
-        plain, shifted = sobol(32, 4), sobol(32, 4, shift_seed=3)
+        plain = sobol(32, 4)
+        shifted = digital_shift(plain, 3)
         scale = 2.0**points.SOBOL_BITS
         shift = (plain.points * scale).astype(np.uint64) ^ (shifted.points * scale).astype(np.uint64)
         assert np.all(shift == shift[0]) and np.any(shift[0])
         assert shifted.start == plain.start == 1
 
     def test_digital_shift_deterministic_given_seed(self):
-        a = sobol(64, 3, shift_seed=11)
-        b = sobol(64, 3, shift_seed=11)
+        a = digital_shift(sobol(64, 3), 11)
+        b = digital_shift(sobol(64, 3), 11)
         np.testing.assert_array_equal(a.points, b.points)
 
     def test_dimension_overflow_names_limit(self):
