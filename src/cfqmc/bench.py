@@ -45,8 +45,9 @@ from .points import (
 )
 from .seeding import rng_for, seed_for
 
-METHODS = ("MC", "QMC", "QMC+CF", "MC+CF", "QMC+CF-folded")
-CF_METHODS = ("QMC+CF", "MC+CF", "QMC+CF-folded")
+METHODS = ("MC", "QMC", "QMC+CF", "MC+CF")  # a point source (MC or the rule), CF-corrected or not
+MC_METHODS = ("MC", "MC+CF")
+CF_METHODS = ("QMC+CF", "MC+CF")
 
 
 @dataclass(frozen=True)
@@ -59,13 +60,23 @@ class SequenceRule:
     max_dim: float = math.inf
 
 
+_KOROBOV = SequenceRule(lambda n, d: lattice(n, d, korobov_vector(n, d)))
 SEQUENCES = {
     "halton-rr-shift": SequenceRule(lambda n, d: halton(n, d, scramble=True)),
     "sobol-dshift": SequenceRule(
         lambda n, d: sobol(n, d), lambda ps, delta, seed: digital_shift(ps, seed), DEFAULT_DIRECTIONS.max_dim
     ),
-    "lattice": SequenceRule(lambda n, d: lattice(n, d, korobov_vector(n, d))),
+    "lattice": _KOROBOV,
+    # the tent fold after the shift lifts the lattice to order about 2 on non-periodic integrands
+    "lattice-tent": replace(_KOROBOV, randomize=lambda ps, delta, seed: baker_fold(random_shift(ps, delta))),
 }
+
+
+def replicate_draws(seed_base: int, dim: int, *at) -> tuple[np.ndarray, int, int]:
+    """The uniform shift (``dim`` floats), digital-shift seed and MC seed of
+    the replicate at ``at``, each from its own stream whatever the rule."""
+    delta = rng_for(seed_base, "shift", *at).random(dim)
+    return delta, seed_for(seed_base, "dshift", *at), seed_for(seed_base, "mc", *at)
 
 
 def check_dim_limits(families, sequence: str, methods, dim: int) -> None:
@@ -74,7 +85,7 @@ def check_dim_limits(families, sequence: str, methods, dim: int) -> None:
     a method that draws sequence points (MC methods do not)."""
     if "corner_peak" in families and dim > CORNER_PEAK_MAX_DIM:
         raise ValueError(f"family corner_peak has an exact integral for d <= {CORNER_PEAK_MAX_DIM} only, got d = {dim}")
-    if set(methods) - {"MC", "MC+CF"} and dim > (max_dim := SEQUENCES[sequence].max_dim):
+    if set(methods) - set(MC_METHODS) and dim > (max_dim := SEQUENCES[sequence].max_dim):
         raise ValueError(f"sequence {sequence} has direction numbers for d <= {max_dim} only, got d = {dim}")
 
 
@@ -111,7 +122,8 @@ class CampaignConfig:
                 raise ValueError("dims must be >= 1")
         for m in self.methods:
             if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
+                moved = "; its tent fold is now a rule, sequence = lattice-tent" if m == "QMC+CF-folded" else ""
+                raise ValueError(f"unknown method {m!r}; expected one of {METHODS}{moved}")
         if self.sequence not in SEQUENCES:
             raise ValueError(f"unknown sequence {self.sequence!r}; expected one of {tuple(SEQUENCES)}")
         check_dim_limits(self.families, self.sequence, self.methods, max(self.dims))
@@ -189,9 +201,9 @@ class CellPoints:
     study alike.
 
     The node grid and each unrandomized base set are built on first use and
-    kept as long as the cell; a replicate only shifts or folds them. A set
-    that fails to build is not kept, so every replicate that needs it records
-    the failure.
+    kept as long as the cell; a replicate only randomizes them by the rule.
+    A set that fails to build is not kept, so every replicate that needs it
+    records the failure.
     """
 
     def __init__(self, sequence: str, split: BudgetSplit, dim: int):
@@ -215,15 +227,13 @@ class CellPoints:
     def points(self, method: str, delta: np.ndarray, dshift_seed: Optional[int], mc_seed: Optional[int]) -> PointSet:
         """The points one replicate of ``method`` averages its integrand over:
         the evaluation set for a CF method, the whole budget otherwise. MC
-        methods draw them from ``mc_seed``, QMC+CF-folded tent-folds the base
-        set shifted by ``delta``, and QMC and QMC+CF randomize it by the rule."""
+        methods draw them from ``mc_seed``; the others randomize the base set
+        by the rule. ``replicate_draws`` draws the last three arguments."""
         if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}")
+            raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
         n = self.split.n_eval if method in CF_METHODS else self.split.consumed
-        if method in ("MC", "MC+CF"):
+        if method in MC_METHODS:
             return uniform_random(n, self.dim, mc_seed)
-        if method == "QMC+CF-folded":
-            return baker_fold(random_shift(self.base(n), delta))
         return self.rule.randomize(self.base(n), delta, dshift_seed)
 
     def estimate(self, method: str, integrands, point_sets, spec: KernelSpec) -> np.ndarray:
@@ -312,7 +322,6 @@ def run_campaign(cfg: CampaignConfig) -> ConvergenceTable:
     rows: list[Row] = []
     fraction = cfg.node_fraction
     cells: dict[tuple[int, int], CellPoints] = {}
-    uses_mc = any(m in ("MC", "MC+CF") for m in cfg.methods)
     for family in cfg.families:
         for d in cfg.dims:
             # an instance's seed holds no k or N, so every cell of (family, d) shares them
@@ -332,13 +341,9 @@ def run_campaign(cfg: CampaignConfig) -> ConvergenceTable:
                         )
                     cell = cells.setdefault((d, n_nominal), CellPoints(cfg.sequence, split, d))
                     # one randomization per replicate, shared by every method (paired)
-                    draws = []
-                    for r in range(cfg.replicates):
-                        at = (family, d, k, n_nominal, r)
-                        delta = rng_for(cfg.seed_base, "shift", *at).random(d)
-                        dshift_seed = seed_for(cfg.seed_base, "dshift", *at)
-                        mc_seed = seed_for(cfg.seed_base, "mc", *at) if uses_mc else None
-                        draws.append((delta, dshift_seed, mc_seed))
+                    draws = [
+                        replicate_draws(cfg.seed_base, d, family, d, k, n_nominal, r) for r in range(cfg.replicates)
+                    ]
                     for method in cfg.methods:
                         fns = [_Replicate(inst) for inst in insts]
                         integrands = [as_integrand(fn) for fn in fns]

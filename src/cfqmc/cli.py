@@ -174,11 +174,8 @@ def _cmd_integrate(args) -> int:
         "--difficulty", random_genz, args.family, args.dim, seed_for(args.seed, "instance"), args.difficulty
     )
     integrand = as_integrand(inst)
-    delta = rng_for(args.seed, "shift").random(args.dim)
-    dshift_seed = seed_for(args.seed, "dshift")
-    mc_seed = seed_for(args.seed, "mc")
     cell = bench_mod.CellPoints(args.sequence, split, args.dim)
-    pts = _usage_checked("--n", cell.points, args.method, delta, dshift_seed, mc_seed)
+    pts = _usage_checked("--n", cell.points, args.method, *bench_mod.replicate_draws(args.seed, args.dim))
     estimate = float(cell.estimate(args.method, [integrand], [pts], spec)[0])
     m_nodes = split.n_nodes if args.method in bench_mod.CF_METHODS else 0
     print(
@@ -230,8 +227,8 @@ def _cmd_gp(args) -> int:
     _print_config(args, "gp")
     methods = tuple(m.strip() for m in args.methods.split(","))
     for m in methods:
-        if m not in gp_mod.GP_METHODS:
-            raise _usage_error(f"unknown method {m!r}; expected one of {gp_mod.GP_METHODS}")
+        if m not in bench_mod.METHODS:
+            raise _usage_error(f"unknown method {m!r}; expected one of {bench_mod.METHODS}")
     if len(set(methods)) != len(methods):
         raise _usage_error(f"--methods names a method twice: {args.methods}")
     if args.seeds < 2:
@@ -250,6 +247,8 @@ def _cmd_gp(args) -> int:
         test_z = data.covariates[rng.choice(data.n, size=min(args.n_test, data.n), replace=False)]
     else:
         data, test_z = gp_mod.synthetic_dataset(seed=args.seed_base, n_test=args.n_test)
+    if args.n_test > len(test_z):
+        raise _usage_error(f"--n-test must be <= {len(test_z)}, the rows test points are drawn from, got {args.n_test}")
     cfg = gp_mod.GPConfig(test_points=test_z, n_subset=min(args.n_subset, data.n))
     seeds = list(range(args.seeds))
     study = gp_mod.run_prediction_study(data, cfg, methods, args.budget, seeds)

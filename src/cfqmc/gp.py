@@ -30,8 +30,6 @@ from .kernels import KernelSpec
 from .points import midpoint_grid
 from .seeding import rng_for, seed_for
 
-GP_METHODS = ("QMC", "QMC+CF", "MC", "MC+CF")
-
 # Surrogate node grid for the application: a 4x4 midpoint grid, i.e. a 16x16
 # interpolation system, the fit size this workflow is documented with at
 # budget 2^8. Every method then consumes the full budget exactly
@@ -272,15 +270,13 @@ def marginal_prediction(table: PredictionTable, method: str, budget: int, seed: 
     The seed fixes one Halton shift and one MC stream, the same for every
     method and every test point, so within a seed all test points and
     methods share one theta sample and ``table`` solves each theta once.
-    The points and the estimate step are the campaign's
-    (``bench.CellPoints``) for a split of 16 grid nodes (``GP_NODE_GRID_M``)
-    and ``budget - 16`` evaluation points; CF methods fit the k = 1 kernel on
-    that grid, every test point's surrogate in one multi-column fit. The step
-    checks that each test point's integrand consumes the full budget exactly,
-    so equal-budget accounting holds across methods.
+    The points, the estimate step and the method check (``bench.METHODS``)
+    are the campaign's (``bench.CellPoints``) for a split of 16 grid nodes
+    (``GP_NODE_GRID_M``) and ``budget - 16`` evaluation points; CF methods
+    fit the k = 1 kernel on that grid, every test point's surrogate in one
+    multi-column fit. The step checks that each test point's integrand
+    consumes the full budget exactly, as equal budgets across methods need.
     """
-    if method not in GP_METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {GP_METHODS}")
     m_nodes_cf = GP_NODE_GRID_M**2
     if budget < 2 * m_nodes_cf:
         raise ValueError(f"budget {budget} too small for the {m_nodes_cf}-node surrogate")

@@ -23,15 +23,26 @@ import sys
 import warnings
 from pathlib import Path
 
-SEQUENCES = ("halton-rr-shift", "sobol-dshift", "lattice")
-METHODS = ("MC", "QMC", "QMC+CF", "MC+CF", "QMC+CF-folded")
+# cfqmc's bench.SEQUENCES and bench.METHODS, written out because cfqmc
+# loads only once the thread counts are set; tests/test_tooling.py checks them
+SEQUENCES = ("halton-rr-shift", "sobol-dshift", "lattice", "lattice-tent")
+METHODS = ("MC", "QMC", "QMC+CF", "MC+CF")
 
 # one campaign per (sequence, d), so a d = 2 SVG does not read d = 1 rows;
-# each sequence takes two families and its own support radius
+# each sequence takes two families and its own support radius, and the two
+# lattice rules the same cells, so their rows differ by the tent fold alone
 CAMPAIGN_CELLS = {
     "halton-rr-shift": "families = gaussian, discontinuous\nsupport_radius = 1.0\n",
     "sobol-dshift": "families = oscillatory, continuous\nsupport_radius = 0.7\n",
     "lattice": "families = product_peak, corner_peak\nsupport_radius = 0.4\nassumed_alpha = 2.0\n",
+    "lattice-tent": "families = product_peak, corner_peak\nsupport_radius = 0.4\nassumed_alpha = 2.0\n",
+}
+# the family and k of each sequence's integrate runs
+INTEGRATE_CELLS = {
+    "halton-rr-shift": ("gaussian", 0),
+    "sobol-dshift": ("continuous", 1),
+    "lattice": ("oscillatory", 2),
+    "lattice-tent": ("product_peak", 1),
 }
 CAMPAIGN_GRID = (
     f"methods = {', '.join(METHODS)}\nk_values = 0, 1, 2\nn_grid = 16, 32, 64, 128, 512\nreplicates = 3\n"
@@ -78,7 +89,7 @@ def runs(out: Path) -> list[list[str]]:
         "wce --seq lattice --n 61 --dim 2 --shift-seed 2 --fold".split(),
         ["wce", "--in", str(out / "points-sobol.csv"), "--kernel-k", "1", "--support", "0.8"],
     ]
-    for seq, family, k in zip(SEQUENCES, ("gaussian", "continuous", "oscillatory"), (0, 1, 2)):
+    for seq, (family, k) in INTEGRATE_CELLS.items():
         for d in (1, 2):
             for method in METHODS:
                 argvs.append(

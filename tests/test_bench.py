@@ -23,7 +23,7 @@ from cfqmc.bench import (
     run_campaign,
 )
 from cfqmc.directions import DEFAULT_DIRECTIONS
-from cfqmc.genz import as_integrand, random_genz
+from cfqmc.genz import as_integrand, make_genz, random_genz
 from cfqmc.kernels import KernelSpec, kernel_integral
 from cfqmc.plotting import emit_svg
 from cfqmc.seeding import rng_for, seed_for
@@ -164,10 +164,10 @@ class TestConfigValidation:
             small_config(sequence="niederreiter")
 
     def test_direction_table_limits_only_methods_that_draw_the_sequence(self):
-        # any method but MC draws sobol-dshift points, so a folded one is
+        # any method but MC draws sobol-dshift points, so a CF one is
         # refused past the table; MC methods alone still run
         with pytest.raises(ValueError, match="sequence sobol-dshift .* got d = 9$"):
-            small_config(sequence="sobol-dshift", dims=(2, 9), methods=("MC", "QMC+CF-folded"))
+            small_config(sequence="sobol-dshift", dims=(2, 9), methods=("MC", "QMC+CF"))
         cfg = small_config(sequence="sobol-dshift", dims=(9,), methods=("MC", "MC+CF"), n_grid=(16,), replicates=2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -244,16 +244,16 @@ class TestRunCampaign:
         table = run_campaign(cfg)
         assert all(math.isfinite(r.rmse) for r in table.rows)
 
-    def test_lattice_folded_runs(self):
+    def test_lattice_tent_runs(self):
         cfg = small_config(
-            sequence="lattice",
-            methods=("QMC", "QMC+CF-folded"),
+            sequence="lattice-tent",
+            methods=("QMC", "QMC+CF"),
             n_grid=(32, 64),
             replicates=2,
         )
         table = run_campaign(cfg)
         assert all(math.isfinite(r.rmse) for r in table.rows)
-        cf_rows = [r for r in table.rows if r.method == "QMC+CF-folded"]
+        cf_rows = [r for r in table.rows if r.method == "QMC+CF"]
         assert all(r.m_nodes > 0 for r in cf_rows)
 
     def test_instances_built_once_per_family_dim_replicate(self, monkeypatch):
@@ -431,7 +431,10 @@ def fresh_points(method, spec, split, sequence, delta, dshift_seed, mc_seed):
             x = points._sobol_integers(n, d, DEFAULT_DIRECTIONS)
             x ^= np.random.default_rng(dshift_seed).integers(0, 1 << points.SOBOL_BITS, size=d, dtype=np.uint64)
             return points.PointSet(x.astype(np.float64) * 0.5**points.SOBOL_BITS, start=1)
-        return points.random_shift(plain(n), delta)
+        shifted = points.random_shift(plain(n), delta)
+        if sequence == "lattice-tent":  # the tent map t -> 1 - |2t - 1| after the shift
+            return points.PointSet(1.0 - np.abs(2.0 * shifted.points - 1.0), shifted.start)
+        return shifted
 
     if method == "MC":
         return points.uniform_random(split.consumed, d, mc_seed)
@@ -439,9 +442,8 @@ def fresh_points(method, spec, split, sequence, delta, dshift_seed, mc_seed):
         return randomized(split.consumed)
     if method == "QMC+CF":
         return randomized(split.n_eval)
-    if method == "MC+CF":
-        return points.uniform_random(split.n_eval, d, mc_seed)
-    return points.baker_fold(points.random_shift(plain(split.n_eval), delta))
+    assert method == "MC+CF"
+    return points.uniform_random(split.n_eval, d, mc_seed)
 
 
 class TestCellPoints:
@@ -503,9 +505,27 @@ class TestCellPoints:
 class TestSequenceTable:
     def test_unknown_sequence_names_the_known_ones(self):
         split = bench.split_budget(16, 0.5, dim=2)
-        message = "unknown sequence 'sobol'; expected one of ('halton-rr-shift', 'sobol-dshift', 'lattice')"
+        message = (
+            "unknown sequence 'sobol'; expected one of ('halton-rr-shift', 'sobol-dshift', 'lattice', 'lattice-tent')"
+        )
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             bench.CellPoints("sobol", split, 2)
+
+    @pytest.mark.parametrize("method", ["QMC", "QMC+CF"])
+    def test_lattice_tent_unbiased(self, method):
+        # criterion 5 on the tent rule: the fold keeps every shifted point
+        # uniform, so the mean error of 200 replicates lies within 3 standard
+        # errors of zero (over seed bases 0..19 both methods gave |t| <= 2.62)
+        inst = make_genz("gaussian", 2, [3.0, 2.0], [0.35, 0.65])
+        split = bench.split_budget(256, 0.5, dim=2)
+        cell = bench.CellPoints("lattice-tent", split, 2)
+        draws = [bench.replicate_draws(41, 2, r) for r in range(200)]
+        point_sets = [cell.points(method, *draw) for draw in draws]
+        integrands = [as_integrand(inst) for _ in draws]
+        errors = cell.estimate(method, integrands, point_sets, KernelSpec(1, 2)) - inst.exact
+        assert np.all(errors != 0.0)  # each estimate genuinely approximate
+        t_stat = errors.mean() / (errors.std(ddof=1) / math.sqrt(len(errors)))
+        assert abs(t_stat) <= 3.0
 
     def test_a_new_rule_is_one_entry(self, monkeypatch, capsys):
         # unscrambled Halton points with the default uniform shift
@@ -574,7 +594,7 @@ class TestCsvEmission:
 
     def test_failed_row_round_trips(self, tmp_path):
         failed = Row(
-            family="gaussian", dim=2, method="QMC+CF-folded", k=1, support_radius=0.7,
+            family="gaussian", dim=2, method="QMC+CF", k=1, support_radius=0.7,
             sequence="lattice", n_total=57, m_nodes=25, replicates=2, rmse=0.125,
             stderr=0.03125, mean_error=-0.0625, seed_base=3, error="r2: boom",
         )

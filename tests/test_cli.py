@@ -340,6 +340,16 @@ class TestIntegrateCommand:
             )
             assert "estimate=" not in stdout
 
+    def test_removed_folded_method_exit_1(self, capsys):
+        # the tent fold is the lattice-tent rule now, so argparse refuses the method
+        code, stdout, err = run_cli(
+            capsys, "integrate", "--family", "gaussian", "--dim", "1", "--method", "QMC+CF-folded",
+            "--n", "64", "--seed", "1", "--sequence", "lattice",
+        )
+        assert code == 1
+        assert "invalid choice: 'QMC+CF-folded'" in err
+        assert "estimate=" not in stdout
+
     def test_corner_peak_beyond_its_dimension_names_dim(self, capsys):
         code, _, err = run_cli(
             capsys, "integrate", "--family", "corner_peak", "--dim", "7", "--method", "QMC", "--n", "64", "--seed", "1"
@@ -437,6 +447,19 @@ class TestBenchCommand:
         assert built == []
         assert not out_dir.exists()
 
+    def test_folded_method_names_the_tent_rule(self, tmp_path, capsys):
+        # the tent fold moved from a CF method into the lattice-tent rule
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("sequence = lattice\nmethods = QMC, QMC+CF-folded\nn_grid = 16, 32\nreplicates = 2\n")
+        out_dir = tmp_path / "results"
+        code, _, err = run_cli(capsys, "bench", "--config", str(cfg), "--out-dir", str(out_dir))
+        assert code == 1
+        assert err.splitlines()[-1] == (
+            "error: unknown method 'QMC+CF-folded'; expected one of ('MC', 'QMC', 'QMC+CF', 'MC+CF'); "
+            "its tent fold is now a rule, sequence = lattice-tent"
+        )
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("key", ["families", "dims", "methods", "k_values", "n_grid"])
     def test_empty_list_rejected_naming_key(self, tmp_path, capsys, key):
         # an empty list would run no cell and write a header-only CSV
@@ -474,7 +497,38 @@ class TestGpCommand:
             capsys, "gp", "--synthetic", "--methods", "QMC,WARP", "--out-dir", str(tmp_path)
         )
         assert code == 1
-        assert "WARP" in err
+        assert err.splitlines()[-1] == "error: unknown method 'WARP'; expected one of ('MC', 'QMC', 'QMC+CF', 'MC+CF')"
+
+    def test_mc_methods_alone_run(self, tmp_path, capsys):
+        out_dir = tmp_path / "gp"
+        code, _, _ = run_cli(
+            capsys, "gp", "--synthetic", "--n-test", "2", "--methods", "MC,MC+CF",
+            "--budget", "64", "--seeds", "2", "--out-dir", str(out_dir),
+        )
+        assert code == 0
+        pred = (out_dir / "predictions.csv").read_text().splitlines()
+        assert sorted({line.split(",")[1] for line in pred[1:]}) == ["MC", "MC+CF"]
+        assert len(pred) == 1 + 2 * 2 * 2
+
+    @pytest.mark.parametrize("source, limit", [("synthetic", 100), ("data", 40)])
+    def test_n_test_beyond_the_rows_usage_error(self, tmp_path, capsys, source, limit):
+        # test points are drawn without replacement from the synthetic
+        # inducing subset (100 rows) or the kept data rows (--n-train-cap)
+        path = tmp_path / "data.csv"
+        rows = np.random.default_rng(2).random((60, 4))
+        path.write_text("".join(",".join(f"{v:.8f}" for v in row) + "\n" for row in rows))
+        given = ["--synthetic"] if source == "synthetic" else ["--data", str(path), "--n-train-cap", "40"]
+        out_dir = tmp_path / "gp"
+        code, stdout, err = run_cli(
+            capsys, "gp", *given, "--n-test", str(limit + 1), "--methods", "QMC",
+            "--budget", "32", "--seeds", "2", "--out-dir", str(out_dir),
+        )
+        assert code == 1
+        assert err.splitlines()[-1] == (
+            f"error: --n-test must be <= {limit}, the rows test points are drawn from, got {limit + 1}"
+        )
+        assert "sd test_index" not in stdout
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -499,7 +553,7 @@ class TestGpCommand:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("budget", ["31", "0", "-5"])
-    @pytest.mark.parametrize("method", gp.GP_METHODS)
+    @pytest.mark.parametrize("method", bench.METHODS)
     def test_budget_below_two_grids_usage_error(self, tmp_path, capsys, method, budget):
         # every method takes the 16-node split, so a budget under 32 is
         # refused before the study runs, whichever method is asked for

@@ -245,7 +245,7 @@ class TestMarginalPrediction:
 
         monkeypatch.setattr(bench, "qmc_estimate", lambda f, ps: seen.append((None, ps)) or qmc(f, ps))
         monkeypatch.setattr(bench, "cf_estimate", recording_cf)
-        for method in gp.GP_METHODS:
+        for method in bench.METHODS:
             seen.clear()
             marginal_prediction(self.table, method, budget, seed)
             n = budget - 16 if method.endswith("+CF") else budget

@@ -25,6 +25,18 @@ def load_tracing():
     return module
 
 
+def test_output_check_covers_every_rule_and_method(tmp_path):
+    # The output check writes out its own rule and method lists; they must
+    # be the program's, and every (rule, method) pair needs integrate runs.
+    spec = importlib.util.spec_from_file_location("output_check", Path(__file__).resolve().parent / "output_check.py")
+    check = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check)
+    assert check.SEQUENCES == tuple(bench.SEQUENCES)
+    assert check.METHODS == bench.METHODS
+    flags = [dict(zip(argv[1::2], argv[2::2])) for argv in check.runs(tmp_path) if argv[0] == "integrate"]
+    assert {(f["--sequence"], f["--method"]) for f in flags} == {(s, m) for s in bench.SEQUENCES for m in bench.METHODS}
+
+
 def test_benchmark_workloads_prepare_and_check(tmp_path, monkeypatch):
     # The workloads call cfqmc's API directly: `prepare` parses the CLI
     # arguments and the campaign config, and the GP reference check calls
@@ -263,7 +275,7 @@ def test_gp_point_generation_traced():
     seeds = [0, 1, 2]
     tracer = tracing.Tracer()
     with tracer.recording(0):
-        gp.run_prediction_study(data, cfg, gp.GP_METHODS, 64, seeds)
+        gp.run_prediction_study(data, cfg, bench.METHODS, 64, seeds)
     assert tracer.run_metrics(0)["points.calls"] == 1 + len(seeds) * (2 + 3 + 1 + 2)
 
 
