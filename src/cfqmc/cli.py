@@ -249,7 +249,8 @@ def _cmd_gp(args) -> int:
         data, test_z = gp_mod.synthetic_dataset(seed=args.seed_base, n_test=args.n_test)
     if args.n_test > len(test_z):
         raise _usage_error(f"--n-test must be <= {len(test_z)}, the rows test points are drawn from, got {args.n_test}")
-    cfg = gp_mod.GPConfig(test_points=test_z, n_subset=min(args.n_subset, data.n))
+    _usage_checked("--n-subset", gp_mod.default_subset_indices, data, args.n_subset)
+    cfg = gp_mod.GPConfig(test_points=test_z, n_subset=args.n_subset)
     seeds = list(range(args.seeds))
     study = gp_mod.run_prediction_study(data, cfg, methods, args.budget, seeds)
     out_dir = Path(args.out_dir)

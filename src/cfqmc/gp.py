@@ -43,8 +43,9 @@ _SOR_JITTER = 1e-10
 # escalating diagonal boost (relative to trace/n') when a draw makes the
 # normal-equation system numerically semidefinite; deterministic ladder
 _SOR_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
-# the LAPACK routines behind scipy's cho_factor / cho_solve, called directly
-_POTRF, _POTRS = sla.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+# called directly: posv is cho_factor and cho_solve in one LAPACK call
+_SYRK = sla.get_blas_funcs("syrk", dtype=np.float64)
+_POSV = sla.get_lapack_funcs("posv", dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -118,9 +119,10 @@ def _sq_exp_cross(za: np.ndarray, zb: np.ndarray, theta1: float, theta2: float) 
 class _SorSolver:
     """Subset-of-regressors predictive means at fixed test inputs with
     hyper-parameters swapped per call: pairwise squared distances are computed
-    once, each evaluation only exponentiates, forms the normal equations,
-    factorizes and returns one mean per row of ``z_star``. The inducing rows
-    are training rows, so C_{n'} is read off C_{n',n} by column.
+    once, each evaluation only exponentiates, builds the lower triangle of the
+    normal equations with one ``syrk``, factors and solves them with one
+    ``posv`` per ladder rung and returns one mean per row of ``z_star``. The
+    inducing rows are training rows, so C_{n'} is read off C_{n',n} by column.
 
     Large lengthscales drive the system numerically semidefinite; a small
     deterministic diagonal ladder restores factorizability. A draw that
@@ -146,31 +148,25 @@ class _SorSolver:
         c_sub_n = np.multiply(inv2, self.sq_sub_n)
         np.exp(c_sub_n, out=c_sub_n)
         c_sub_n *= theta1
-        # C_{n',n} C_{n,n'} + sigma^2 (C_{n'} + jitter I) built in place: the
-        # floats are the same, since adding the identity's zeros changes none
-        c_sub = np.take(c_sub_n, self.idx, axis=1)
+        # sigma^2 (C_{n'} + jitter I) is exactly symmetric, so its transpose is
+        # the Fortran-ordered array that syrk adds C_{n',n} C_{n,n'} into
+        system = c_sub_n[:, self.idx].T
         n_sub = self.idx.size
-        c_sub[self.diag] += _SOR_JITTER * np.trace(c_sub) / n_sub
-        c_sub *= _SIGMA**2
-        system = c_sub_n @ c_sub_n.T
-        system += c_sub
+        system[self.diag] += _SOR_JITTER * np.trace(system) / n_sub
+        system *= _SIGMA**2
+        system = _SYRK(1.0, c_sub_n.T, beta=1.0, c=system, trans=1, lower=1, overwrite_c=1)
         rhs = c_sub_n @ self.y
-        scale = np.trace(system) / n_sub
-        weights = None
         for extra in _SOR_LADDER:
             boosted = system
-            if extra:
-                boosted = system.copy()
-                boosted[self.diag] += extra * scale
-            factor, info = _POTRF(boosted, lower=True, overwrite_a=bool(extra), clean=False)
-            if info > 0:  # not positive definite: the next rung boosts the diagonal
-                continue
-            if info == 0:
-                weights, info = _POTRS(factor, rhs, lower=True)
-            if info:
+            if extra:  # the rung before was not positive definite
+                boosted = system.copy(order="F")
+                boosted[self.diag] += extra * (np.trace(system) / n_sub)
+            _, weights, info = _POSV(boosted, rhs, lower=1, overwrite_a=bool(extra))
+            if info < 0:
                 raise ValueError(f"LAPACK rejected argument {-info} of the SoR Cholesky solve")
-            break
-        if weights is None:
+            if info == 0:
+                break
+        else:
             raise sla.LinAlgError(
                 f"SoR system unfactorizable at theta=({theta1:.4g}, {theta2:.4g})"
             )
@@ -211,9 +207,10 @@ def gp_predictive_mean_sor(
 
 def default_subset_indices(data: Dataset, n_subset: int) -> np.ndarray:
     """Deterministic uniform draw without replacement from the training rows."""
-    n_sub = min(n_subset, data.n)
-    rng = rng_for(0, "sor-subset", data.n, n_sub)
-    return np.sort(rng.choice(data.n, size=n_sub, replace=False))
+    if n_subset > data.n:
+        raise ValueError(f"a subset of {n_subset} rows exceeds the {data.n} training rows")
+    rng = rng_for(0, "sor-subset", data.n, n_subset)
+    return np.sort(rng.choice(data.n, size=n_subset, replace=False))
 
 
 class PredictionTable:

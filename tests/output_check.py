@@ -75,7 +75,7 @@ def runs(out: Path) -> list[list[str]]:
     gp = "gp --synthetic --n-test 3 --methods QMC,QMC+CF,MC,MC+CF --budget 64 --seeds 3 --out-dir"
     argvs.append(gp.split() + [str(out / "gp")])
     write_gp_data(out / "gp-data.csv")
-    gp = "--n-test 3 --methods QMC,QMC+CF --budget 64 --seeds 3 --n-train-cap 50 --out-dir"
+    gp = "--n-test 3 --methods QMC,QMC+CF --budget 64 --seeds 3 --n-train-cap 50 --n-subset 50 --out-dir"
     argvs.append(["gp", "--data", str(out / "gp-data.csv")] + gp.split() + [str(out / "gp-data")])
     for seq, flags in (
         ("halton", "--n 32 --dim 2 --scramble"),

@@ -530,6 +530,21 @@ class TestGpCommand:
         assert "sd test_index" not in stdout
         assert not out_dir.exists()
 
+    def test_n_subset_beyond_the_rows_usage_error(self, tmp_path, capsys):
+        # the default --n-subset (100) exceeds the 50 rows --n-train-cap keeps
+        path = tmp_path / "data.csv"
+        rows = np.random.default_rng(2).random((60, 4))
+        path.write_text("".join(",".join(f"{v:.8f}" for v in row) + "\n" for row in rows))
+        out_dir = tmp_path / "gp"
+        code, stdout, err = run_cli(
+            capsys, "gp", "--data", str(path), "--n-train-cap", "50", "--n-test", "2",
+            "--methods", "QMC", "--budget", "32", "--seeds", "2", "--out-dir", str(out_dir),
+        )
+        assert code == 1
+        assert err.splitlines()[-1] == "error: --n-subset: a subset of 100 rows exceeds the 50 training rows"
+        assert "sd test_index" not in stdout
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "flags, message",
         [

@@ -179,13 +179,22 @@ class TestPredictiveMeans:
         cfg = GPConfig(test_points=test_z)
         solver = gp._SorSolver(data, test_z, default_subset_indices(data, cfg.n_subset))
         rng = np.random.default_rng(1)
-        draws = np.vstack([rng.gamma(2.0, 2.0, size=(100, 2)), rng.uniform(5.0, 60.0, size=(100, 2))])
+        # the clipped prior's corners are the most extreme theta a study draws
+        ends = (gp._CDF_CLIP, 1.0 - gp._CDF_CLIP)
+        corners = gamma2_inverse_cdf([(q1, q2) for q1 in ends for q2 in ends], gp._PRIOR_SCALE)
+        draws = np.vstack(
+            [rng.gamma(2.0, 2.0, size=(100, 2)), rng.uniform(5.0, 60.0, size=(100, 2)), corners]
+        )
         rungs = set()
         for theta1, theta2 in draws:
             reference, rung = sor_reference(solver, theta1, theta2)
             assert np.array_equal(solver.predict(theta1, theta2), reference)
             rungs.add(rung)
         assert 0 in rungs and len(rungs) > 1
+
+    def test_subset_beyond_the_rows_rejected(self):
+        with pytest.raises(ValueError, match="a subset of 51 rows exceeds the 50 training rows"):
+            default_subset_indices(self.data, self.data.n + 1)
 
     def test_sor_rank_one_is_finite(self):
         val = gp_predictive_mean_sor(self.data, self.cfg, (2.0, 1.0), self.test_z[0], [7])
