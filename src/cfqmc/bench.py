@@ -254,24 +254,25 @@ class CellPoints:
 
 
 class _Replicate:
-    """The function of one replicate's integrand: its Genz instance, with
-    what an evaluation raises kept in ``error`` and NaN returned in its
-    place. A failing replicate then stays in its own column of the cell's
-    batched fit, the other replicates' estimates do not change, and the
-    exception becomes this replicate's failure tag."""
+    """The function of one replicate's integrand: its Genz instance, or the
+    exception building it raised. What the build or an evaluation raises is
+    kept in ``error``, and every evaluation from then on returns NaN. A
+    failing replicate then stays in its own column of the cell's batched
+    fit, the other replicates' estimates do not change, and the exception
+    becomes this replicate's failure tag."""
 
-    def __init__(self, inst: GenzInstance):
+    def __init__(self, inst: GenzInstance | Exception, dim: int):
         self.inst = inst
-        self.dim = inst.dim
-        self.error: Optional[Exception] = None
+        self.dim = dim
+        self.error: Optional[Exception] = inst if isinstance(inst, Exception) else None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        try:
-            return self.inst(x)
-        except Exception as exc:  # the campaign must survive one bad replicate
-            if self.error is None:
+        if self.error is None:
+            try:
+                return self.inst(x)
+            except Exception as exc:  # the campaign must survive one bad replicate
                 self.error = exc
-            return np.full(len(x), np.nan)
+        return np.full(len(x), np.nan)
 
 
 def _cell_row(
@@ -316,19 +317,22 @@ def run_campaign(cfg: CampaignConfig) -> ConvergenceTable:
 
     Each method draws every replicate's points and estimates them at once
     (``CellPoints.estimate``): a CF method fits them in one multi-column
-    solve on the cell's grid. A failing integrand tags its replicate alone; a
-    failure to draw or estimate, a budget violation included, tags every
-    replicate of the method."""
+    solve on the cell's grid. An instance that fails to build or evaluate
+    tags its replicate alone; a failure to draw or estimate, a budget
+    violation included, tags every replicate of the method."""
     rows: list[Row] = []
     fraction = cfg.node_fraction
     cells: dict[tuple[int, int], CellPoints] = {}
     for family in cfg.families:
         for d in cfg.dims:
             # an instance's seed holds no k or N, so every cell of (family, d) shares them
-            insts = [
-                random_genz(family, d, seed_for(cfg.seed_base, "instance", family, d, r), cfg.difficulty)
-                for r in range(cfg.replicates)
-            ]
+            insts = []
+            for r in range(cfg.replicates):
+                try:
+                    inst = random_genz(family, d, seed_for(cfg.seed_base, "instance", family, d, r), cfg.difficulty)
+                except Exception as exc:  # tags replicate r in every row of (family, d)
+                    inst = exc
+                insts.append(inst)
             for k in cfg.k_values:
                 spec = KernelSpec(k=k, dim=d, support_radius=cfg.support_radius)
                 for n_nominal in cfg.n_grid:
@@ -345,7 +349,7 @@ def run_campaign(cfg: CampaignConfig) -> ConvergenceTable:
                         replicate_draws(cfg.seed_base, d, family, d, k, n_nominal, r) for r in range(cfg.replicates)
                     ]
                     for method in cfg.methods:
-                        fns = [_Replicate(inst) for inst in insts]
+                        fns = [_Replicate(inst, d) for inst in insts]
                         integrands = [as_integrand(fn) for fn in fns]
                         errs, estimates, failures = [], [], {}
                         try:

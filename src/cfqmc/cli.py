@@ -344,8 +344,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (OSError, ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except (OSError, ValueError, RuntimeError, MemoryError, np.linalg.LinAlgError) as exc:
+        sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
         return RUNTIME_ERROR
 
 

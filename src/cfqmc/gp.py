@@ -27,7 +27,6 @@ from .bench import CellPoints
 from .estimators import BudgetSplit, Integrand
 from .estimators import cf_estimate, qmc_estimate  # noqa: F401  perfbench's tracer wraps gp's names
 from .kernels import KernelSpec
-from .points import midpoint_grid
 from .seeding import rng_for, seed_for
 
 # Surrogate node grid for the application: a 4x4 midpoint grid, i.e. a 16x16
@@ -39,6 +38,7 @@ GP_NODE_GRID_M = 4
 _CDF_CLIP = 1e-15  # keeps inverse-CDF arguments off the unbounded endpoints
 _PRIOR_SCALE = 2.0  # Gamma scale of both priors; the shape 2 is gamma2_inverse_cdf's
 _SIGMA = 0.1  # observation noise scale of the GP model
+_SYNTHETIC_NOISE = 0.1  # noise scale of the synthetic data's responses
 _SOR_JITTER = 1e-10
 # escalating diagonal boost (relative to trace/n') when a draw makes the
 # normal-equation system numerically semidefinite; deterministic ladder
@@ -220,7 +220,7 @@ class PredictionTable:
     One ``_SorSolver`` over all test points backs the table, so a theta drawn
     once is solved once however many test points and methods read it. A
     point's entry never goes stale, since the point alone fixes theta;
-    ``clear`` only bounds memory, and keeps the rows a caller reads again.
+    ``clear`` only bounds memory.
     """
 
     def __init__(self, data: Dataset, cfg: GPConfig, subset_indices):
@@ -228,10 +228,8 @@ class PredictionTable:
         self.solver = _SorSolver(data, cfg.test_points, subset_indices)
         self._rows: dict[bytes, np.ndarray] = {}
 
-    def clear(self, keep) -> None:
-        """Drop every row but those of the points ``keep``, (n, 2)."""
-        keys = (row.tobytes() for row in np.asarray(keep, dtype=np.float64))
-        self._rows = {key: self._rows[key] for key in keys if key in self._rows}
+    def clear(self) -> None:
+        self._rows.clear()
 
     def means(self, x: np.ndarray) -> np.ndarray:
         """(n, T) predictive means at theta = prior^-1(x), one row per row of x.
@@ -241,10 +239,7 @@ class PredictionTable:
         the quantile map is unbounded at the endpoints.
         """
         keys = [row.tobytes() for row in x]
-        misses: dict[bytes, int] = {}
-        for i, key in enumerate(keys):
-            if key not in self._rows:
-                misses.setdefault(key, i)
+        misses = {key: i for i, key in enumerate(keys) if key not in self._rows}
         if misses:
             q = np.clip(x[list(misses.values())], _CDF_CLIP, 1.0 - _CDF_CLIP)
             for key, (t1, t2) in zip(misses, gamma2_inverse_cdf(q, _PRIOR_SCALE)):
@@ -325,9 +320,7 @@ def load_dataset(path, n_train_cap: int, seed: int) -> Dataset:
     return standardize(data[:, :-1], data[:, -1])
 
 
-def synthetic_dataset(
-    n: int = 200, p: int = 4, n_test: int = 20, seed: int = 0, noise: float = 0.1
-) -> tuple[Dataset, np.ndarray]:
+def synthetic_dataset(n: int = 200, p: int = 4, n_test: int = 20, seed: int = 0) -> tuple[Dataset, np.ndarray]:
     """Self-contained default data: a smooth bump response plus observation noise.
 
     Returns the standardized training Dataset and test inputs already mapped
@@ -339,7 +332,7 @@ def synthetic_dataset(
     """
     rng = rng_for(seed, "synthetic-data", n, p)
     raw_x = rng.normal(size=(n, p))
-    raw_y = 3.0 * np.exp(-0.5 * np.sum(raw_x**2, axis=1)) + noise * rng.normal(size=n)
+    raw_y = 3.0 * np.exp(-0.5 * np.sum(raw_x**2, axis=1)) + _SYNTHETIC_NOISE * rng.normal(size=n)
     data = standardize(raw_x, raw_y)
     subset = default_subset_indices(data, min(100, n))
     rows = rng.choice(subset, size=min(n_test, subset.size), replace=False)
@@ -367,14 +360,12 @@ def run_prediction_study(
     isolates the estimator's sampling variability. Within a seed all test
     points and methods share one theta sample, pairing the comparison, and
     each distinct theta is solved once for all test points; the table of
-    solves is cleared per seed, bounding it to methods x budget x T floats,
-    except for the grid nodes, which every seed's surrogates read.
+    solves is cleared per seed, bounding it to methods x budget x T floats.
     """
     table = PredictionTable(data, cfg, default_subset_indices(data, cfg.n_subset))
-    grid = midpoint_grid(GP_NODE_GRID_M, 2).points
     per_method: dict[str, list[np.ndarray]] = {m: [] for m in methods}
     for seed in seeds:
-        table.clear(keep=grid)
+        table.clear()
         run_seed = seed_for(seed, "gp-point")
         for method in methods:
             per_method[method].append(marginal_prediction(table, method, budget, run_seed))

@@ -23,11 +23,6 @@ import sys
 import warnings
 from pathlib import Path
 
-# cfqmc's bench.SEQUENCES and bench.METHODS, written out because cfqmc
-# loads only once the thread counts are set; tests/test_tooling.py checks them
-SEQUENCES = ("halton-rr-shift", "sobol-dshift", "lattice", "lattice-tent")
-METHODS = ("MC", "QMC", "QMC+CF", "MC+CF")
-
 # one campaign per (sequence, d), so a d = 2 SVG does not read d = 1 rows;
 # each sequence takes two families and its own support radius, and the two
 # lattice rules the same cells, so their rows differ by the tent fold alone
@@ -44,9 +39,6 @@ INTEGRATE_CELLS = {
     "lattice": ("oscillatory", 2),
     "lattice-tent": ("product_peak", 1),
 }
-CAMPAIGN_GRID = (
-    f"methods = {', '.join(METHODS)}\nk_values = 0, 1, 2\nn_grid = 16, 32, 64, 128, 512\nreplicates = 3\n"
-)
 
 
 def write_gp_data(path: Path) -> None:
@@ -64,13 +56,17 @@ def write_gp_data(path: Path) -> None:
 
 def runs(out: Path) -> list[list[str]]:
     """The command lines of the check, in run order; ``out`` is where they
-    write. Writes the campaign configs and the GP data they read."""
+    write. Writes the campaign configs and the GP data they read. Every
+    rule and method of cfqmc runs; a rule with no cells above fails here."""
+    from cfqmc.bench import METHODS, SEQUENCES  # after ``main`` sets the thread counts
+
+    grid = f"methods = {', '.join(METHODS)}\nk_values = 0, 1, 2\nn_grid = 16, 32, 64, 128, 512\nreplicates = 3\n"
     argvs = []
-    for seq, cells in CAMPAIGN_CELLS.items():
+    for seq in SEQUENCES:
         for d in (1, 2):
             name = out / f"campaign-{seq}-d{d}"
             name.mkdir(parents=True, exist_ok=True)
-            (name / "campaign.cfg").write_text(f"{cells}dims = {d}\nsequence = {seq}\n{CAMPAIGN_GRID}")
+            (name / "campaign.cfg").write_text(f"{CAMPAIGN_CELLS[seq]}dims = {d}\nsequence = {seq}\n{grid}")
             argvs.append(["bench", "--config", str(name / "campaign.cfg"), "--out-dir", str(name)])
     gp = "gp --synthetic --n-test 3 --methods QMC,QMC+CF,MC,MC+CF --budget 64 --seeds 3 --out-dir"
     argvs.append(gp.split() + [str(out / "gp")])
@@ -89,7 +85,8 @@ def runs(out: Path) -> list[list[str]]:
         "wce --seq lattice --n 61 --dim 2 --shift-seed 2 --fold".split(),
         ["wce", "--in", str(out / "points-sobol.csv"), "--kernel-k", "1", "--support", "0.8"],
     ]
-    for seq, (family, k) in INTEGRATE_CELLS.items():
+    for seq in SEQUENCES:
+        family, k = INTEGRATE_CELLS[seq]
         for d in (1, 2):
             for method in METHODS:
                 argvs.append(

@@ -477,6 +477,28 @@ class TestBenchCommand:
         )
         assert code == 1
 
+    def test_unbuildable_replicate_tagged_alone(self, tmp_path, capsys):
+        # at difficulty 1000 the discontinuous family's exact integral
+        # exp(a u) overflows for replicates 0 and 2; those two are tagged in
+        # every row of their (family, d), the others keep their estimates
+        # and the gaussian cells read as in a campaign without the family
+        grid = "dims = 1\nn_grid = 16, 32, 64, 128\nreplicates = 4\ndifficulty = 1000\n"
+        lines = {}
+        for name, families in (("both", "gaussian, discontinuous"), ("alone", "gaussian")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(f"families = {families}\n{grid}")
+            code, _, err = run_cli(capsys, "bench", "--config", str(cfg), "--out-dir", str(tmp_path / name))
+            assert code == 0, err
+            lines[name] = (tmp_path / name / "campaign.csv").read_text().splitlines()
+        rows, _ = bench.read_csv(tmp_path / "both" / "campaign.csv")
+        broken = [row for row in rows if row.family == "discontinuous"]
+        message = "exact integral for discontinuous came out non-finite"
+        assert len(broken) == 2 * 4
+        assert all(row.replicates == 2 and row.error == f"r0: {message}; r2: {message}" for row in broken)
+        gaussian = [[line for line in lines[name] if line.startswith("gaussian,")] for name in ("both", "alone")]
+        assert len(gaussian[0]) == 2 * 4 + 2  # rows and slopes
+        assert gaussian[0] == gaussian[1]
+
 
 class TestGpCommand:
     def test_synthetic_study_runs(self, tmp_path, capsys):
@@ -754,6 +776,27 @@ class TestExitCodeContract:
         assert code in (1, 2)
         assert any(line.startswith("error: ") for line in err.splitlines())
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, owner, name, exc, message",
+        [
+            ("integrate --family gaussian --dim 1 --method MC --n 64 --seed 0", bench, "uniform_random",
+             MemoryError("Unable to allocate 8.00 TiB for an array"), "Unable to allocate 8.00 TiB for an array"),
+            ("gp --synthetic --n-test 2 --budget 64 --seeds 2 --out-dir {tmp}/gp", gp, "run_prediction_study",
+             MemoryError(), "MemoryError"),
+        ],
+        ids=["integrate", "gp"],
+    )
+    def test_memory_error_exit_2(self, tmp_path, capsys, monkeypatch, argv, owner, name, exc, message):
+        # an allocation the machine cannot make is a runtime error, reported
+        # in one line; the call that would allocate raises in its place
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(owner, name, fail)
+        code, _, err = run_cli(capsys, *argv.format(tmp=tmp_path).split())
+        assert code == 2
+        assert err.splitlines() == [f"error: {message}"]
 
     @pytest.mark.parametrize(
         "argv, flag",

@@ -438,13 +438,3 @@ class TestPredictionStudy:
         for t_idx, method, _, seed, estimate in study.estimates:
             alone = marginal_prediction(single[t_idx], method, 64, seed_for(seed, "gp-point"))
             assert abs(estimate - alone[0]) <= 1e-8
-
-    def test_kept_node_solves_change_no_prediction(self, monkeypatch):
-        # The grid nodes' solves the table keeps across seeds are the floats
-        # a fresh solve gives: the study equals one that clears every row.
-        data, test_z = synthetic_dataset(n=60, p=3, n_test=3, seed=7)
-        cfg = GPConfig(test_points=test_z, n_subset=30)
-        methods = ("QMC", "QMC+CF", "MC+CF")
-        kept = run_prediction_study(data, cfg, methods, 64, [0, 1, 2])
-        monkeypatch.setattr(PredictionTable, "clear", lambda self, keep: self._rows.clear())
-        assert run_prediction_study(data, cfg, methods, 64, [0, 1, 2]) == kept
