@@ -22,19 +22,26 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .interpolate import Interpolant, _check_nodes, evaluate, fit
-from .kernels import BLOCK_BYTES, KernelSpec, kernel_cross, kernel_double_integral, kernel_integral, row_blocks
+from .kernels import (
+    BLOCK_BYTES,
+    KernelSpec,
+    cross_row_blocks,
+    kernel_cross,
+    kernel_double_integral,
+    kernel_integral,
+    row_blocks,
+)
 from .points import MidpointGrid, PointSet
 
 WCE_CLAMP = 1e-14
-# Rows per block of the WCE pair sum up to N = 2048; past it the 1 MiB
-# ``kernels.BLOCK_BYTES`` holds 2^17 // N rows. The sum runs over the upper
-# block triangle, so it computes about N^2 / 2 + N * rows / 2 kernel
-# entries, and short blocks stay in cache: with a 4 MiB L2, 16 to 64 rows
-# timed within 10% of each other, 128 rows 1.25x and 256 rows 1.65x slower
-# (N = 1024, 2048). 32 rows ran the WCE sums 10-20% faster than 64, but the
-# block sums then add in another order, and the squared error D - 2S + P
-# cancels to about 1e-8 of its terms, so the printed 12-digit errors moved
-# in their last digit.
+# Rows per summation block of the WCE pair sum up to N = 2048; past it the
+# 1 MiB ``kernels.BLOCK_BYTES`` holds 2^17 // N rows. The sum runs over the
+# upper block triangle, so it computes about N^2 / 2 + N * rows / 2 kernel
+# entries. This fixes only the summation order: the kernel is evaluated in
+# smaller tiles (see ``worst_case_error``). Another row count adds the
+# block sums in another order, and the squared error D - 2S + P cancels to
+# about 1e-8 of its terms, so the printed 12-digit errors move in their
+# last digit (32 and 48 rows each moved one).
 _PAIR_ROWS = 64
 
 
@@ -127,13 +134,21 @@ def worst_case_error(spec: KernelSpec, ps: PointSet) -> float:
     term_double = kernel_double_integral(spec)
     term_single = float(np.mean(np.atleast_1d(kernel_integral(spec, ps.points))))
     pts = ps.points
-    # the kernel matrix is symmetric: each row block adds its diagonal tile
-    # and twice the tiles right of it, at most _PAIR_ROWS rows of n floats
+    # the kernel matrix is symmetric: each row block adds its diagonal
+    # square and twice the columns right of it, at most _PAIR_ROWS rows of
+    # n floats. Every block is filled into one workspace, in row tiles whose
+    # kernel temporaries hold at most BLOCK_BYTES together, so they stay in
+    # a core's L2
+    blocks = row_blocks(n, max(8 * n, BLOCK_BYTES // _PAIR_ROWS))
+    work = np.empty(blocks[0].stop * n)  # the first block is the largest
     term_pair = 0.0
-    for b in row_blocks(n, max(8 * n, BLOCK_BYTES // _PAIR_ROWS)):
-        block = kernel_cross(spec, pts[b], pts[b.start :])
-        tile = block.shape[0]
-        term_pair += float(np.sum(block[:, :tile])) + 2.0 * float(np.sum(block[:, tile:]))
+    for b in blocks:
+        rows, cols = pts[b], pts[b.start :]
+        h = len(rows)
+        block = work[: h * len(cols)].reshape(h, len(cols))
+        for t in cross_row_blocks(h, len(cols)):
+            block[t] = kernel_cross(spec, rows[t], cols)
+        term_pair += float(np.sum(block[:, :h])) + 2.0 * float(np.sum(block[:, h:]))
     term_pair /= n * n
     e2 = term_double - 2.0 * term_single + term_pair
     if e2 < 0.0:

@@ -74,7 +74,7 @@ def wendland_1d(k: int, r):
     if k not in SMOOTHNESS_LEVELS:
         raise ValueError(f"smoothness index must be one of {SMOOTHNESS_LEVELS}, got {k}")
     r_arr = np.array(r, dtype=np.float64)
-    if np.any(r_arr < 0.0):
+    if r_arr.size and not r_arr.min() >= 0.0:  # NaN fails too
         raise ValueError("r must be non-negative")
     out = _wendland_inplace(k, r_arr.reshape(-1)).reshape(r_arr.shape)
     return float(out) if np.isscalar(r) or out.ndim == 0 else out
@@ -116,7 +116,11 @@ def _coords(nodes) -> np.ndarray:
 
 
 def kernel_cross(spec: KernelSpec, x, y) -> np.ndarray:
-    """Kernel matrix between two point arrays, shape (len(x), len(y))."""
+    """Kernel matrix between two point arrays, shape (len(x), len(y)).
+
+    A call keeps up to four arrays of that shape live at once: the product
+    and, for the axis it is on, r, w and at k = 2 the tail polynomial.
+    ``cross_row_blocks`` sizes row tiles by that count."""
     xa = np.atleast_2d(_coords(x))
     ya = np.atleast_2d(_coords(y))
     if xa.shape[1] != spec.dim or ya.shape[1] != spec.dim:
@@ -162,6 +166,12 @@ def row_blocks(n_rows: int, row_bytes: int, multiple: int = 1) -> list[slice]:
     return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n_rows])]
 
 
+def cross_row_blocks(n_rows: int, n_cols: int) -> list[slice]:
+    """``row_blocks`` for ``kernel_cross`` tiles of ``n_cols`` columns: the
+    four tile-sized arrays a call keeps live hold at most BLOCK_BYTES."""
+    return row_blocks(n_rows, 4 * 8 * n_cols)
+
+
 def _phi_cdf(k: int, u) -> np.ndarray:
     """int_0^u phi_k(t) dt with u clipped to the support [0, 1]."""
     u_clipped = np.minimum(np.asarray(u, dtype=np.float64), 1.0)
@@ -179,7 +189,7 @@ def kernel_integral_1d(k: int, support: float, y):
     if not 0.0 < support <= 1.0:
         raise ValueError("support must lie in (0, 1]")
     y_arr = np.asarray(y, dtype=np.float64)
-    if np.any(y_arr < 0.0) or np.any(y_arr > 1.0):
+    if y_arr.size and not (y_arr.min() >= 0.0 and y_arr.max() <= 1.0):  # NaN fails too
         raise ValueError("y must lie in [0, 1]")
     left = _phi_cdf(k, y_arr / support)
     right = _phi_cdf(k, (1.0 - y_arr) / support)

@@ -2,13 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from cfqmc import estimators, interpolate
+from cfqmc import estimators, interpolate, kernels
 from cfqmc.estimators import (
     _PAIR_ROWS,
     Integrand,
@@ -19,7 +20,7 @@ from cfqmc.estimators import (
     worst_case_error,
 )
 from cfqmc.genz import as_integrand, make_genz, random_genz
-from cfqmc.kernels import KernelSpec, kernel_cross, kernel_double_integral, kernel_integral
+from cfqmc.kernels import BLOCK_BYTES, KernelSpec, kernel_cross, kernel_double_integral, kernel_integral, row_blocks
 from cfqmc.points import (
     PointSet,
     baker_fold,
@@ -35,6 +36,19 @@ from cfqmc.seeding import rng_for
 def point_set(coords):
     arr = np.atleast_2d(np.asarray(coords, dtype=np.float64))
     return PointSet(arr)
+
+
+def block_reference_wce(spec, pts):
+    """The worst-case error with one allocating ``kernel_cross`` per
+    summation block, each block summed as ``worst_case_error`` sums it."""
+    n = len(pts)
+    pair = 0.0
+    for b in row_blocks(n, max(8 * n, BLOCK_BYTES // _PAIR_ROWS)):
+        block = kernel_cross(spec, pts[b], pts[b.start :])
+        rows = block.shape[0]
+        pair += float(np.sum(block[:, :rows])) + 2.0 * float(np.sum(block[:, rows:]))
+    single = float(np.mean(kernel_integral(spec, pts)))
+    return math.sqrt(max(kernel_double_integral(spec) - 2.0 * single + pair / (n * n), 0.0))
 
 
 class TestIntegrand:
@@ -269,6 +283,49 @@ class TestWorstCaseError:
             single = float(np.mean(kernel_integral(spec, ps.points)))
             expected = kernel_double_integral(spec) - 2.0 * single + whole
             assert worst_case_error(spec, ps) ** 2 == pytest.approx(expected, rel=0.0, abs=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 2048, 2049, 4096])
+    def test_tiled_pair_sum_matches_block_reference(self, monkeypatch, n):
+        # Each summation block is filled in row tiles. A tile skips the
+        # cut-off where all its gaps are within the support, also where its
+        # block clips, so the floats only stay equal if that skip is exact.
+        # On points sorted by their first axis, at N = 2048 and 2049 the
+        # block of rows 1216-1279 holds two tiles and that axis crosses
+        # 1 - 0.4 between their first rows, so the tiled pass skips the
+        # cut-off on more entries there.
+        skipped = []  # entries without the cut-off: reference, then tiled
+        core = kernels._wendland_inplace
+
+        def recording(k, r, clip=True):
+            skipped[-1] += 0 if clip else r.size
+            return core(k, r, clip)
+
+        monkeypatch.setattr(kernels, "_wendland_inplace", recording)
+        for d, k, support in itertools.product((1, 2, 4), (0, 1, 2), (1.0, 0.4)):
+            pts = halton(n, d).points
+            pts = pts[np.argsort(pts[:, 0], kind="stable")]
+            spec = KernelSpec(k, d, support)
+            skipped[:] = [0]
+            expected = block_reference_wce(spec, pts)
+            skipped.append(0)
+            assert worst_case_error(spec, point_set(pts)) == expected
+            if support < 1.0 and n in (2048, 2049):
+                assert skipped[1] > skipped[0]
+
+    def test_pair_sum_peak_memory(self):
+        # One block-sized workspace (1 MiB at N = 2048) and the four kernel
+        # temporaries of a 16-row tile (product, r, w and the tail polynomial
+        # at k = 2, 256 KiB each) hold 2 MiB; one allocating `kernel_cross`
+        # per block would hold 4.9 MiB.
+        spec, ps = KernelSpec(2, 2), halton(2048, 2)
+        worst_case_error(spec, ps)
+        tracemalloc.start()
+        try:
+            worst_case_error(spec, ps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * BLOCK_BYTES
 
     def test_tiny_negative_squared_error_clamped(self):
         # a dense grid drives the squared error to rounding scale; must not

@@ -55,6 +55,12 @@ class TestUnivariateClosedForms:
         with pytest.raises(ValueError):
             wendland_1d(3, 0.5)
 
+    def test_rejects_nan_radius(self):
+        with pytest.raises(ValueError):
+            wendland_1d(1, float("nan"))
+        with pytest.raises(ValueError):
+            wendland_1d(2, np.array([0.5, np.nan]))
+
     def test_coefficients_expand_the_factored_pieces(self):
         # surrogate values and integrals both read the expanded coefficients,
         # hand-expanded from (1 - r)^(2k + 1) P_k(r) here
@@ -241,6 +247,12 @@ class TestSingleIntegral:
         with pytest.raises(ValueError):
             kernel_integral_1d(0, 1.0, 1.2)
 
+    def test_rejects_nan_y(self):
+        with pytest.raises(ValueError):
+            kernel_integral_1d(1, 1.0, float("nan"))
+        with pytest.raises(ValueError):
+            kernel_integral_1d(0, 0.5, np.array([0.2, np.nan]))
+
 
 class TestProductIntegral:
     def test_hand_value_center(self):
@@ -260,6 +272,13 @@ class TestProductIntegral:
         mc = vals.mean()
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(kernel_integral(spec, y) - mc) <= 3 * se
+
+    def test_rejects_nan_coordinate(self):
+        spec = KernelSpec(1, 2)
+        with pytest.raises(ValueError):
+            kernel_integral(spec, [0.5, float("nan")])
+        with pytest.raises(ValueError):
+            kernel_integral(spec, np.array([[0.1, 0.2], [np.nan, 0.3]]))
 
     def test_batched_matches_scalar(self):
         spec = KernelSpec(2, 3, 0.8)

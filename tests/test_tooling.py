@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import cfqmc
 from cfqmc import bench, cli, estimators, gp, interpolate, kernels, points
@@ -292,10 +293,24 @@ def test_wce_pair_sum_covers_half_the_kernel_matrix():
 
 def test_wce_pair_blocks_fit_the_bound_past_2048_points():
     # At N = 4096 a block of 64 rows of N floats would hold 2 MiB, so the
-    # pair sum takes 32-row blocks of 1 MiB.
+    # pair sum takes 32-row blocks of 1 MiB, filled in 8-row kernel tiles
+    # whose temporaries hold a quarter of that.
     tracing = load_tracing()
     n = 4096
     tracer = tracing.Tracer()
     with tracer.recording(0):
         estimators.worst_case_error(kernels.KernelSpec(1, 2), halton(n, 2))
-    assert tracer.counters[0]["max_block_bytes"] == kernels.BLOCK_BYTES == 32 * n * 8
+    assert tracer.counters[0]["max_block_bytes"] == kernels.BLOCK_BYTES // 4 == 8 * n * 8
+
+
+@pytest.mark.parametrize("n", [2048, 4096])
+def test_wce_counts_every_pair_sum_entry(n):
+    # The tiles are copied into one workspace; the traced entries are still
+    # those of the summation blocks, rows x (N - start) each.
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    with tracer.recording(0):
+        estimators.worst_case_error(kernels.KernelSpec(2, 2), halton(n, 2))
+    blocks = kernels.row_blocks(n, max(8 * n, kernels.BLOCK_BYTES // estimators._PAIR_ROWS))
+    assert len(blocks) == n // min(64, 2**17 // n)
+    assert tracer.counters[0]["cross_entries"] == sum((b.stop - b.start) * (n - b.start) for b in blocks)
